@@ -1,0 +1,8 @@
+"""Lets ``python3 -m pytest perfbench`` import the library from ``src/``."""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
