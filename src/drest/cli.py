@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when the input is valid and every requested check passes,
-1 when a checked property fails, 2 for unusable input.
+1 when a checked property fails, 2 for unusable input, 3 when an internal
+invariant breaks (a bug in drest, reported as JSON on stderr).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .operators import (
     complete_with_operators,
 )
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _read(path: str) -> str:
@@ -342,6 +343,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
+    except AssertionError as exc:
+        return _fail(str(exc), INTERNAL)
 
 
 if __name__ == "__main__":  # pragma: no cover

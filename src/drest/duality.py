@@ -1,14 +1,19 @@
 """Dual spaces, the two functors, and the compatible completion.
 
 A space is a finite point set with a projection onto a base set and a basis
-of opens.  The general topological formulas are implemented literally; for
-finite Hausdorff inputs the validator certifies that the topology degenerates
-to the discrete one, which is recorded rather than assumed.
+of opens.  A finite topology is fixed by each point's least neighbourhood,
+the intersection of the basis sets around it, so the validator decides it on
+int bitmasks; only a non-stable basis (an invalid space) has its opens
+listed.  A valid space is discrete, so its sections are the choices of at
+most one point per fibre.  The literal definitions are kept as test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from operator import and_, or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
@@ -88,36 +93,60 @@ class EtaleSpace:
         )
 
 
+def _points(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(masks: Iterable[int]) -> int:
+    return reduce(or_, masks, 0)
+
+
+class _Topology:
+    """A space's basis and fibres as int bitmasks over its points.
+
+    A set is open iff it is the union of the basis sets inside it.  ``least``
+    holds each point's least neighbourhood N(x): the intersection of the basis
+    sets containing x, or None when no basis set does.  On an intersection-
+    stable basis N(x) is the smallest open set around x.
+    """
+
+    def __init__(self, space: EtaleSpace) -> None:
+        self.full = (1 << space.n_points) - 1
+        self.basis = tuple(dict.fromkeys(flt.to_mask(u) for u in space.basis))
+        self.fibre = tuple(flt.to_mask(space.fiber(b)) for b in space.projection)
+        around = [[u for u in self.basis if u >> x & 1] for x in range(space.n_points)]
+        self.least = tuple(reduce(and_, us) if us else None for us in around)
+
+    def is_open(self, s: int) -> bool:
+        return _union(u for u in self.basis if u & s == u) == s
+
+    def saturate(self, s: int) -> int:
+        """Every point over the image of s."""
+        return _union(self.fibre[x] for x in _points(s))
+
+    def is_homeo_on(self, u: int) -> bool:
+        """The projection maps the open set u injectively onto an open set, and
+        every open subset of u onto an open set.  Images and preimages commute
+        with unions, so the open subsets u & c for basis sets c decide it."""
+        return all(self.fibre[x] & u == 1 << x for x in _points(u)) and all(
+            self.is_open(self.saturate(u & c)) for c in self.basis
+        )
+
+    def opens(self) -> set[int]:
+        """Every union of basis sets, the empty one included."""
+        found = {0}
+        for u in self.basis:
+            if u not in found:  # else found is already closed under adding u
+                found |= {v | u for v in found}
+        return found
+
+
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     """All unions of basis sets, including the empty union."""
-    result: set[frozenset[int]] = {frozenset()}
-    frontier = list(space.basis)
-    while frontier:
-        u = frontier.pop()
-        new = [u | v for v in result if u | v not in result]
-        result.add(u)
-        frontier.extend(new)
-    return frozenset(result)
-
-
-def base_opens(space: EtaleSpace, x_opens: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Quotient topology on the base: open iff the preimage is open."""
-    return frozenset(
-        frozenset(v)
-        for v in _subsets(space.n_base)
-        if space.project_preimage(v) in x_opens
-    )
-
-
-def _subsets(n: int):
-    for mask in range(1 << n):
-        yield frozenset(i for i in range(n) if mask >> i & 1)
-
-
-def is_compact(space: EtaleSpace, subset: Iterable[int]) -> bool:
-    """Every subset of a finite space is compact (pick one cover member per
-    point); kept as a named check so the literal definitions read as stated."""
-    return all(0 <= x < space.n_points for x in subset)
+    return frozenset(flt.from_mask(u, space.n_points) for u in _Topology(space).opens())
 
 
 @dataclass(frozen=True)
@@ -139,12 +168,10 @@ class EtaleReport:
 
 
 def validate_etale(space: EtaleSpace) -> EtaleReport:
-    x_opens = opens(space)
+    top = _Topology(space)
     failures: list[str] = []
 
-    stable = all(
-        (u & v) in x_opens for u in space.basis for v in space.basis
-    )
+    stable = all(top.is_open(u & v) for u in top.basis for v in top.basis)
     if not stable:
         failures.append("basis not intersection-stable")
 
@@ -152,94 +179,59 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     if not surjective:
         failures.append("projection not surjective")
 
-    y_opens = base_opens(space, x_opens)
-    continuous = all(space.project_preimage(v) in x_opens for v in y_opens)
-    if not continuous:  # tautological under the quotient topology, still checked
-        failures.append("projection not continuous")
-
-    open_map = all(space.project(u) in y_opens for u in x_opens)
+    # images commute with unions, so basis sets decide openness of the map
+    open_map = all(top.is_open(top.saturate(u)) for u in top.basis)
     if not open_map:
         failures.append("projection not an open map")
 
-    def injective_on(u: frozenset[int]) -> bool:
-        return len(space.project(u)) == len(u)
-
-    def restriction_is_homeo(u: frozenset[int]) -> bool:
-        if not injective_on(u) or space.project(u) not in y_opens:
-            return False
-        return all(space.project(u & w) in y_opens for w in x_opens)
-
-    local_homeo = all(
-        any(x in u and restriction_is_homeo(u) for u in x_opens)
-        for x in range(space.n_points)
-    )
+    if stable:
+        # opens are closed under intersection: N(x) is the least open set
+        # around x, and a nonempty union of clopen sets is clopen, so a basis
+        # set has a clopen neighbourhood basis iff it is clopen itself
+        local_homeo = all(u is not None and top.is_homeo_on(u) for u in top.least)
+        zero_dimensional = all(top.is_open(top.full ^ u) for u in top.basis if u)
+    else:
+        # N(x) need not be open here: quantify over the listed opens
+        x_opens = top.opens()
+        local_homeo = all(
+            any(u >> x & 1 and top.is_homeo_on(u) for u in x_opens)
+            for x in range(space.n_points)
+        )
+        clopens = [u for u in x_opens if top.full ^ u in x_opens]
+        zero_dimensional = all(
+            _union(k for k in clopens if k & u == k) == u for u in top.basis
+        )
     if not local_homeo:
         failures.append("projection not a local homeomorphism")
 
+    # apart[u]: the points of the basis sets disjoint from u
+    apart = {u: _union(v for v in top.basis if not u & v) for u in top.basis}
     hausdorff = all(
-        any(
-            x in u and y in v and not (u & v)
-            for u in space.basis
-            for v in space.basis
-        )
+        _union(apart[u] for u in top.basis if u >> x & 1) | 1 << x == top.full
         for x in range(space.n_points)
-        for y in range(space.n_points)
-        if x != y
     )
     if not hausdorff:
         failures.append("points not separated by disjoint opens")
 
-    clopens = {u for u in x_opens if space.all_points - u in x_opens}
-    zero_dimensional = all(
-        any(x in k and k <= o for k in clopens)
-        for o in x_opens
-        for x in o
-    )
     if not zero_dimensional:
         failures.append("no clopen neighbourhood basis")
 
-    # compact neighbourhood basis; finite sets are compact, so the open set
-    # itself is always a valid witness
-    locally_compact = all(
-        any(
-            is_compact(space, k) and x in _interior(k, x_opens) and k <= o
-            for k in (o,)
-        )
-        for o in x_opens
-        for x in o
-    )
-    if not locally_compact:
-        failures.append("no compact neighbourhood basis")
-
-    discrete = all(frozenset({x}) in x_opens for x in range(space.n_points))
-
+    basis = set(top.basis)
+    # the base carries the quotient topology, so the projection is continuous;
+    # every finite set is compact, so each open set is its own compact
+    # neighbourhood
     return EtaleReport(
         basis_intersection_stable=stable,
         surjective=surjective,
-        projection_continuous=continuous,
+        projection_continuous=True,
         projection_open=open_map,
         local_homeo=local_homeo,
         hausdorff=hausdorff,
         zero_dimensional=zero_dimensional,
-        locally_compact=locally_compact,
-        discrete=discrete,
+        locally_compact=True,
+        discrete=all(1 << x in basis for x in range(space.n_points)),
         failures=tuple(failures),
     )
-
-
-def _interior(subset: frozenset[int], x_opens: frozenset[frozenset[int]]) -> frozenset[int]:
-    inner: frozenset[int] = frozenset()
-    for u in x_opens:
-        if u <= subset:
-            inner |= u
-    return inner
-
-
-def compact_sets_are_basis_unions(space: EtaleSpace) -> bool:
-    """Finite spaces make every subset compact, so the compactness
-    characterisation says every subset must be a union of basis sets."""
-    x_opens = opens(space)
-    return all(s in x_opens for s in _subsets(space.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +283,11 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
     src, tgt = m.source, m.target
     failures: list[str] = []
 
-    src_opens = opens(src)
-    continuous = all(m.preimage(v) in src_opens for v in opens(tgt))
+    # preimages commute with unions, so basis sets decide continuity
+    src_top = _Topology(src)
+    continuous = all(src_top.is_open(flt.to_mask(m.preimage(v))) for v in tgt.basis)
     if not continuous:
         failures.append("not continuous")
-
-    # properness quantifies over compact target subsets; finitely many points
-    # make every subset (and every preimage) compact
-    proper = all(
-        is_compact(src, m.preimage(v))
-        for v in _subsets(tgt.n_points)
-        if is_compact(tgt, v)
-    )
-    if not proper:
-        failures.append("not proper")
 
     dom = m.defined_on
     q1 = all(
@@ -339,7 +322,7 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
 
     return MorphismReport(
         continuous=continuous,
-        proper=proper,
+        proper=True,  # every subset of a finite space is compact
         preserves_equivalence=q1,
         fibrewise_injective=q2,
         fibrewise_surjective=q3,
@@ -378,10 +361,10 @@ def is_space_isomorphism(m: SpaceMorphism) -> bool:
         return False
     if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
         return False
-    src_opens, tgt_opens = opens(src), opens(tgt)
-    if any(m.preimage(v) not in src_opens for v in tgt_opens):
+    src_top, tgt_top = _Topology(src), _Topology(tgt)
+    if not all(src_top.is_open(flt.to_mask(m.preimage(v))) for v in tgt.basis):
         return False
-    if any(frozenset(m.mapping[x] for x in u) not in tgt_opens for u in src_opens):
+    if not all(tgt_top.is_open(flt.to_mask(m.mapping[x] for x in u)) for u in src.basis):
         return False
     return all(
         (src.projection[x] == src.projection[y])
@@ -439,22 +422,20 @@ class DualAlgebra:
     space: EtaleSpace
     sections: tuple[frozenset[int], ...]
     algebra: FiniteAlgebra
+    index: dict[frozenset[int], int] = field(repr=False, compare=False)
 
     def section_index(self, u: frozenset[int]) -> int:
-        return self.sections.index(u)
+        return self.index[u]
 
 
 def G_object(space: EtaleSpace) -> DualAlgebra:
     report = validate_etale(space)
     if not report.ok:
         raise InvalidSpace("; ".join(report.failures))
-    x_opens = opens(space)
+    # a valid space is discrete, so every injective set is a section
+    choices = [(None, *sorted(space.fiber(b))) for b in range(space.n_base)]
     sections = sorted(
-        (
-            u
-            for u in x_opens
-            if is_compact(space, u) and len(space.project(u)) == len(u)
-        ),
+        (frozenset(x for x in pick if x is not None) for pick in product(*choices)),
         key=lambda s: (len(s), sorted(s)),
     )
     index = {u: i for i, u in enumerate(sections)}
@@ -478,7 +459,7 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
         minus=OpTable("minus", 2, n, tuple(minus(i, j) for i in range(n) for j in range(n))),
         rest=OpTable("rest", 2, n, tuple(rest(i, j) for i in range(n) for j in range(n))),
     )
-    return DualAlgebra(space, tuple(sections), algebra)
+    return DualAlgebra(space, tuple(sections), algebra, index)
 
 
 def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
@@ -508,9 +489,10 @@ def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
         if not containing:
             mapping.append(NOWHERE)
             continue
-        if containing not in target_mfs.points:
+        point = target_mfs.point_index(containing)
+        if point is None:
             raise AssertionError("internal error: point filter not maximal")
-        mapping.append(target_mfs.point_index(containing))
+        mapping.append(point)
     return space_morphism(space, target, mapping)
 
 
@@ -525,9 +507,10 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
         if not pullback:
             mapping.append(NOWHERE)
             continue
-        if pullback not in tgt_mfs.points:
+        point = tgt_mfs.point_index(pullback)
+        if point is None:
             raise AssertionError("internal error: filter preimage not maximal")
-        mapping.append(tgt_mfs.point_index(pullback))
+        mapping.append(point)
     morphism = space_morphism(src_space, tgt_space, mapping)
     for a in range(h.source.n):
         if morphism.preimage(flt.hat(tgt_mfs, a)) != flt.hat(src_mfs, h.table[a]):

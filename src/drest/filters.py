@@ -6,22 +6,22 @@ scan and the meet/difference dichotomy predicate) that must agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from .dra import FiniteAlgebra, bottom, derived_meet, leq
 
 FILTER_SIZE_CAP = 16
 
 
-def _mask(members: Iterable[int]) -> int:
+def to_mask(members: Iterable[int]) -> int:
     m = 0
     for x in members:
         m |= 1 << x
     return m
 
 
-def _unmask(mask: int, n: int) -> frozenset[int]:
+def from_mask(mask: int, n: int) -> frozenset[int]:
     return frozenset(x for x in range(n) if mask >> x & 1)
 
 
@@ -76,7 +76,7 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
                 break
         if ok:
             found.append(mask)
-    return tuple(_unmask(m, n) for m in found)
+    return tuple(from_mask(m, n) for m in found)
 
 
 def _is_maximal_by_dichotomy(algebra: FiniteAlgebra, members: frozenset[int]) -> bool:
@@ -99,15 +99,23 @@ class MaxFilterSpace:
     algebra: FiniteAlgebra
     points: tuple[frozenset[int], ...]
     classes: tuple[tuple[int, ...], ...]
+    _index: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
+    _class: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def point_index(self, members: frozenset[int]) -> int:
-        return self.points.index(members)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {mu: i for i, mu in enumerate(self.points)})
+        object.__setattr__(
+            self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
+        )
+
+    def point_index(self, members: frozenset[int]) -> Optional[int]:
+        """Position of the maximal filter, or None when members is not one."""
+        return self._index.get(members)
 
     def class_of(self, point: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if point in cls:
-                return i
-        raise ValueError(f"unknown point {point}")
+        if point not in self._class:
+            raise ValueError(f"unknown point {point}")
+        return self._class[point]
 
 
 def filter_equiv(
@@ -152,7 +160,7 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
             )
 
     n = algebra.n
-    points = tuple(sorted(by_predicate, key=lambda s: _mask(s)))
+    points = tuple(sorted(by_predicate, key=to_mask))
     seen: set[int] = set()
     classes: list[tuple[int, ...]] = []
     for i in range(len(points)):

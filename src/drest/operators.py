@@ -29,8 +29,8 @@ from .duality import (
     G_object,
     SpaceMorphism,
     _dual_space,
+    _Topology,
     complete,
-    opens,
     unit_eta,
 )
 from .pfun import ConcretePFAlgebra, closure_generate
@@ -226,7 +226,7 @@ class RelationReport:
 
 def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     space = rel.space
-    x_opens = opens(space)
+    top = _Topology(space)
     failures: list[str] = []
 
     def point_compat(x: int, y: int) -> bool:
@@ -244,7 +244,7 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     # applying the relation commutes with unions in each argument, so the
     # open-tuple quantifiers are decided by basis tuples
     basis_images_open = all(
-        apply_relation(rel, us) in x_opens
+        top.is_open(flt.to_mask(apply_relation(rel, us)))
         for us in product(space.basis, repeat=rel.arity)
     )
     continuous = basis_images_open
@@ -257,13 +257,12 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
         failures.append("spectrality fails")
 
     # the relation application is monotone in each argument, so the
-    # quantifier over compact open neighbourhoods is decided by minimal ones
-    minimal_open = []
-    for x in range(space.n_points):
-        around = [u for u in x_opens if x in u]
-        minimal_open.append(
-            frozenset.intersection(*around) if around else frozenset()
-        )
+    # quantifier over compact open neighbourhoods is decided by minimal ones;
+    # the open sets around x meet exactly where the basis sets around x do
+    minimal_open = [
+        frozenset() if u is None else flt.from_mask(u, space.n_points)
+        for u in top.least
+    ]
     tight = all(
         xs in rel.tuples
         for xs in product(range(space.n_points), repeat=rel.arity + 1)

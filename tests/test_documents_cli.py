@@ -136,6 +136,16 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert out["valid"] is False and out["violations"]
 
 
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(algebra):
+        raise AssertionError("internal error: broken invariant")
+
+    monkeypatch.setattr("drest.cli.validate_axioms", broken)
+    assert main(["validate", fixture_file(tmp_path, "disjoint_pair")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "internal error: broken invariant"}
+
+
 def test_validate_missing_file_is_a_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 

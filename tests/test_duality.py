@@ -15,6 +15,7 @@ from drest.dra import (
     validate_axioms,
 )
 from drest.duality import (
+    SPACE_SIZE_CAP,
     EtaleSpace,
     F_morphism,
     F_object,
@@ -23,7 +24,6 @@ from drest.duality import (
     InvalidMorphism,
     InvalidSpace,
     check_triangle_identities,
-    compact_sets_are_basis_unions,
     complete,
     completion_characterizations,
     completion_report,
@@ -71,7 +71,6 @@ def test_two_fibre_space_is_valid_and_discrete():
     report = validate_etale(two_fibre_space())
     assert report.ok
     assert report.discrete
-    assert compact_sets_are_basis_unions(two_fibre_space())
 
 
 def test_opens_are_all_unions():
@@ -111,6 +110,44 @@ def test_f_object_spaces_validate():
         space = F_object(get_fixture(name).algebra)
         report = validate_etale(space)
         assert report.ok and report.discrete
+
+
+def space_at_the_cap(projection, basis) -> EtaleSpace:
+    n = SPACE_SIZE_CAP
+    rest = tuple(frozenset({x}) for x in range(n) if not any(x in u for u in basis))
+    return EtaleSpace(n, max(projection) + 1, tuple(projection), tuple(basis) + rest)
+
+
+def test_discrete_space_at_the_size_cap():
+    space = space_at_the_cap([x // 2 for x in range(SPACE_SIZE_CAP)], [])
+    report = validate_etale(space)
+    assert report.ok and report.discrete
+    assert identity_morphism(space).is_identity()
+
+
+def test_unseparated_pair_at_the_size_cap():
+    # points 0 and 1 share a fibre and only ever appear together
+    space = space_at_the_cap([0, 0, *range(1, SPACE_SIZE_CAP - 1)], [frozenset({0, 1})])
+    report = validate_etale(space)
+    assert report.basis_intersection_stable and report.zero_dimensional
+    assert report.failures == (
+        "projection not a local homeomorphism",
+        "points not separated by disjoint opens",
+    )
+    assert identity_morphism(space).is_identity()
+
+
+def test_non_stable_basis_at_the_size_cap():
+    # {0, 1} and {1, 2} meet in {1}, which is not open
+    space = space_at_the_cap(range(SPACE_SIZE_CAP), [frozenset({0, 1}), frozenset({1, 2})])
+    report = validate_etale(space)
+    assert report.local_homeo and not report.discrete
+    assert report.failures == (
+        "basis not intersection-stable",
+        "points not separated by disjoint opens",
+        "no clopen neighbourhood basis",
+    )
+    assert identity_morphism(space).is_identity()
 
 
 # ---------------------------------------------------------------------------
