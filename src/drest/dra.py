@@ -30,9 +30,9 @@ class OpTable:
     def __post_init__(self) -> None:
         if len(self.entries) != self.size**self.arity:
             raise ValueError(f"table {self.name}: wrong number of entries")
-        for e in self.entries:
-            if not 0 <= e < self.size:
-                raise ValueError(f"table {self.name}: entry {e} out of range")
+        if self.entries and not 0 <= min(self.entries) <= max(self.entries) < self.size:
+            e = next(e for e in self.entries if not 0 <= e < self.size)
+            raise ValueError(f"table {self.name}: entry {e} out of range")
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:

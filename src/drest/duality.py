@@ -433,33 +433,32 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
     if not report.ok:
         raise InvalidSpace("; ".join(report.failures))
     # a valid space is discrete, so every injective set is a section
-    choices = [(None, *sorted(space.fiber(b))) for b in range(space.n_base)]
-    sections = sorted(
-        (frozenset(x for x in pick if x is not None) for pick in product(*choices)),
-        key=lambda s: (len(s), sorted(s)),
+    top = _Topology(space)
+    choices = [(0, *(1 << x for x in space.fiber(b))) for b in range(space.n_base)]
+    masks = sorted(
+        (sum(pick) for pick in product(*choices)),
+        key=lambda m: (m.bit_count(), list(_points(m))),
     )
-    index = {u: i for i, u in enumerate(sections)}
+    # position[m]: the index of the section with mask m, or NOWHERE
+    position = [NOWHERE] * (top.full + 1)
+    for i, m in enumerate(masks):
+        position[m] = i
+    saturated = [top.saturate(m) for m in masks]
+    minus = tuple(position[m & ~v] for m in masks for v in masks)
+    if NOWHERE in minus:
+        raise AssertionError("internal error: sections not closed under difference")
+    rest = tuple(position[s & v] for s in saturated for v in masks)
+    if NOWHERE in rest:
+        raise AssertionError("internal error: sections not closed under restriction")
+
+    sections = tuple(flt.from_mask(m, space.n_points) for m in masks)
     n = len(sections)
-
-    def minus(i: int, j: int) -> int:
-        result = sections[i] - sections[j]
-        if result not in index:
-            raise AssertionError("internal error: sections not closed under difference")
-        return index[result]
-
-    def rest(i: int, j: int) -> int:
-        result = space.project_preimage(space.project(sections[i])) & sections[j]
-        if result not in index:
-            raise AssertionError("internal error: sections not closed under restriction")
-        return index[result]
-
-    names = tuple(section_name(u) for u in sections)
     algebra = FiniteAlgebra(
-        elements=names,
-        minus=OpTable("minus", 2, n, tuple(minus(i, j) for i in range(n) for j in range(n))),
-        rest=OpTable("rest", 2, n, tuple(rest(i, j) for i in range(n) for j in range(n))),
+        elements=tuple(section_name(u) for u in sections),
+        minus=OpTable("minus", 2, n, minus),
+        rest=OpTable("rest", 2, n, rest),
     )
-    return DualAlgebra(space, tuple(sections), algebra, index)
+    return DualAlgebra(space, sections, algebra, {u: i for i, u in enumerate(sections)})
 
 
 def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:

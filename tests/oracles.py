@@ -238,6 +238,18 @@ def sections(space: EtaleSpace) -> list[frozenset[int]]:
     )
 
 
+def dual_tables(space: EtaleSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The difference and restriction tables of ``G_object`` on the oracle's
+    sections, computed on frozensets."""
+    secs = sections(space)
+    index = {u: i for i, u in enumerate(secs)}
+    minus = tuple(index[u - v] for u in secs for v in secs)
+    rest = tuple(
+        index[space.project_preimage(space.project(u)) & v] for u in secs for v in secs
+    )
+    return minus, rest
+
+
 def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     space = rel.space
     x_opens = opens(space)

@@ -1,9 +1,10 @@
 """The bitmask topology against the literal definitions in ``oracles``.
 
 Every report field, the failure messages in their order, morphism checks,
-isomorphism checks, relation checks and sections must agree: exhaustively on
-spaces of at most three points, and on generated spaces of four to six points
-whose bases may be non-stable or leave points uncovered.
+isomorphism checks, relation checks, sections and the dual's tables must
+agree: exhaustively on spaces of at most three points, and on generated
+spaces of four to six points whose bases may be non-stable or leave points
+uncovered.
 """
 from __future__ import annotations
 
@@ -59,7 +60,11 @@ def assert_space_agrees(space: EtaleSpace) -> None:
     assert report == oracles.validate_etale(space), space
     assert opens(space) == oracles.opens(space)
     if report.ok:
-        assert list(G_object(space).sections) == oracles.sections(space)
+        dual = G_object(space)
+        assert list(dual.sections) == oracles.sections(space)
+        minus, rest = oracles.dual_tables(space)
+        assert dual.algebra.minus.entries == minus
+        assert dual.algebra.rest.entries == rest
 
 
 def test_every_space_of_at_most_three_points_agrees():
