@@ -27,6 +27,7 @@ from .duality import (
     G_object,
     check_triangle_identities,
     complete,
+    completion_report,
     counit_lambda,
     lambda_naturality_square,
     validate_etale,
@@ -146,12 +147,15 @@ def cmd_complete(args) -> int:
     else:
         _, embedding = complete(algebra.with_ops(()))
     sys.stdout.write(emit_document(embedding))
+    report = completion_report(embedding)
     print(
         json.dumps(
             {
-                "embedding": True,
-                "complete": True,
-                "dense": True,
+                "embedding": report.embedding,
+                "target_complete": report.target_complete,
+                "image_dense": report.image_dense,
+                "source_size": embedding.source.n,
+                "target_size": embedding.target.n,
             }
         ),
         file=sys.stderr,

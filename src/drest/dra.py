@@ -3,13 +3,16 @@
 An algebra is a list of element names plus total operation tables.  The
 validator checks the five defining equations; everything else (order,
 compatibility, joins, homomorphisms, isomorphism search) is derived from the
-two tables.
+two tables.  The order is kept as one up-set bitmask per element, built on
+first use and stored on the algebra, so joins intersect masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from operator import and_
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +55,10 @@ class FiniteAlgebra:
     minus: OpTable
     rest: OpTable
     extra_ops: tuple[OpTable, ...] = ()
+    # built on first use, not compared, and dropped with the algebra: the
+    # up-set masks (up_masks) and the dual record (drest.duality.dual_of)
+    _up: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _dual: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -213,6 +220,34 @@ def leq(algebra: FiniteAlgebra, x: int, y: int) -> bool:
     return derived_meet(algebra, x, y) == x
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def up_masks(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """up[x]: the elements y with x <= y, as a bitmask."""
+    up = algebra._up
+    if up is None:
+        n, m = algebra.n, algebra.minus.entries
+        up = tuple(
+            sum(1 << y for y in range(n) if m[x * n + m[x * n + y]] == x) for x in range(n)
+        )
+        object.__setattr__(algebra, "_up", up)
+    return up
+
+
+def _least(up: tuple[int, ...], uppers: int) -> Optional[int]:
+    """The first member of the mask that lies below all of its members."""
+    for u in bits(uppers):
+        if uppers & ~up[u] == 0:
+            return u
+    return None
+
+
 def domain_preorder(algebra: FiniteAlgebra, x: int, y: int) -> bool:
     """x has smaller domain than y: x <= y | x."""
     return leq(algebra, x, algebra.r(y, x))
@@ -244,20 +279,16 @@ def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[i
     members = list(members)
     if not members:
         return bottom(algebra)
-    uppers = [
-        u for u in range(algebra.n) if all(leq(algebra, s, u) for s in members)
-    ]
-    for u in uppers:
-        if all(leq(algebra, u, v) for v in uppers):
-            return u
-    return None
+    up = up_masks(algebra)
+    return _least(up, reduce(and_, (up[s] for s in members)))
 
 
 def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:
     """Every compatible pair has a join (pairs suffice for finite families)."""
     n = algebra.n
+    up = up_masks(algebra)
     return all(
-        join_if_exists(algebra, (x, y)) is not None
+        _least(up, up[x] & up[y]) is not None
         for x in range(n)
         for y in range(x + 1, n)
         if compatible(algebra, x, y)
@@ -335,14 +366,18 @@ def hom_check(mapping: AlgebraMap) -> HomReport:
     """Check preservation of difference, restriction, and every operation the
     two algebras share by name; injectivity is reported separately."""
     src, tgt, h = mapping.source, mapping.target, mapping.table
+    n, tn = src.n, tgt.n
+    s_m, s_r = src.minus.entries, src.rest.entries
+    t_m, t_r = tgt.minus.entries, tgt.rest.entries
     violations: list[str] = []
-    for x in range(src.n):
-        for y in range(src.n):
-            if h[src.m(x, y)] != tgt.m(h[x], h[y]):
+    for x in range(n):
+        hx = h[x] * tn
+        for y in range(n):
+            if h[s_m[x * n + y]] != t_m[hx + h[y]]:
                 violations.append(
                     f"minus not preserved at ({src.elements[x]}, {src.elements[y]})"
                 )
-            if h[src.r(x, y)] != tgt.r(h[x], h[y]):
+            if h[s_r[x * n + y]] != t_r[hx + h[y]]:
                 violations.append(
                     f"rest not preserved at ({src.elements[x]}, {src.elements[y]})"
                 )
@@ -400,6 +435,11 @@ def isomorphism_search(
     if sorted(inv_a) != sorted(inv_b):
         return None
 
+    # every shared operation is checked inside the search, so the first full
+    # assignment is the first bijective homomorphism in search order
+    ops = [(a.minus, b.minus), (a.rest, b.rest), *((a.op(k), b.op(k)) for k in a.op_names())]
+    if any(s_op.arity != t_op.arity for s_op, t_op in ops):
+        return None
     n = a.n
     assignment: list[int] = []
     used = [False] * n
@@ -410,17 +450,12 @@ def isomorphism_search(
                 return assignment[z]
             return y if z == x else None
 
-        for u in (*range(len(assignment)), x):
-            for v in (*range(len(assignment)), x):
-                hu, hv = image(u), image(v)
-                for res, t_res in (
-                    (a.m(u, v), b.m(hu, hv)),
-                    (a.r(u, v), b.r(hu, hv)),
-                ):
-                    h_res = image(res)
-                    if h_res is not None and h_res != t_res:
-                        return False
-        return True
+        known = (*range(len(assignment)), x)
+        return all(
+            image(s_op(*args)) in (None, t_op(*map(image, args)))
+            for s_op, t_op in ops
+            for args in product(known, repeat=s_op.arity)
+        )
 
     def backtrack() -> Optional[tuple[int, ...]]:
         x = len(assignment)
@@ -444,37 +479,6 @@ def isomorphism_search(
     if table is None:
         return None
     candidate = AlgebraMap(a, b, table)
-    report = hom_check(candidate)
-    if not report.is_embedding:  # extra ops may rule the candidate out
-        return _full_search(a, b, inv_a, inv_b)
+    if not hom_check(candidate).is_embedding:
+        raise AssertionError("internal error: search result not an isomorphism")
     return candidate
-
-
-def _full_search(
-    a: FiniteAlgebra, b: FiniteAlgebra, inv_a, inv_b
-) -> Optional[AlgebraMap]:
-    # fallback: exhaustive over invariant-respecting bijections, full hom check
-    n = a.n
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for y in range(n):
-        buckets.setdefault(inv_b[y], []).append(y)
-
-    def extend(x: int, used: set[int], table: list[int]) -> Optional[AlgebraMap]:
-        if x == n:
-            candidate = AlgebraMap(a, b, tuple(table))
-            if hom_check(candidate).is_embedding:
-                return candidate
-            return None
-        for y in buckets.get(inv_a[x], []):
-            if y in used:
-                continue
-            table.append(y)
-            used.add(y)
-            found = extend(x + 1, used, table)
-            if found is not None:
-                return found
-            used.discard(y)
-            table.pop()
-        return None
-
-    return extend(0, set(), [])

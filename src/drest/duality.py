@@ -5,15 +5,19 @@ of opens.  A finite topology is fixed by each point's least neighbourhood,
 the intersection of the basis sets around it, so the validator decides it on
 int bitmasks; only a non-stable basis (an invalid space) has its opens
 listed.  A valid space is discrete, so its sections are the choices of at
-most one point per fibre.  The literal definitions are kept as test oracles.
+most one point per fibre, capped at SECTION_CAP.  The literal definitions are
+kept as test oracles.  Each algebra keeps one dual record (:func:`dual_of`),
+which the functors, unit, counit and completion read instead of rebuilding
+it; a space passed in by a caller gets none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from math import prod
 from operator import and_, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
@@ -21,6 +25,7 @@ from .dra import (
     FiniteAlgebra,
     HomReport,
     OpTable,
+    bits,
     bottom,
     derived_meet,
     hom_check,
@@ -28,9 +33,13 @@ from .dra import (
     is_subtraction_algebra,
     join_if_exists,
     leq,
+    up_masks,
 )
 
 SPACE_SIZE_CAP = 16
+# sections of one space, prod(|fibre| + 1); the dual tables grow with its
+# square, and completing a 1,024-element algebra takes seconds
+SECTION_CAP = 1024
 
 NOWHERE = -1
 
@@ -93,13 +102,6 @@ class EtaleSpace:
         )
 
 
-def _points(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _union(masks: Iterable[int]) -> int:
     return reduce(or_, masks, 0)
 
@@ -116,22 +118,23 @@ class _Topology:
     def __init__(self, space: EtaleSpace) -> None:
         self.full = (1 << space.n_points) - 1
         self.basis = tuple(dict.fromkeys(flt.to_mask(u) for u in space.basis))
+        self.basis_set = frozenset(self.basis)
         self.fibre = tuple(flt.to_mask(space.fiber(b)) for b in space.projection)
         around = [[u for u in self.basis if u >> x & 1] for x in range(space.n_points)]
         self.least = tuple(reduce(and_, us) if us else None for us in around)
 
     def is_open(self, s: int) -> bool:
-        return _union(u for u in self.basis if u & s == u) == s
+        return not s or s in self.basis_set or _union(u for u in self.basis if u & s == u) == s
 
     def saturate(self, s: int) -> int:
         """Every point over the image of s."""
-        return _union(self.fibre[x] for x in _points(s))
+        return _union(self.fibre[x] for x in bits(s))
 
     def is_homeo_on(self, u: int) -> bool:
         """The projection maps the open set u injectively onto an open set, and
         every open subset of u onto an open set.  Images and preimages commute
         with unions, so the open subsets u & c for basis sets c decide it."""
-        return all(self.fibre[x] & u == 1 << x for x in _points(u)) and all(
+        return all(self.fibre[x] & u == 1 << x for x in bits(u)) and all(
             self.is_open(self.saturate(u & c)) for c in self.basis
         )
 
@@ -216,7 +219,6 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     if not zero_dimensional:
         failures.append("no clopen neighbourhood basis")
 
-    basis = set(top.basis)
     # the base carries the quotient topology, so the projection is continuous;
     # every finite set is compact, so each open set is its own compact
     # neighbourhood
@@ -229,7 +231,7 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
         hausdorff=hausdorff,
         zero_dimensional=zero_dimensional,
         locally_compact=True,
-        discrete=all(1 << x in basis for x in range(space.n_points)),
+        discrete=all(1 << x in top.basis_set for x in range(space.n_points)),
         failures=tuple(failures),
     )
 
@@ -377,40 +379,6 @@ def is_space_isomorphism(m: SpaceMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # the two functors
 
-def F_object(algebra: FiniteAlgebra) -> EtaleSpace:
-    """Space of maximal filters over their shared-domain classes, with the
-    element supports as basis."""
-    space, _ = _dual_space(algebra)
-    return space
-
-
-def _dual_space(algebra: FiniteAlgebra) -> tuple[EtaleSpace, flt.MaxFilterSpace]:
-    mfs = flt.maximal_filters(algebra)
-    n_points = len(mfs.points)
-    projection = tuple(mfs.class_of(i) for i in range(n_points))
-    hats = sorted(
-        {flt.hat(mfs, a) for a in range(algebra.n)},
-        key=lambda s: sorted(s),
-    )
-    labels = tuple(
-        "{" + ",".join(algebra.elements[a] for a in sorted(mu)) + "}"
-        for mu in mfs.points
-    )
-    space = EtaleSpace(
-        n_points=n_points,
-        n_base=len(mfs.classes),
-        projection=projection,
-        basis=tuple(hats),
-        point_labels=labels,
-    )
-    report = validate_etale(space)
-    if not report.ok:
-        raise AssertionError(
-            f"internal error: dual space invalid ({'; '.join(report.failures)})"
-        )
-    return space, mfs
-
-
 def section_name(u: frozenset[int]) -> str:
     return "{" + ",".join(str(x) for x in sorted(u)) + "}"
 
@@ -428,16 +396,18 @@ class DualAlgebra:
         return self.index[u]
 
 
-def G_object(space: EtaleSpace) -> DualAlgebra:
-    report = validate_etale(space)
-    if not report.ok:
-        raise InvalidSpace("; ".join(report.failures))
+def _section_algebra(space: EtaleSpace) -> DualAlgebra:
+    """The sections of a valid space and their difference and restriction
+    tables; refuses before any table is built when there are too many."""
+    count = prod(len(space.fiber(b)) + 1 for b in range(space.n_base))
+    if count > SECTION_CAP:
+        raise ValueError(f"sections capped at {SECTION_CAP}; this space has {count}")
     # a valid space is discrete, so every injective set is a section
     top = _Topology(space)
     choices = [(0, *(1 << x for x in space.fiber(b))) for b in range(space.n_base)]
     masks = sorted(
         (sum(pick) for pick in product(*choices)),
-        key=lambda m: (m.bit_count(), list(_points(m))),
+        key=lambda m: (m.bit_count(), list(bits(m))),
     )
     # position[m]: the index of the section with mask m, or NOWHERE
     position = [NOWHERE] * (top.full + 1)
@@ -461,14 +431,78 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
     return DualAlgebra(space, sections, algebra, {u: i for i, u in enumerate(sections)})
 
 
+def G_object(space: EtaleSpace) -> DualAlgebra:
+    report = validate_etale(space)
+    if not report.ok:
+        raise InvalidSpace("; ".join(report.failures))
+    return _section_algebra(space)
+
+
+@dataclass(frozen=True)
+class DualRecord:
+    """An algebra's dual data: its maximal filters, the support of each
+    element as a point mask, and the dual space, validated when built."""
+
+    mfs: flt.MaxFilterSpace
+    hats: tuple[int, ...]
+    space: EtaleSpace
+    _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def sections(self) -> DualAlgebra:
+        """G of the dual space: the completion of the algebra."""
+        if self._sections is None:
+            object.__setattr__(self, "_sections", _section_algebra(self.space))
+        return self._sections
+
+    def hat(self, element: int) -> frozenset[int]:
+        return flt.from_mask(self.hats[element], self.space.n_points)
+
+
+def dual_of(algebra: FiniteAlgebra) -> DualRecord:
+    """The algebra's dual record, built on first use and kept on the algebra."""
+    if algebra._dual is not None:
+        return algebra._dual
+    mfs = flt.maximal_filters(algebra)
+    up = up_masks(algebra)
+    # point i holds the element iff atoms[i] lies below it
+    hats = tuple(
+        sum(1 << i for i, a in enumerate(mfs.atoms) if up[a] >> e & 1)
+        for e in range(algebra.n)
+    )
+    n_points = len(mfs.points)
+    labels = tuple(
+        "{" + ",".join(algebra.elements[a] for a in sorted(mu)) + "}"
+        for mu in mfs.points
+    )
+    space = EtaleSpace(
+        n_points=n_points,
+        n_base=len(mfs.classes),
+        projection=tuple(mfs.class_of(i) for i in range(n_points)),
+        basis=tuple(sorted({flt.from_mask(h, n_points) for h in hats}, key=sorted)),
+        point_labels=labels,
+    )
+    report = validate_etale(space)
+    if not report.ok:
+        raise AssertionError(
+            f"internal error: dual space invalid ({'; '.join(report.failures)})"
+        )
+    object.__setattr__(algebra, "_dual", DualRecord(mfs, hats, space))
+    return algebra._dual
+
+
+def F_object(algebra: FiniteAlgebra) -> EtaleSpace:
+    """Space of maximal filters over their shared-domain classes, with the
+    element supports as basis."""
+    return dual_of(algebra).space
+
+
 def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
     """Send each element to its support among the maximal filters."""
-    space, mfs = _dual_space(algebra)
-    dual = G_object(space)
-    table = tuple(
-        dual.section_index(flt.hat(mfs, a)) for a in range(algebra.n)
-    )
-    mapping = AlgebraMap(algebra, dual.algebra, table)
+    dual = dual_of(algebra)
+    sections = dual.sections
+    table = tuple(sections.section_index(dual.hat(a)) for a in range(algebra.n))
+    mapping = AlgebraMap(algebra, sections.algebra, table)
     report = hom_check(mapping)
     if not report.is_embedding:
         raise AssertionError("internal error: representation map not an embedding")
@@ -478,53 +512,56 @@ def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
 def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
     """Send each point to the filter of sections containing it, where that
     collection is nonempty."""
-    dual = G_object(space)
-    target, target_mfs = _dual_space(dual.algebra)
+    return _counit(G_object(space))
+
+
+def _counit(sections: DualAlgebra) -> SpaceMorphism:
+    space, target = sections.space, dual_of(sections.algebra)
     mapping = []
     for x in range(space.n_points):
         containing = frozenset(
-            i for i, u in enumerate(dual.sections) if x in u
+            i for i, u in enumerate(sections.sections) if x in u
         )
         if not containing:
             mapping.append(NOWHERE)
             continue
-        point = target_mfs.point_index(containing)
+        point = target.mfs.point_index(containing)
         if point is None:
             raise AssertionError("internal error: point filter not maximal")
         mapping.append(point)
-    return space_morphism(space, target, mapping)
+    return space_morphism(space, target.space, mapping)
 
 
 def F_morphism(h: AlgebraMap) -> SpaceMorphism:
     """Dualise an algebra map to a partial map of spaces, by preimage of
     filters; defined on the filters meeting the image."""
-    src_space, src_mfs = _dual_space(h.target)  # points of the target algebra
-    tgt_space, tgt_mfs = _dual_space(h.source)
+    src = dual_of(h.target)  # points of the target algebra
+    tgt = dual_of(h.source)
     mapping = []
-    for xi in src_mfs.points:
+    for xi in src.mfs.points:
         pullback = frozenset(a for a in range(h.source.n) if h.table[a] in xi)
         if not pullback:
             mapping.append(NOWHERE)
             continue
-        point = tgt_mfs.point_index(pullback)
+        point = tgt.mfs.point_index(pullback)
         if point is None:
             raise AssertionError("internal error: filter preimage not maximal")
         mapping.append(point)
-    morphism = space_morphism(src_space, tgt_space, mapping)
+    morphism = space_morphism(src.space, tgt.space, mapping)
     for a in range(h.source.n):
-        if morphism.preimage(flt.hat(tgt_mfs, a)) != flt.hat(src_mfs, h.table[a]):
+        if morphism.preimage(tgt.hat(a)) != src.hat(h.table[a]):
             raise AssertionError("internal error: dual map misses the support identity")
     return morphism
 
 
 def G_morphism(m: SpaceMorphism) -> AlgebraMap:
     """Dualise a space morphism to an algebra map, by preimage of sections."""
-    src_dual = G_object(m.source)
-    tgt_dual = G_object(m.target)
-    table = tuple(
-        src_dual.section_index(m.preimage(u)) for u in tgt_dual.sections
-    )
-    mapping = AlgebraMap(tgt_dual.algebra, src_dual.algebra, table)
+    return _G_morphism(m, G_object(m.source), G_object(m.target))
+
+
+def _G_morphism(m: SpaceMorphism, src: DualAlgebra, tgt: DualAlgebra) -> AlgebraMap:
+    table = tuple(src.section_index(m.preimage(u)) for u in tgt.sections)
+    mapping = AlgebraMap(tgt.algebra, src.algebra, table)
     if not hom_check(mapping).is_hom:
         raise AssertionError("internal error: dualised morphism not a homomorphism")
     return mapping
@@ -546,33 +583,33 @@ class TriangleReport:
 def check_triangle_identities(obj) -> TriangleReport:
     """Both composite identities, anchored at the given algebra or space."""
     if isinstance(obj, FiniteAlgebra):
-        algebra, space = obj, F_object(obj)
+        algebra, sections = obj, dual_of(obj).sections
     elif isinstance(obj, EtaleSpace):
-        algebra, space = G_object(obj).algebra, obj
-        space_of_algebra = F_object(algebra)
         # anchor the space-side identity at the given space's dual algebra
-        left = compose_morphisms(F_morphism(unit_eta(algebra)), counit_lambda(space_of_algebra))
-        right = G_morphism(counit_lambda(space)).compose(unit_eta(G_object(space).algebra))
-        return TriangleReport(left.is_identity(), right.is_identity())
+        sections = G_object(obj)
+        algebra = sections.algebra
     else:
         raise TypeError("expected an algebra or a space")
 
-    left = compose_morphisms(F_morphism(unit_eta(algebra)), counit_lambda(space))
-    right = G_morphism(counit_lambda(space)).compose(unit_eta(G_object(space).algebra))
+    left = compose_morphisms(F_morphism(unit_eta(algebra)), _counit(dual_of(algebra).sections))
+    # G(counit) runs from G F G(space) back to G(space)
+    g_counit = _G_morphism(_counit(sections), sections, dual_of(sections.algebra).sections)
+    right = g_counit.compose(unit_eta(sections.algebra))
     return TriangleReport(left.is_identity(), right.is_identity())
 
 
 def eta_naturality_square(h: AlgebraMap) -> bool:
-    gfh = G_morphism(F_morphism(h))
+    gfh = _G_morphism(F_morphism(h), dual_of(h.target).sections, dual_of(h.source).sections)
     lhs = gfh.compose(unit_eta(h.source))
     rhs = unit_eta(h.target).compose(h)
     return lhs.table == rhs.table
 
 
 def lambda_naturality_square(m: SpaceMorphism) -> bool:
-    fgm = F_morphism(G_morphism(m))
-    lhs = compose_morphisms(fgm, counit_lambda(m.source))
-    rhs = compose_morphisms(counit_lambda(m.target), m)
+    src, tgt = G_object(m.source), G_object(m.target)
+    fgm = F_morphism(_G_morphism(m, src, tgt))
+    lhs = compose_morphisms(fgm, _counit(src))
+    rhs = compose_morphisms(_counit(tgt), m)
     return lhs.mapping == rhs.mapping
 
 
@@ -593,12 +630,9 @@ class CompletionReport:
 def completion_report(m: AlgebraMap) -> CompletionReport:
     embedding = hom_check(m).is_embedding
     complete_target = is_fin_compatibly_complete(m.target)
+    up = up_masks(m.target)
     dense = all(
-        join_if_exists(
-            m.target,
-            [m.table[a] for a in range(m.source.n) if leq(m.target, m.table[a], c)],
-        )
-        == c
+        join_if_exists(m.target, [t for t in m.table if up[t] >> c & 1]) == c
         for c in range(m.target.n)
     )
     return CompletionReport(embedding, complete_target, dense)
@@ -737,8 +771,7 @@ def stone_restriction_checks(obj) -> StoneReport:
     if isinstance(obj, FiniteAlgebra):
         if not is_subtraction_algebra(obj):
             return StoneReport(applicable=False)
-        mfs = flt.maximal_filters(obj)
-        equiv_trivial = all(len(cls) == 1 for cls in mfs.classes)
+        equiv_trivial = all(len(cls) == 1 for cls in dual_of(obj).mfs.classes)
         completed, _ = complete(obj)
         laws = True
         for a in range(completed.n):

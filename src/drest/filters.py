@@ -1,15 +1,20 @@
 """Filters and maximal filters of a finite algebra.
 
 Element subsets are handled as bit-masks internally and exposed as frozensets.
-Maximal filters are computed along two independent routes (inclusion-maximal
-scan and the meet/difference dichotomy predicate) that must agree.
+In a finite algebra every filter holds the meet of its members, so it is the
+up-set of that member: the maximal filters are the up-sets of the atoms, found
+from the order, and each is checked by the independent meet/difference
+dichotomy predicate.  The subset scan ``all_proper_filters`` is kept, capped,
+as the oracle the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dra import FiniteAlgebra, bottom, derived_meet, leq
+import numpy as np
+
+from .dra import FiniteAlgebra, bottom, derived_meet, leq, up_masks
 
 FILTER_SIZE_CAP = 16
 
@@ -79,24 +84,23 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(from_mask(m, n) for m in found)
 
 
-def _is_maximal_by_dichotomy(algebra: FiniteAlgebra, members: frozenset[int]) -> bool:
+def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool:
     # a proper filter is maximal iff for every member a and every b, exactly
-    # one of a.b and a-b belongs to it
-    for a in members:
-        for b in range(algebra.n):
-            in_meet = derived_meet(algebra, a, b) in members
-            in_diff = algebra.m(a, b) in members
-            if in_meet == in_diff:
-                return False
-    return True
+    # one of a.b = a - (a - b) and a - b belongs to it
+    rows = np.fromiter(members, dtype=np.int64)
+    inside = np.zeros(len(minus), dtype=bool)
+    inside[rows] = True
+    diff = minus[rows]
+    return bool(np.all(inside[minus[rows[:, None], diff]] != inside[diff]))
 
 
 @dataclass(frozen=True)
 class MaxFilterSpace:
     """The points of the dual space: maximal filters plus their grouping by
-    the shared-domain equivalence."""
+    the shared-domain equivalence.  Point i is the up-set of atoms[i]."""
 
     algebra: FiniteAlgebra
+    atoms: tuple[int, ...]
     points: tuple[frozenset[int], ...]
     classes: tuple[tuple[int, ...], ...]
     _index: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
@@ -118,12 +122,26 @@ class MaxFilterSpace:
         return self._class[point]
 
 
+def _generator(algebra: FiniteAlgebra, members: frozenset[int]) -> int:
+    mask, up = to_mask(members), up_masks(algebra)
+    for x in members:
+        if up[x] == mask:
+            return x
+    raise ValueError("not the up-set of one of its members, so not a filter")
+
+
 def filter_equiv(
     algebra: FiniteAlgebra, mu: frozenset[int], nu: frozenset[int]
 ) -> bool:
-    """Shared-domain equivalence of maximal filters: every a | b with a from
-    the first and b from the second lands in the second."""
-    return all(algebra.r(a, b) in nu for a in mu for b in nu)
+    """Shared-domain equivalence of filters: every a | b with a from the
+    first and b from the second lands in the second.
+
+    A finite filter is the up-set of its least member.  Restriction is
+    monotone and p | q lies below q, so for the up-sets of p and q this holds
+    iff p | q = q; a set that is no such up-set raises.
+    """
+    q = _generator(algebra, nu)
+    return algebra.r(_generator(algebra, mu), q) == q
 
 
 def filter_domain_rel(
@@ -139,42 +157,31 @@ def filter_domain_rel(
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
     """All maximal proper filters, canonically ordered, with their grouping.
 
-    Dual route: the inclusion-maximal members of the full proper-filter scan
-    must coincide with the dichotomy-predicate filters; disagreement means a
-    bug and raises.
+    The maximal filters are the up-sets of the atoms, the elements with
+    nothing but the bottom strictly below them.  Second route: each must
+    satisfy the dichotomy predicate; disagreement means a bug and raises.
     """
-    filters = all_proper_filters(algebra)
-    by_predicate = [f for f in filters if _is_maximal_by_dichotomy(algebra, f)]
+    n, up, bot = algebra.n, up_masks(algebra), bottom(algebra)
 
-    predicate_set = set(by_predicate)
-    for f in filters:
-        supersets = [g for g in predicate_set if f < g]
-        if f in predicate_set:
-            if any(f < g for g in filters):
-                raise AssertionError(
-                    "internal error: dichotomy-maximal filter has a proper extension"
-                )
-        elif not supersets:
+    def is_atom(a: int) -> bool:
+        return a != bot and not any(up[x] >> a & 1 for x in range(n) if x not in (a, bot))
+
+    atoms = sorted(filter(is_atom, range(n)), key=up.__getitem__)
+    points = tuple(from_mask(up[a], n) for a in atoms)
+    minus = algebra.minus.as_array()
+    for mu in points:
+        if not _is_maximal_by_dichotomy(minus, mu):
             raise AssertionError(
-                "internal error: inclusion-maximal filter missed by the dichotomy predicate"
+                "internal error: up-set of an atom fails the dichotomy predicate"
             )
 
-    n = algebra.n
-    points = tuple(sorted(by_predicate, key=to_mask))
-    seen: set[int] = set()
+    r = algebra.r
     classes: list[tuple[int, ...]] = []
-    for i in range(len(points)):
-        if i in seen:
-            continue
-        cls = tuple(
-            j
-            for j in range(len(points))
-            if filter_equiv(algebra, points[i], points[j])
-            and filter_equiv(algebra, points[j], points[i])
-        )
-        seen.update(cls)
-        classes.append(cls)
-    return MaxFilterSpace(algebra, points, tuple(classes))
+    for i, p in enumerate(atoms):
+        # filter_equiv both ways on the up-sets of p and q
+        if not any(i in cls for cls in classes):
+            classes.append(tuple(j for j, q in enumerate(atoms) if r(p, q) == q and r(q, p) == p))
+    return MaxFilterSpace(algebra, tuple(atoms), points, tuple(classes))
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:

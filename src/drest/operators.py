@@ -28,10 +28,9 @@ from .duality import (
     EtaleSpace,
     G_object,
     SpaceMorphism,
-    _dual_space,
     _Topology,
     complete,
-    unit_eta,
+    dual_of,
 )
 from .pfun import ConcretePFAlgebra, closure_generate
 
@@ -197,7 +196,8 @@ def relation_from_operator(
     """The point relation on the maximal-filter space: inputs drawn from the
     first filters must always land the operation in the last."""
     _check_caps(algebra, table)
-    space, mfs = _dual_space(algebra)
+    dual = dual_of(algebra)
+    mfs = dual.mfs
     k = table.arity
     tuples = set()
     for mus in product(range(len(mfs.points)), repeat=k):
@@ -208,7 +208,7 @@ def relation_from_operator(
         for nu in range(len(mfs.points)):
             if images <= mfs.points[nu]:
                 tuples.add(mus + (nu,))
-    return SpaceRelation(table.name, space, k, frozenset(tuples))
+    return SpaceRelation(table.name, dual.space, k, frozenset(tuples))
 
 
 @dataclass(frozen=True)
@@ -284,6 +284,12 @@ def operation_from_relation(
     """
     if rel.space != space:
         raise OperatorCheckError("relation lives on a different space")
+    _require_operation(rel)
+    dual = G_object(space)
+    return dual, _relation_table(rel, dual)
+
+
+def _require_operation(rel: SpaceRelation) -> None:
     report = check_relation_properties(rel)
     missing = [
         name
@@ -297,13 +303,15 @@ def operation_from_relation(
         raise OperatorCheckError(
             "relation does not induce an operation: fails " + ", ".join(missing)
         )
-    dual = G_object(space)
+
+
+def _relation_table(rel: SpaceRelation, dual: DualAlgebra) -> OpTable:
     n = len(dual.sections)
     entries = []
     for args in product(range(n), repeat=rel.arity):
         out = apply_relation(rel, [dual.sections[i] for i in args])
         entries.append(dual.section_index(out))
-    return dual, OpTable(rel.name, rel.arity, n, tuple(entries))
+    return OpTable(rel.name, rel.arity, n, tuple(entries))
 
 
 def check_union_commutation(space: EtaleSpace, rel: SpaceRelation) -> bool:
@@ -336,11 +344,11 @@ def check_eta_preserves_operator(
             f"{table.name} is not a compatibility-preserving operator: "
             + "; ".join(report.witnesses)
         )
-    _, mfs = _dual_space(algebra)
+    dual = dual_of(algebra)
     rel = relation_from_operator(algebra, table)
     for args in product(range(algebra.n), repeat=table.arity):
-        lhs = flt.hat(mfs, table(*args))
-        rhs = apply_relation(rel, [flt.hat(mfs, a) for a in args])
+        lhs = dual.hat(table(*args))
+        rhs = apply_relation(rel, [dual.hat(a) for a in args])
         if lhs != rhs:
             return False
     return True
@@ -409,12 +417,12 @@ def complete_with_operators(
             )
 
     completed, iota = complete(algebra)
+    sections = dual_of(algebra).sections
     lifted: list[OpTable] = []
     for table in tables:
         rel = relation_from_operator(algebra, table)
-        dual, lifted_table = operation_from_relation(rel.space, rel)
-        if dual.algebra.elements != completed.elements:
-            raise AssertionError("internal error: completion built twice differently")
+        _require_operation(rel)
+        lifted_table = _relation_table(rel, sections)
         lifted.append(lifted_table)
         for args in product(range(algebra.n), repeat=table.arity):
             if iota.table[table(*args)] != lifted_table(*(iota.table[a] for a in args)):

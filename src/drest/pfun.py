@@ -7,7 +7,7 @@ partial functions that the abstract layer is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -273,6 +273,11 @@ class ConcretePFAlgebra:
 
     carrier: Carrier
     elements: tuple[PartialFunction, ...]
+    # value vector -> position, built on the first index() call and kept:
+    # most instances (closure inputs, say) are never indexed
+    _index: Optional[dict[tuple[int, ...], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         keys = [f.sort_key for f in self.elements]
@@ -283,11 +288,9 @@ class ConcretePFAlgebra:
                 raise CarrierMismatch("element on a foreign carrier")
 
     def index(self, f: PartialFunction) -> int:
-        return self._index_map[f.values]
-
-    @property
-    def _index_map(self) -> dict[tuple[int, ...], int]:
-        return {f.values: i for i, f in enumerate(self.elements)}
+        if self._index is None:
+            object.__setattr__(self, "_index", {f.values: i for i, f in enumerate(self.elements)})
+        return self._index[f.values]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,16 +1,20 @@
-"""Literal topology: the general definitions, kept as test oracles.
+"""Literal definitions, kept as test oracles.
 
 These are the finite-space checks exactly as the general definitions state
 them: every open set is listed, the base carries the quotient topology, and
 compactness, interiors and properness are tested by their quantifiers.  The
 library decides the same verdicts from least neighbourhoods on bitmasks; the
-differential tests compare the two on small spaces.
+differential tests compare the two on small spaces.  Joins and the
+shared-domain relation of filters are kept the same way, quantified over
+elements with ``leq``; the library intersects up-set bitmasks and compares
+the least members of principal filters.
 """
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Optional
 
+from drest.dra import FiniteAlgebra, bottom, leq
 from drest.duality import EtaleReport, EtaleSpace, MorphismReport, SpaceMorphism
 from drest.operators import RelationReport, SpaceRelation, apply_relation
 
@@ -299,3 +303,25 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
         failures.append("tightness fails")
 
     return RelationReport(compat, continuous, spectral, tight, tuple(failures))
+
+
+def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[int]:
+    """Least upper bound of the set in the intrinsic order, if it exists."""
+    members = list(members)
+    if not members:
+        return bottom(algebra)
+    uppers = [
+        u for u in range(algebra.n) if all(leq(algebra, s, u) for s in members)
+    ]
+    for u in uppers:
+        if all(leq(algebra, u, v) for v in uppers):
+            return u
+    return None
+
+
+def filter_equiv(
+    algebra: FiniteAlgebra, mu: frozenset[int], nu: frozenset[int]
+) -> bool:
+    """Shared-domain equivalence of maximal filters: every a | b with a from
+    the first and b from the second lands in the second."""
+    return all(algebra.r(a, b) in nu for a in mu for b in nu)

@@ -183,6 +183,15 @@ def test_complete_emits_the_embedding(tmp_path, capsys):
     assert embedding.source.n == 3 and embedding.target.n == 4
 
 
+def test_complete_reports_the_completion_on_stderr(tmp_path, capsys):
+    path = fixture_file(tmp_path, "disjoint_pair")
+    assert main(["complete", path]) == 0
+    report = json.loads(capsys.readouterr().err)
+    assert set(report) == {
+        "embedding", "target_complete", "image_dense", "source_size", "target_size"
+    }
+
+
 def test_complete_with_operator(tmp_path, capsys):
     alg = from_concrete(disjoint_pair().concrete, extra_ops=("domain",))
     path = write(tmp_path, "with_d.json", emit_document(alg))

@@ -185,6 +185,20 @@ def _inv(perm: dict, value: int) -> int:
     return next(k for k, v in perm.items() if v == value)
 
 
+def test_isomorphism_search_checks_extra_operations():
+    # the same algebra with a constant operation at one atom or at the other:
+    # only the bijection swapping the two atoms carries one to the other
+    alg = boolean_four().algebra
+    a, b = alg.index("{0:0}"), alg.index("{1:1}")
+    at_a = alg.with_ops([OpTable("c", 1, alg.n, (a,) * alg.n)])
+    at_b = alg.with_ops([OpTable("c", 1, alg.n, (b,) * alg.n)])
+    found = isomorphism_search(at_a, at_b)
+    assert found is not None and found.table[a] == b
+    assert hom_check(found).is_embedding
+    binary = alg.with_ops([OpTable("c", 2, alg.n, (a,) * alg.n**2)])
+    assert isomorphism_search(at_a, binary) is None
+
+
 def test_isomorphism_search_distinguishes_fixtures():
     assert isomorphism_search(disjoint_pair().algebra, conflicting_pair().algebra) is None
     assert isomorphism_search(disjoint_pair().algebra, boolean_four().algebra) is None

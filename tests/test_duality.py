@@ -1,8 +1,11 @@
 """Spaces, the two dual constructions, and the completion."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from drest import duality, filters
 from drest.dra import (
     AlgebraMap,
     bottom,
@@ -12,9 +15,11 @@ from drest.dra import (
     isomorphism_search,
     join_if_exists,
     leq,
+    from_concrete,
     validate_axioms,
 )
 from drest.duality import (
+    SECTION_CAP,
     SPACE_SIZE_CAP,
     EtaleSpace,
     F_morphism,
@@ -37,6 +42,7 @@ from drest.duality import (
     space_morphism,
     stone_restriction_checks,
     unique_completion_iso,
+    dual_of,
     unit_eta,
     validate_etale,
 )
@@ -50,6 +56,7 @@ from drest.fixtures import (
     inclusion_disjoint_into_boolean,
     single_point,
 )
+from drest.pfun import Carrier, PartialFunction, closure_generate
 
 VALID = [n for n in FIXTURES if n != "broken_restriction"]
 
@@ -152,6 +159,17 @@ def test_non_stable_basis_at_the_size_cap():
 
 # ---------------------------------------------------------------------------
 # sections
+
+def test_sections_cap_refuses_before_building_tables():
+    # one point per fibre: 2^16 sections
+    space = space_at_the_cap(range(SPACE_SIZE_CAP), [])
+    assert validate_etale(space).ok
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped at"):
+        G_object(space)
+    assert time.perf_counter() - start < 1.0
+    assert 2**SPACE_SIZE_CAP > SECTION_CAP >= 256
+
 
 def test_sections_of_two_fibre_space():
     dual = G_object(two_fibre_space())
@@ -354,3 +372,52 @@ def test_completion_satisfies_gba_laws_for_subtraction_fixtures():
                 assert join_if_exists(completed, (a, rel)) == join_if_exists(
                     completed, (a, b)
                 )
+
+
+# ---------------------------------------------------------------------------
+# one dual record per algebra
+
+def eighteen_element_completion():
+    """A closure of eight elements whose completion has 18, over the old
+    16-element filter cap."""
+    carrier = Carrier(3)
+    seeds = [
+        PartialFunction.from_graph(carrier, graph)
+        for graph in ([(1, 0), (2, 0)], [(1, 2)], [(0, 2), (2, 1)])
+    ]
+    return from_concrete(closure_generate(carrier, seeds))
+
+
+def test_triangle_identities_beyond_the_old_filter_cap():
+    alg = eighteen_element_completion()
+    completed, _ = complete(alg)
+    assert alg.n == 8 and completed.n == 18
+    report = check_triangle_identities(alg)
+    assert report.space_side and report.algebra_side
+    assert check_triangle_identities(completed).ok
+
+
+def test_each_dual_is_built_and_validated_once(monkeypatch):
+    calls = {"maximal_filters": 0, "validate_etale": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(filters, "maximal_filters")
+    counted(duality, "validate_etale")
+    alg = eighteen_element_completion()
+    check_triangle_identities(alg)
+    complete(alg)
+    completed, _ = complete(alg)
+    complete(completed)
+    # one dual for the algebra and one for its completion
+    assert calls == {"maximal_filters": 2, "validate_etale": 2}
+    assert dual_of(alg) is dual_of(alg)
+    fresh = eighteen_element_completion()
+    assert alg == fresh and hash(alg) == hash(fresh)
