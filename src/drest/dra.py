@@ -1,20 +1,21 @@
 """Abstract finite algebras of difference and restriction, given by tables.
 
 An algebra is a list of element names plus total operation tables.  The
-validator checks the five defining equations; everything else (order,
-compatibility, joins, homomorphisms, isomorphism search) is derived from the
-two tables.  The order is kept as one up-set bitmask per element, built on
-first use and stored on the algebra, so joins intersect masks.
+validator checks the five defining equations on every element tuple, a whole
+table row at a time: rows are tuples, and composing or transposing them with
+``itemgetter`` and ``zip`` keeps the inner loops in C without n³ arrays.
+Everything else (order, compatibility, joins, homomorphisms, isomorphism
+search) is derived from the two tables.  The order is kept as one up-set
+bitmask per element, built on first use and stored on the algebra, so joins
+intersect masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
-from operator import and_
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from itertools import chain, product
+from operator import and_, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .pfun import RAW_OPS, ConcretePFAlgebra, PartialFunction
 
@@ -45,8 +46,19 @@ class OpTable:
             idx = idx * self.size + a
         return self.entries[idx]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=np.int64).reshape((self.size,) * self.arity)
+    def rows(self) -> list[tuple[int, ...]]:
+        """A binary table as rows: rows()[x][y] is the entry at (x, y)."""
+        n = self.size
+        return [self.entries[x * n:(x + 1) * n] for x in range(n)]
+
+
+def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function seq -> tuple(seq[i] for i in positions), looping in C."""
+    if len(positions) == 1:
+        # itemgetter with one index returns the item, not a 1-tuple
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -168,41 +180,52 @@ def validate_axioms(algebra: FiniteAlgebra) -> ValidationReport:
 
     A non-constant x - x (no common bottom) is reported on its own and
     short-circuits the equation checks, which all presuppose a bottom.
+    Witnesses are listed law by law, each in row-major order.
     """
-    n = algebra.n
-    M = algebra.minus.as_array()
-    R = algebra.rest.as_array()
-    diag = M[np.arange(n), np.arange(n)]
-    if not np.all(diag == diag[0]):
-        bad = [algebra.elements[i] for i in np.nonzero(diag != diag[0])[0]]
-        return ValidationReport(
-            (AxiomViolation("no-constant-bottom", tuple(bad)),)
-        )
+    n, names = algebra.n, algebra.elements
+    diag = algebra.minus.entries[:: n + 1]
+    if diag.count(diag[0]) != n:
+        bad = tuple(names[i] for i in range(n) if diag[i] != diag[0])
+        return ValidationReport((AxiomViolation("no-constant-bottom", bad),))
 
-    ar = np.arange(n)
-    meet = M[ar[:, None], M]  # meet[x, y] = x - (x - y)
-    A2, B2 = np.meshgrid(ar, ar, indexing="ij")
-    A3, B3, C3 = np.meshgrid(ar, ar, ar, indexing="ij")
+    # each law is first decided a row (or column) at a time; only the rows
+    # that fail are walked element by element to list the witnesses
+    M, R = algebra.minus.rows(), algebra.rest.rows()
+    M_col, R_col = list(zip(*M)), list(zip(*R))
+    M_pick = list(map(picker, M))
+    meet = [pick(row) for pick, row in zip(M_pick, M)]  # meet[x][y] = x - (x - y)
+    meet_T = list(zip(*meet))
+    R_flat = picker(algebra.rest.entries)
+    N = range(n)
 
-    checks = {
+    def law_4_holds(c: int) -> bool:
+        # both sides for every (a, b) at this c, flattened row-major
+        Rc = picker(R_col[c])
+        return tuple(chain.from_iterable(map(Rc, Rc(meet)))) == R_flat(R_col[c])
+
+    checks = (
         # a - (b - a) = a
-        "law-1": (M[A2, M[B2, A2]], A2),
+        ("law-1", product([a for a in N if picker(M_col[a])(M[a]) != (a,) * n], N),
+         lambda a, b: M[a][M[b][a]] != a),
         # a . b = b . a
-        "law-2": (meet, meet.T),
-        # (a - b) - c = (a - c) - b
-        "law-3": (M[M[A3, B3], C3], M[M[A3, C3], B3]),
+        ("law-2", product([a for a in N if meet[a] != meet_T[a]], N),
+         lambda a, b: meet[a][b] != meet[b][a]),
+        # (a - b) - c = (a - c) - b: the rows M[a - b] over b are symmetric
+        ("law-3", product([a for a in N if (T := M_pick[a](M)) != tuple(zip(*T))], N, N),
+         lambda a, b, c: M[M[a][b]][c] != M[M[a][c]][b]),
         # (a | c) . (b | c) = (a | b) | c
-        "law-4": (meet[R[A3, C3], R[B3, C3]], R[R[A3, B3], C3]),
+        ("law-4", product(N, N, [c for c in N if not law_4_holds(c)]),
+         lambda a, b, c: meet[R[a][c]][R[b][c]] != R[R[a][b]][c]),
         # (a . b) | a = a . b
-        "law-5": (R[meet, A2], meet),
-    }
-    violations: list[AxiomViolation] = []
-    for axiom, (lhs, rhs) in checks.items():
-        for idx in np.argwhere(lhs != rhs):
-            violations.append(
-                AxiomViolation(axiom, tuple(algebra.elements[i] for i in idx))
-            )
-    return ValidationReport(tuple(violations))
+        ("law-5", product([a for a in N if picker(meet[a])(R_col[a]) != meet[a]], N),
+         lambda a, b: R[meet[a][b]][a] != meet[a][b]),
+    )
+    return ValidationReport(tuple(
+        AxiomViolation(axiom, tuple(names[i] for i in idx))
+        for axiom, candidates, fails in checks
+        for idx in candidates
+        if fails(*idx)
+    ))
 
 
 # ---------------------------------------------------------------------------

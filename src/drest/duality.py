@@ -447,6 +447,8 @@ class DualRecord:
     hats: tuple[int, ...]
     space: EtaleSpace
     _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
+    # the unit map, stored once it has been checked to be an embedding
+    _unit: Optional[AlgebraMap] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sections(self) -> DualAlgebra:
@@ -498,15 +500,18 @@ def F_object(algebra: FiniteAlgebra) -> EtaleSpace:
 
 
 def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
-    """Send each element to its support among the maximal filters."""
+    """Send each element to its support among the maximal filters.  The map
+    is built and checked to be an embedding once, and kept on the dual
+    record."""
     dual = dual_of(algebra)
-    sections = dual.sections
-    table = tuple(sections.section_index(dual.hat(a)) for a in range(algebra.n))
-    mapping = AlgebraMap(algebra, sections.algebra, table)
-    report = hom_check(mapping)
-    if not report.is_embedding:
-        raise AssertionError("internal error: representation map not an embedding")
-    return mapping
+    if dual._unit is None:
+        sections = dual.sections
+        table = tuple(sections.section_index(dual.hat(a)) for a in range(algebra.n))
+        mapping = AlgebraMap(algebra, sections.algebra, table)
+        if not hom_check(mapping).is_embedding:
+            raise AssertionError("internal error: representation map not an embedding")
+        object.__setattr__(dual, "_unit", mapping)
+    return dual._unit
 
 
 def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
@@ -628,7 +633,10 @@ class CompletionReport:
 
 
 def completion_report(m: AlgebraMap) -> CompletionReport:
-    embedding = hom_check(m).is_embedding
+    return _completion_report(m, hom_check(m).is_embedding)
+
+
+def _completion_report(m: AlgebraMap, embedding: bool) -> CompletionReport:
     complete_target = is_fin_compatibly_complete(m.target)
     up = up_masks(m.target)
     dense = all(
@@ -641,9 +649,8 @@ def completion_report(m: AlgebraMap) -> CompletionReport:
 def complete(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, AlgebraMap]:
     """The closure of the algebra under finite compatible joins, with its
     canonical embedding."""
-    iota = unit_eta(algebra)
-    report = completion_report(iota)
-    if not report.ok:
+    iota = unit_eta(algebra)  # checked to be an embedding when first built
+    if not _completion_report(iota, embedding=True).ok:
         raise AssertionError("internal error: canonical embedding is not a completion")
     return iota.target, iota
 

@@ -4,17 +4,17 @@ Element subsets are handled as bit-masks internally and exposed as frozensets.
 In a finite algebra every filter holds the meet of its members, so it is the
 up-set of that member: the maximal filters are the up-sets of the atoms, found
 from the order, and each is checked by the independent meet/difference
-dichotomy predicate.  The subset scan ``all_proper_filters`` is kept, capped,
-as the oracle the tests compare against.
+dichotomy predicate, which compares whole table rows through ``itemgetter``.
+The subset scan ``all_proper_filters`` is kept, capped, as the oracle the
+tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from operator import not_
+from typing import Callable, Iterable, Optional
 
-import numpy as np
-
-from .dra import FiniteAlgebra, bottom, derived_meet, leq, up_masks
+from .dra import FiniteAlgebra, bottom, derived_meet, leq, picker, up_masks
 
 FILTER_SIZE_CAP = 16
 
@@ -84,14 +84,23 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(from_mask(m, n) for m in found)
 
 
-def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool:
-    # a proper filter is maximal iff for every member a and every b, exactly
-    # one of a.b = a - (a - b) and a - b belongs to it
-    rows = np.fromiter(members, dtype=np.int64)
-    inside = np.zeros(len(minus), dtype=bool)
-    inside[rows] = True
-    diff = minus[rows]
-    return bool(np.all(inside[minus[rows[:, None], diff]] != inside[diff]))
+def dichotomy(algebra: FiniteAlgebra) -> Callable[[frozenset[int]], bool]:
+    """The dichotomy predicate on member sets of the algebra.
+
+    A proper filter is maximal iff for every member a and every b, exactly
+    one of a.b = a - (a - b) and a - b belongs to it.  The row pickers are
+    built once, so each member costs one comparison of two rows.
+    """
+    n, M = algebra.n, algebra.minus.rows()
+    M_pick = list(map(picker, M))  # M_pick[a](s) = (s[a - b] for every b)
+    meet_pick = [picker(pick(row)) for pick, row in zip(M_pick, M)]
+
+    def holds(members: frozenset[int]) -> bool:
+        inside = tuple(map(members.__contains__, range(n)))
+        outside = tuple(map(not_, inside))
+        return all(M_pick[a](inside) == meet_pick[a](outside) for a in members)
+
+    return holds
 
 
 @dataclass(frozen=True)
@@ -168,9 +177,9 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
 
     atoms = sorted(filter(is_atom, range(n)), key=up.__getitem__)
     points = tuple(from_mask(up[a], n) for a in atoms)
-    minus = algebra.minus.as_array()
+    is_maximal = dichotomy(algebra)
     for mu in points:
-        if not _is_maximal_by_dichotomy(minus, mu):
+        if not is_maximal(mu):
             raise AssertionError(
                 "internal error: up-set of an atom fails the dichotomy predicate"
             )

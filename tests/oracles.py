@@ -7,14 +7,18 @@ library decides the same verdicts from least neighbourhoods on bitmasks; the
 differential tests compare the two on small spaces.  Joins and the
 shared-domain relation of filters are kept the same way, quantified over
 elements with ``leq``; the library intersects up-set bitmasks and compares
-the least members of principal filters.
+the least members of principal filters.  The axiom validator and the
+dichotomy predicate are kept as numpy array code, one n³ array per law; the
+library compares table rows through ``itemgetter``.
 """
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterable, Optional
 
-from drest.dra import FiniteAlgebra, bottom, leq
+import numpy as np
+
+from drest.dra import AxiomViolation, FiniteAlgebra, OpTable, ValidationReport, bottom, leq
 from drest.duality import EtaleReport, EtaleSpace, MorphismReport, SpaceMorphism
 from drest.operators import RelationReport, SpaceRelation, apply_relation
 
@@ -325,3 +329,59 @@ def filter_equiv(
     """Shared-domain equivalence of maximal filters: every a | b with a from
     the first and b from the second lands in the second."""
     return all(algebra.r(a, b) in nu for a in mu for b in nu)
+
+
+def as_array(table: OpTable) -> np.ndarray:
+    return np.asarray(table.entries, dtype=np.int64).reshape((table.size,) * table.arity)
+
+
+def validate_axioms(algebra: FiniteAlgebra) -> ValidationReport:
+    """Check the five defining equations on every element tuple.
+
+    A non-constant x - x (no common bottom) is reported on its own and
+    short-circuits the equation checks, which all presuppose a bottom.
+    """
+    n = algebra.n
+    M = as_array(algebra.minus)
+    R = as_array(algebra.rest)
+    diag = M[np.arange(n), np.arange(n)]
+    if not np.all(diag == diag[0]):
+        bad = [algebra.elements[i] for i in np.nonzero(diag != diag[0])[0]]
+        return ValidationReport(
+            (AxiomViolation("no-constant-bottom", tuple(bad)),)
+        )
+
+    ar = np.arange(n)
+    meet = M[ar[:, None], M]  # meet[x, y] = x - (x - y)
+    A2, B2 = np.meshgrid(ar, ar, indexing="ij")
+    A3, B3, C3 = np.meshgrid(ar, ar, ar, indexing="ij")
+
+    checks = {
+        # a - (b - a) = a
+        "law-1": (M[A2, M[B2, A2]], A2),
+        # a . b = b . a
+        "law-2": (meet, meet.T),
+        # (a - b) - c = (a - c) - b
+        "law-3": (M[M[A3, B3], C3], M[M[A3, C3], B3]),
+        # (a | c) . (b | c) = (a | b) | c
+        "law-4": (meet[R[A3, C3], R[B3, C3]], R[R[A3, B3], C3]),
+        # (a . b) | a = a . b
+        "law-5": (R[meet, A2], meet),
+    }
+    violations: list[AxiomViolation] = []
+    for axiom, (lhs, rhs) in checks.items():
+        for idx in np.argwhere(lhs != rhs):
+            violations.append(
+                AxiomViolation(axiom, tuple(algebra.elements[i] for i in idx))
+            )
+    return ValidationReport(tuple(violations))
+
+
+def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool:
+    # a proper filter is maximal iff for every member a and every b, exactly
+    # one of a.b = a - (a - b) and a - b belongs to it
+    rows = np.fromiter(members, dtype=np.int64)
+    inside = np.zeros(len(minus), dtype=bool)
+    inside[rows] = True
+    diff = minus[rows]
+    return bool(np.all(inside[minus[rows[:, None], diff]] != inside[diff]))

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +280,11 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     text = emit_document(disjoint_pair().algebra)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["validate", "-"]) == 0
+
+
+def test_cli_import_loads_no_numpy():
+    # start-up is most of a command's time; numpy is for the test oracles only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, drest.cli; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

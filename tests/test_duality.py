@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_sections_cap_refuses_before_building_tables():
         G_object(space)
     assert time.perf_counter() - start < 1.0
     assert 2**SPACE_SIZE_CAP > SECTION_CAP >= 256
+
+
+def test_axioms_of_a_128_element_dual_algebra_fit_in_little_memory():
+    # seven points, one per fibre: 2^7 sections; n³ int64 arrays took 130 MB
+    space = EtaleSpace(7, 7, tuple(range(7)), tuple(frozenset({x}) for x in range(7)))
+    algebra = G_object(space).algebra
+    assert algebra.n == 128
+    tracemalloc.start()
+    try:
+        report = validate_axioms(algebra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 32 * 2**20
 
 
 def test_sections_of_two_fibre_space():
@@ -398,7 +414,7 @@ def test_triangle_identities_beyond_the_old_filter_cap():
 
 
 def test_each_dual_is_built_and_validated_once(monkeypatch):
-    calls = {"maximal_filters": 0, "validate_etale": 0}
+    calls = {"maximal_filters": 0, "validate_etale": 0, "hom_check": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -411,13 +427,15 @@ def test_each_dual_is_built_and_validated_once(monkeypatch):
 
     counted(filters, "maximal_filters")
     counted(duality, "validate_etale")
+    counted(duality, "hom_check")
     alg = eighteen_element_completion()
     check_triangle_identities(alg)
     complete(alg)
     completed, _ = complete(alg)
     complete(completed)
-    # one dual for the algebra and one for its completion
-    assert calls == {"maximal_filters": 2, "validate_etale": 2}
+    # one dual for the algebra and one for its completion; one unit check for
+    # each, and one for G of the counit
+    assert calls == {"maximal_filters": 2, "validate_etale": 2, "hom_check": 3}
     assert dual_of(alg) is dual_of(alg)
     fresh = eighteen_element_completion()
     assert alg == fresh and hash(alg) == hash(fresh)
