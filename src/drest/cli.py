@@ -25,9 +25,9 @@ from .duality import (
     F_morphism,
     F_object,
     G_object,
+    canonical_completion,
     check_triangle_identities,
     complete,
-    completion_report,
     counit_lambda,
     lambda_naturality_square,
     validate_etale,
@@ -137,17 +137,18 @@ def cmd_complete(args) -> int:
     _, algebra = _load(args.file, "algebra")
     if not validate_axioms(algebra).ok:
         return _fail("input algebra fails validation", FAIL)
+    bare = algebra.with_ops(())
     if args.with_op:
         try:
             tables = [algebra.op(name) for name in args.with_op]
         except KeyError as exc:
             return _fail(str(exc))
-        bare = algebra.with_ops(())
+        # completes the bare algebra, so its report is kept below
         _, embedding, _ = complete_with_operators(bare, tables)
     else:
-        _, embedding = complete(algebra.with_ops(()))
+        _, embedding = complete(bare)
     sys.stdout.write(emit_document(embedding))
-    report = completion_report(embedding)
+    _, report = canonical_completion(bare)
     print(
         json.dumps(
             {

@@ -105,7 +105,7 @@ def algebra_from_dict(doc: dict, path: str = "$") -> FiniteAlgebra:
         return OpTable(field_name, 2, n, tuple(entries))
 
     extras: list[OpTable] = []
-    for k, op in enumerate(doc.get("ops", [])):
+    for k, op in enumerate(_expect(doc.get("ops", []), list, f"{path}.ops")):
         op_path = f"{path}.ops[{k}]"
         _expect(op, dict, op_path)
         name = _field(op, "name", str, op_path)

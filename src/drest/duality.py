@@ -8,7 +8,10 @@ listed.  A valid space is discrete, so its sections are the choices of at
 most one point per fibre, capped at SECTION_CAP.  The literal definitions are
 kept as test oracles.  Each algebra keeps one dual record (:func:`dual_of`),
 which the functors, unit, counit and completion read instead of rebuilding
-it; a space passed in by a caller gets none.
+it; a space passed in by a caller gets none.  Point and section sets are int
+masks throughout: the unit reads the support table of the maximal filters,
+the counit sends a point x to the up-set of the singleton section {x}, and
+F and G on maps pull masks back; frozensets appear only in public fields.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from . import filters as flt
 from .dra import (
     AlgebraMap,
     FiniteAlgebra,
-    HomReport,
     OpTable,
     bits,
     bottom,
@@ -67,8 +69,12 @@ class EtaleSpace:
     point_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.n_points < 0 or self.n_base < 0:
+            raise ValueError("point and base counts must be nonnegative")
         if self.n_points > SPACE_SIZE_CAP:
             raise ValueError(f"spaces capped at {SPACE_SIZE_CAP} points")
+        if self.point_labels is not None and len(self.point_labels) != self.n_points:
+            raise ValueError("point labels must name every point")
         if len(self.projection) != self.n_points:
             raise ValueError("projection must cover every point")
         for b in self.projection:
@@ -256,15 +262,17 @@ class SpaceMorphism:
         return frozenset(x for x, v in enumerate(self.mapping) if v != NOWHERE)
 
     def preimage(self, subset: Iterable[int]) -> frozenset[int]:
-        wanted = set(subset)
-        return frozenset(
-            x for x, v in enumerate(self.mapping) if v != NOWHERE and v in wanted
-        )
+        return flt.from_mask(_preimage(self, flt.to_mask(subset)), self.source.n_points)
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.mapping == tuple(
             range(self.source.n_points)
         )
+
+
+def _preimage(m: SpaceMorphism, mask: int) -> int:
+    """The points of the source mapped into the target point mask."""
+    return sum(1 << x for x, v in enumerate(m.mapping) if v != NOWHERE and mask >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -287,7 +295,7 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
 
     # preimages commute with unions, so basis sets decide continuity
     src_top = _Topology(src)
-    continuous = all(src_top.is_open(flt.to_mask(m.preimage(v))) for v in tgt.basis)
+    continuous = all(src_top.is_open(_preimage(m, flt.to_mask(v))) for v in tgt.basis)
     if not continuous:
         failures.append("not continuous")
 
@@ -364,7 +372,7 @@ def is_space_isomorphism(m: SpaceMorphism) -> bool:
     if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
         return False
     src_top, tgt_top = _Topology(src), _Topology(tgt)
-    if not all(src_top.is_open(flt.to_mask(m.preimage(v))) for v in tgt.basis):
+    if not all(src_top.is_open(_preimage(m, v)) for v in tgt_top.basis):
         return False
     if not all(tgt_top.is_open(flt.to_mask(m.mapping[x] for x in u)) for u in src.basis):
         return False
@@ -390,10 +398,9 @@ class DualAlgebra:
     space: EtaleSpace
     sections: tuple[frozenset[int], ...]
     algebra: FiniteAlgebra
-    index: dict[frozenset[int], int] = field(repr=False, compare=False)
-
-    def section_index(self, u: frozenset[int]) -> int:
-        return self.index[u]
+    # the sections as point masks, and the position of each mask
+    masks: tuple[int, ...] = field(repr=False, compare=False)
+    index: dict[int, int] = field(repr=False, compare=False)
 
 
 def _section_algebra(space: EtaleSpace) -> DualAlgebra:
@@ -428,7 +435,7 @@ def _section_algebra(space: EtaleSpace) -> DualAlgebra:
         minus=OpTable("minus", 2, n, minus),
         rest=OpTable("rest", 2, n, rest),
     )
-    return DualAlgebra(space, sections, algebra, {u: i for i, u in enumerate(sections)})
+    return DualAlgebra(space, sections, algebra, tuple(masks), {m: i for i, m in enumerate(masks)})
 
 
 def G_object(space: EtaleSpace) -> DualAlgebra:
@@ -440,15 +447,15 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
 
 @dataclass(frozen=True)
 class DualRecord:
-    """An algebra's dual data: its maximal filters, the support of each
-    element as a point mask, and the dual space, validated when built."""
+    """An algebra's dual data: its maximal filters with the support table,
+    and the dual space, validated when built."""
 
     mfs: flt.MaxFilterSpace
-    hats: tuple[int, ...]
     space: EtaleSpace
     _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
-    # the unit map, stored once it has been checked to be an embedding
+    # the unit map once checked to be an embedding, and its completion report
     _unit: Optional[AlgebraMap] = field(default=None, init=False, repr=False, compare=False)
+    _report: Optional[CompletionReport] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sections(self) -> DualAlgebra:
@@ -457,21 +464,12 @@ class DualRecord:
             object.__setattr__(self, "_sections", _section_algebra(self.space))
         return self._sections
 
-    def hat(self, element: int) -> frozenset[int]:
-        return flt.from_mask(self.hats[element], self.space.n_points)
-
 
 def dual_of(algebra: FiniteAlgebra) -> DualRecord:
     """The algebra's dual record, built on first use and kept on the algebra."""
     if algebra._dual is not None:
         return algebra._dual
     mfs = flt.maximal_filters(algebra)
-    up = up_masks(algebra)
-    # point i holds the element iff atoms[i] lies below it
-    hats = tuple(
-        sum(1 << i for i, a in enumerate(mfs.atoms) if up[a] >> e & 1)
-        for e in range(algebra.n)
-    )
     n_points = len(mfs.points)
     labels = tuple(
         "{" + ",".join(algebra.elements[a] for a in sorted(mu)) + "}"
@@ -481,7 +479,7 @@ def dual_of(algebra: FiniteAlgebra) -> DualRecord:
         n_points=n_points,
         n_base=len(mfs.classes),
         projection=tuple(mfs.class_of(i) for i in range(n_points)),
-        basis=tuple(sorted({flt.from_mask(h, n_points) for h in hats}, key=sorted)),
+        basis=tuple(sorted({flt.from_mask(h, n_points) for h in mfs.hats}, key=sorted)),
         point_labels=labels,
     )
     report = validate_etale(space)
@@ -489,7 +487,7 @@ def dual_of(algebra: FiniteAlgebra) -> DualRecord:
         raise AssertionError(
             f"internal error: dual space invalid ({'; '.join(report.failures)})"
         )
-    object.__setattr__(algebra, "_dual", DualRecord(mfs, hats, space))
+    object.__setattr__(algebra, "_dual", DualRecord(mfs, space))
     return algebra._dual
 
 
@@ -506,7 +504,7 @@ def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
     dual = dual_of(algebra)
     if dual._unit is None:
         sections = dual.sections
-        table = tuple(sections.section_index(dual.hat(a)) for a in range(algebra.n))
+        table = tuple(map(sections.index.__getitem__, dual.mfs.hats))
         mapping = AlgebraMap(algebra, sections.algebra, table)
         if not hom_check(mapping).is_embedding:
             raise AssertionError("internal error: representation map not an embedding")
@@ -521,16 +519,13 @@ def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
 
 
 def _counit(sections: DualAlgebra) -> SpaceMorphism:
+    # the sections containing x are the up-set of the singleton section {x}
     space, target = sections.space, dual_of(sections.algebra)
+    up = up_masks(sections.algebra)
     mapping = []
     for x in range(space.n_points):
-        containing = frozenset(
-            i for i, u in enumerate(sections.sections) if x in u
-        )
-        if not containing:
-            mapping.append(NOWHERE)
-            continue
-        point = target.mfs.point_index(containing)
+        single = sections.index.get(1 << x)
+        point = None if single is None else target.mfs.point_index(up[single])
         if point is None:
             raise AssertionError("internal error: point filter not maximal")
         mapping.append(point)
@@ -540,22 +535,21 @@ def _counit(sections: DualAlgebra) -> SpaceMorphism:
 def F_morphism(h: AlgebraMap) -> SpaceMorphism:
     """Dualise an algebra map to a partial map of spaces, by preimage of
     filters; defined on the filters meeting the image."""
-    src = dual_of(h.target)  # points of the target algebra
-    tgt = dual_of(h.source)
+    src, tgt = dual_of(h.target), dual_of(h.source)  # src: points of the target algebra
+    # pullback[xi]: the source elements whose image lies in the filter xi
+    pullback = [0] * src.space.n_points
+    for a, b in enumerate(h.table):
+        for xi in bits(src.mfs.hats[b]):
+            pullback[xi] |= 1 << a
     mapping = []
-    for xi in src.mfs.points:
-        pullback = frozenset(a for a in range(h.source.n) if h.table[a] in xi)
-        if not pullback:
-            mapping.append(NOWHERE)
-            continue
-        point = tgt.mfs.point_index(pullback)
+    for members in pullback:
+        point = tgt.mfs.point_index(members) if members else NOWHERE
         if point is None:
             raise AssertionError("internal error: filter preimage not maximal")
         mapping.append(point)
     morphism = space_morphism(src.space, tgt.space, mapping)
-    for a in range(h.source.n):
-        if morphism.preimage(tgt.hat(a)) != src.hat(h.table[a]):
-            raise AssertionError("internal error: dual map misses the support identity")
+    if any(_preimage(morphism, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
+        raise AssertionError("internal error: dual map misses the support identity")
     return morphism
 
 
@@ -565,7 +559,7 @@ def G_morphism(m: SpaceMorphism) -> AlgebraMap:
 
 
 def _G_morphism(m: SpaceMorphism, src: DualAlgebra, tgt: DualAlgebra) -> AlgebraMap:
-    table = tuple(src.section_index(m.preimage(u)) for u in tgt.sections)
+    table = tuple(src.index[_preimage(m, u)] for u in tgt.masks)
     mapping = AlgebraMap(tgt.algebra, src.algebra, table)
     if not hom_check(mapping).is_hom:
         raise AssertionError("internal error: dualised morphism not a homomorphism")
@@ -649,10 +643,21 @@ def _completion_report(m: AlgebraMap, embedding: bool) -> CompletionReport:
 def complete(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, AlgebraMap]:
     """The closure of the algebra under finite compatible joins, with its
     canonical embedding."""
-    iota = unit_eta(algebra)  # checked to be an embedding when first built
-    if not _completion_report(iota, embedding=True).ok:
-        raise AssertionError("internal error: canonical embedding is not a completion")
+    iota, _ = canonical_completion(algebra)
     return iota.target, iota
+
+
+def canonical_completion(algebra: FiniteAlgebra) -> tuple[AlgebraMap, CompletionReport]:
+    """The canonical embedding and its completion report, checked once per
+    algebra and kept on the dual record."""
+    dual = dual_of(algebra)
+    if dual._report is None:
+        iota = unit_eta(algebra)  # checked to be an embedding when first built
+        report = _completion_report(iota, embedding=True)
+        if not report.ok:
+            raise AssertionError("internal error: canonical embedding is not a completion")
+        object.__setattr__(dual, "_report", report)
+    return dual._unit, dual._report
 
 
 def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:
@@ -663,19 +668,11 @@ def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:
     for m in (iota, iota2):
         if not completion_report(m).ok:
             raise ValueError("input is not a completion")
-    c1, c2 = iota.target, iota2.target
-    table = []
-    for c in range(c1.n):
-        below = [a for a in range(iota.source.n) if leq(c1, iota.table[a], c)]
-        image = join_if_exists(c2, [iota2.table[a] for a in below])
-        if image is None:
-            raise AssertionError("internal error: transported join missing")
-        table.append(image)
-    theta = AlgebraMap(c1, c2, tuple(table))
-    if not hom_check(theta).is_embedding or len(set(theta.table)) != c2.n:
+    theta = _factoring_embedding(iota, iota2)
+    if theta is None:
+        raise AssertionError("internal error: joins do not transport to a commuting embedding")
+    if len(set(theta.table)) != iota2.target.n:
         raise AssertionError("internal error: transport is not an isomorphism")
-    if tuple(theta.table[iota.table[a]] for a in range(iota.source.n)) != iota2.table:
-        raise AssertionError("internal error: transport does not commute")
     return theta
 
 

@@ -1,20 +1,24 @@
 """Filters and maximal filters of a finite algebra.
 
-Element subsets are handled as bit-masks internally and exposed as frozensets.
-In a finite algebra every filter holds the meet of its members, so it is the
-up-set of that member: the maximal filters are the up-sets of the atoms, found
-from the order, and each is checked by the independent meet/difference
-dichotomy predicate, which compares whole table rows through ``itemgetter``.
-The subset scan ``all_proper_filters`` is kept, capped, as the oracle the
-tests compare against.
+Element and point sets are int bitmasks internally and are exposed as
+frozensets.  In a finite algebra every filter holds the meet of its members,
+so it is the up-set of that member: the maximal filters are the up-sets of
+the atoms, found from the order.  A point is the position of its atom, and
+the support of an element is the mask of the points holding it; the support
+table is built once, by :func:`maximal_filters`, and the independent
+meet/difference dichotomy predicate checks every point at once on it,
+combining whole table rows through ``itemgetter``.  The subset scan
+``all_proper_filters`` is kept, capped, as the oracle the tests compare
+against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import not_
-from typing import Callable, Iterable, Optional
+from functools import reduce
+from operator import and_, xor
+from typing import Iterable, Optional, Sequence
 
-from .dra import FiniteAlgebra, bottom, derived_meet, leq, picker, up_masks
+from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, picker, up_masks
 
 FILTER_SIZE_CAP = 16
 
@@ -84,45 +88,47 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(from_mask(m, n) for m in found)
 
 
-def dichotomy(algebra: FiniteAlgebra) -> Callable[[frozenset[int]], bool]:
-    """The dichotomy predicate on member sets of the algebra.
+def dichotomy(algebra: FiniteAlgebra, columns: Sequence[int]) -> int:
+    """The points, as a mask, that fail the dichotomy predicate.
 
-    A proper filter is maximal iff for every member a and every b, exactly
-    one of a.b = a - (a - b) and a - b belongs to it.  The row pickers are
-    built once, so each member costs one comparison of two rows.
+    columns[e] is the mask of the points holding element e.  A proper filter
+    is maximal iff for every member a and every b exactly one of
+    a.b = a - (a - b) and a - b belongs to it, so a point passes iff it lies
+    in columns[a.b] ^ columns[a - b] for every b and every member a.  One
+    pass over the rows decides every point at once.
     """
-    n, M = algebra.n, algebra.minus.rows()
-    M_pick = list(map(picker, M))  # M_pick[a](s) = (s[a - b] for every b)
-    meet_pick = [picker(pick(row)) for pick, row in zip(M_pick, M)]
-
-    def holds(members: frozenset[int]) -> bool:
-        inside = tuple(map(members.__contains__, range(n)))
-        outside = tuple(map(not_, inside))
-        return all(M_pick[a](inside) == meet_pick[a](outside) for a in members)
-
-    return holds
+    fails = 0
+    for a, row in enumerate(algebra.minus.rows()):
+        pick = picker(row)  # pick(s) = (s[a - b] for every b)
+        exact = reduce(and_, map(xor, picker(pick(row))(columns), pick(columns)))
+        fails |= columns[a] & ~exact
+    return fails
 
 
 @dataclass(frozen=True)
 class MaxFilterSpace:
     """The points of the dual space: maximal filters plus their grouping by
-    the shared-domain equivalence.  Point i is the up-set of atoms[i]."""
+    the shared-domain equivalence.  Point i is the up-set of atoms[i];
+    hats[e] is the support of element e, the mask of the points holding it."""
 
     algebra: FiniteAlgebra
     atoms: tuple[int, ...]
     points: tuple[frozenset[int], ...]
     classes: tuple[tuple[int, ...], ...]
-    _index: dict[frozenset[int], int] = field(init=False, repr=False, compare=False)
+    hats: tuple[int, ...] = field(repr=False, compare=False)
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _class: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {mu: i for i, mu in enumerate(self.points)})
+        up = up_masks(self.algebra)
+        object.__setattr__(self, "_index", {up[a]: i for i, a in enumerate(self.atoms)})
         object.__setattr__(
             self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
         )
 
-    def point_index(self, members: frozenset[int]) -> Optional[int]:
-        """Position of the maximal filter, or None when members is not one."""
+    def point_index(self, members: int) -> Optional[int]:
+        """Position of the maximal filter with the member mask, or None when
+        it is not one."""
         return self._index.get(members)
 
     def class_of(self, point: int) -> int:
@@ -164,7 +170,8 @@ def filter_domain_rel(
 
 
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
-    """All maximal proper filters, canonically ordered, with their grouping.
+    """All maximal proper filters, canonically ordered, with their grouping
+    and the support table.
 
     The maximal filters are the up-sets of the atoms, the elements with
     nothing but the bottom strictly below them.  Second route: each must
@@ -176,13 +183,12 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
         return a != bot and not any(up[x] >> a & 1 for x in range(n) if x not in (a, bot))
 
     atoms = sorted(filter(is_atom, range(n)), key=up.__getitem__)
-    points = tuple(from_mask(up[a], n) for a in atoms)
-    is_maximal = dichotomy(algebra)
-    for mu in points:
-        if not is_maximal(mu):
-            raise AssertionError(
-                "internal error: up-set of an atom fails the dichotomy predicate"
-            )
+    hats = [0] * n
+    for i, a in enumerate(atoms):
+        for e in bits(up[a]):
+            hats[e] |= 1 << i
+    if dichotomy(algebra, hats):
+        raise AssertionError("internal error: up-set of an atom fails the dichotomy predicate")
 
     r = algebra.r
     classes: list[tuple[int, ...]] = []
@@ -190,9 +196,10 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
         # filter_equiv both ways on the up-sets of p and q
         if not any(i in cls for cls in classes):
             classes.append(tuple(j for j, q in enumerate(atoms) if r(p, q) == q and r(q, p) == p))
-    return MaxFilterSpace(algebra, tuple(atoms), points, tuple(classes))
+    points = tuple(from_mask(up[a], n) for a in atoms)
+    return MaxFilterSpace(algebra, tuple(atoms), points, tuple(classes), tuple(hats))
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:
     """Point set of the maximal filters containing the element."""
-    return frozenset(i for i, mu in enumerate(space.points) if element in mu)
+    return from_mask(space.hats[element], len(space.points))

@@ -3,7 +3,9 @@
 An operator here is a total operation table on a finite algebra.  The three
 defining properties (compatibility preservation, normality, additivity) are
 decided by exhaustive scans; relations on dual spaces are classified the same
-way and translated back and forth against operation tables.
+way and translated back and forth against operation tables.  Point sets are
+int masks: the relation of an operator is read off the support table, and
+one mask image function applies a relation for every check and table.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ from .dra import (
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
+    bits,
     bottom,
     compatible,
-    derived_meet,
     from_concrete,
     hom_check,
     join_if_exists,
@@ -183,32 +185,35 @@ def apply_relation(
     """Outputs reachable from inputs drawn one per subset."""
     if len(subsets) != rel.arity:
         raise ValueError("argument count does not match the relation arity")
-    return frozenset(
-        t[-1]
-        for t in rel.tuples
-        if all(t[i] in subsets[i] for i in range(rel.arity))
-    )
+    return flt.from_mask(_image(rel, [flt.to_mask(u) for u in subsets]), rel.space.n_points)
+
+
+def _image(rel: SpaceRelation, masks: Sequence[int]) -> int:
+    """apply_relation on point masks."""
+    out = 0
+    for t in rel.tuples:
+        if all(mask >> x & 1 for mask, x in zip(masks, t)):
+            out |= 1 << t[-1]
+    return out
 
 
 def relation_from_operator(
     algebra: FiniteAlgebra, table: OpTable
 ) -> SpaceRelation:
     """The point relation on the maximal-filter space: inputs drawn from the
-    first filters must always land the operation in the last."""
+    first filters must always land the operation in the last, so the last
+    point ranges over the common support of every image."""
     _check_caps(algebra, table)
     dual = dual_of(algebra)
-    mfs = dual.mfs
-    k = table.arity
+    points, hats = dual.mfs.points, dual.mfs.hats
+    full = (1 << len(points)) - 1
     tuples = set()
-    for mus in product(range(len(mfs.points)), repeat=k):
-        images = {
-            table(*args)
-            for args in product(*(sorted(mfs.points[m]) for m in mus))
-        }
-        for nu in range(len(mfs.points)):
-            if images <= mfs.points[nu]:
-                tuples.add(mus + (nu,))
-    return SpaceRelation(table.name, dual.space, k, frozenset(tuples))
+    for mus in product(range(len(points)), repeat=table.arity):
+        outputs = full
+        for args in product(*(points[m] for m in mus)):
+            outputs &= hats[table(*args)]
+        tuples.update(mus + (nu,) for nu in bits(outputs))
+    return SpaceRelation(table.name, dual.space, table.arity, frozenset(tuples))
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,7 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     # applying the relation commutes with unions in each argument, so the
     # open-tuple quantifiers are decided by basis tuples
     basis_images_open = all(
-        top.is_open(flt.to_mask(apply_relation(rel, us)))
-        for us in product(space.basis, repeat=rel.arity)
+        top.is_open(_image(rel, us)) for us in product(top.basis, repeat=rel.arity)
     )
     continuous = basis_images_open
     if not continuous:
@@ -259,14 +263,11 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     # the relation application is monotone in each argument, so the
     # quantifier over compact open neighbourhoods is decided by minimal ones;
     # the open sets around x meet exactly where the basis sets around x do
-    minimal_open = [
-        frozenset() if u is None else flt.from_mask(u, space.n_points)
-        for u in top.least
-    ]
+    minimal_open = [u or 0 for u in top.least]
     tight = all(
-        xs in rel.tuples
-        for xs in product(range(space.n_points), repeat=rel.arity + 1)
-        if xs[-1] in apply_relation(rel, [minimal_open[x] for x in xs[:-1]])
+        xs + (y,) in rel.tuples
+        for xs in product(range(space.n_points), repeat=rel.arity)
+        for y in bits(_image(rel, [minimal_open[x] for x in xs]))
     )
     if not tight:
         failures.append("tightness fails")
@@ -306,31 +307,34 @@ def _require_operation(rel: SpaceRelation) -> None:
 
 
 def _relation_table(rel: SpaceRelation, dual: DualAlgebra) -> OpTable:
-    n = len(dual.sections)
-    entries = []
-    for args in product(range(n), repeat=rel.arity):
-        out = apply_relation(rel, [dual.sections[i] for i in args])
-        entries.append(dual.section_index(out))
-    return OpTable(rel.name, rel.arity, n, tuple(entries))
+    entries = tuple(
+        dual.index[_image(rel, args)] for args in product(dual.masks, repeat=rel.arity)
+    )
+    return OpTable(rel.name, rel.arity, len(dual.masks), entries)
 
 
 def check_union_commutation(space: EtaleSpace, rel: SpaceRelation) -> bool:
     """Applying the relation distributes over unions of sections in each
     argument."""
-    dual = G_object(space)
-    sections = dual.sections
-    for args in product(range(len(sections)), repeat=rel.arity):
+    masks = G_object(space).masks
+    for args in product(masks, repeat=rel.arity):
+        whole = _image(rel, args)
         for i in range(rel.arity):
-            for extra in range(len(sections)):
-                merged = list(sections[s] for s in args)
-                merged[i] = merged[i] | sections[extra]
-                swapped = list(sections[s] for s in args)
-                swapped[i] = sections[extra]
-                union = apply_relation(rel, merged)
-                parts = apply_relation(rel, [sections[s] for s in args]) | apply_relation(rel, swapped)
-                if union != parts:
+            for extra in masks:
+                merged = args[:i] + (args[i] | extra,) + args[i + 1 :]
+                swapped = args[:i] + (extra,) + args[i + 1 :]
+                if _image(rel, merged) != whole | _image(rel, swapped):
                     return False
     return True
+
+
+def _require_operator(algebra: FiniteAlgebra, table: OpTable) -> None:
+    report = classify_operator(algebra, table)
+    if not report.is_compat_preserving_operator:
+        raise OperatorCheckError(
+            f"{table.name} is not a compatibility-preserving operator: "
+            + "; ".join(report.witnesses)
+        )
 
 
 def check_eta_preserves_operator(
@@ -338,20 +342,13 @@ def check_eta_preserves_operator(
 ) -> bool:
     """The support of an output equals the relation applied to the supports
     of the inputs, for every argument tuple."""
-    report = classify_operator(algebra, table)
-    if not report.is_compat_preserving_operator:
-        raise OperatorCheckError(
-            f"{table.name} is not a compatibility-preserving operator: "
-            + "; ".join(report.witnesses)
-        )
-    dual = dual_of(algebra)
+    _require_operator(algebra, table)
+    hats = dual_of(algebra).mfs.hats
     rel = relation_from_operator(algebra, table)
-    for args in product(range(algebra.n), repeat=table.arity):
-        lhs = dual.hat(table(*args))
-        rhs = apply_relation(rel, [dual.hat(a) for a in args])
-        if lhs != rhs:
-            return False
-    return True
+    return all(
+        hats[table(*args)] == _image(rel, [hats[a] for a in args])
+        for args in product(range(algebra.n), repeat=table.arity)
+    )
 
 
 @dataclass(frozen=True)
@@ -409,12 +406,7 @@ def complete_with_operators(
     the three operator checks on the completion.
     """
     for table in tables:
-        report = classify_operator(algebra, table)
-        if not report.is_compat_preserving_operator:
-            raise OperatorCheckError(
-                f"{table.name} is not a compatibility-preserving operator: "
-                + "; ".join(report.witnesses)
-            )
+        _require_operator(algebra, table)
 
     completed, iota = complete(algebra)
     sections = dual_of(algebra).sections

@@ -9,18 +9,37 @@ shared-domain relation of filters are kept the same way, quantified over
 elements with ``leq``; the library intersects up-set bitmasks and compares
 the least members of principal filters.  The axiom validator and the
 dichotomy predicate are kept as numpy array code, one n³ array per law; the
-library compares table rows through ``itemgetter``.
+library compares table rows through ``itemgetter``.  The counit, F on maps,
+supports and the operator relation layer are kept on frozensets of points
+and members, as their definitions read; the library holds point and section
+sets as int masks and reads one support table per algebra.
 """
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from drest.dra import AxiomViolation, FiniteAlgebra, OpTable, ValidationReport, bottom, leq
-from drest.duality import EtaleReport, EtaleSpace, MorphismReport, SpaceMorphism
-from drest.operators import RelationReport, SpaceRelation, apply_relation
+from drest.dra import (
+    AlgebraMap,
+    AxiomViolation,
+    FiniteAlgebra,
+    OpTable,
+    ValidationReport,
+    bottom,
+    leq,
+)
+from drest.duality import (
+    NOWHERE,
+    DualAlgebra,
+    EtaleReport,
+    EtaleSpace,
+    MorphismReport,
+    SpaceMorphism,
+)
+from drest.filters import maximal_filters
+from drest.operators import RelationReport, SpaceRelation
 
 
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
@@ -385,3 +404,89 @@ def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool
     inside[rows] = True
     diff = minus[rows]
     return bool(np.all(inside[minus[rows[:, None], diff]] != inside[diff]))
+
+
+# ---------------------------------------------------------------------------
+# supports, the counit, F on maps and the operator relations, on frozensets
+
+def hat(points: Sequence[frozenset[int]], element: int) -> frozenset[int]:
+    """Point set of the maximal filters containing the element."""
+    return frozenset(i for i, mu in enumerate(points) if element in mu)
+
+
+def counit(sections: DualAlgebra) -> tuple[int, ...]:
+    """Each point goes to the filter of the sections containing it, where
+    that collection is nonempty."""
+    points = maximal_filters(sections.algebra).points
+    mapping = []
+    for x in range(sections.space.n_points):
+        containing = frozenset(i for i, u in enumerate(sections.sections) if x in u)
+        if not containing:
+            mapping.append(NOWHERE)
+        elif containing in points:
+            mapping.append(points.index(containing))
+        else:
+            raise AssertionError("point filter not maximal")
+    return tuple(mapping)
+
+
+def F_morphism(h: AlgebraMap) -> tuple[int, ...]:
+    """Each maximal filter of the target goes to its preimage under h, where
+    that is nonempty; the supports must pull back to supports."""
+    src, tgt = maximal_filters(h.target).points, maximal_filters(h.source).points
+    mapping = []
+    for xi in src:
+        pullback = frozenset(a for a in range(h.source.n) if h.table[a] in xi)
+        if not pullback:
+            mapping.append(NOWHERE)
+        elif pullback in tgt:
+            mapping.append(tgt.index(pullback))
+        else:
+            raise AssertionError("filter preimage not maximal")
+    for a in range(h.source.n):
+        support = hat(tgt, a)
+        preimage = frozenset(x for x, v in enumerate(mapping) if v != NOWHERE and v in support)
+        if preimage != hat(src, h.table[a]):
+            raise AssertionError("dual map misses the support identity")
+    return tuple(mapping)
+
+
+def apply_relation(rel: SpaceRelation, subsets) -> frozenset[int]:
+    """Outputs reachable from inputs drawn one per subset."""
+    return frozenset(
+        t[-1]
+        for t in rel.tuples
+        if all(t[i] in subsets[i] for i in range(rel.arity))
+    )
+
+
+def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> frozenset[tuple[int, ...]]:
+    """Inputs drawn from the first filters always land the operation in the
+    last."""
+    points = maximal_filters(algebra).points
+    tuples = set()
+    for mus in product(range(len(points)), repeat=table.arity):
+        images = {table(*args) for args in product(*(sorted(points[m]) for m in mus))}
+        for nu in range(len(points)):
+            if images <= points[nu]:
+                tuples.add(mus + (nu,))
+    return frozenset(tuples)
+
+
+def relation_table(rel: SpaceRelation, dual: DualAlgebra) -> tuple[int, ...]:
+    """The operation the relation induces on the sections."""
+    n = len(dual.sections)
+    return tuple(
+        dual.sections.index(apply_relation(rel, [dual.sections[i] for i in args]))
+        for args in product(range(n), repeat=rel.arity)
+    )
+
+
+def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable, rel: SpaceRelation) -> bool:
+    """The support of an output equals the relation applied to the supports
+    of the inputs, for every argument tuple."""
+    points = maximal_filters(algebra).points
+    return all(
+        hat(points, table(*args)) == apply_relation(rel, [hat(points, a) for a in args])
+        for args in product(range(algebra.n), repeat=table.arity)
+    )

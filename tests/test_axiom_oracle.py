@@ -78,16 +78,23 @@ def test_random_tables_match_the_oracle(alg):
 
 
 def test_dichotomy_matches_the_oracle_on_up_sets_and_random_sets(closure_corpus):
+    # each member set is one point of the columns table; the library decides
+    # them all in one pass and the oracle one at a time
     rng = random.Random(9)
     verdicts = {True: 0, False: 0}
     for concrete in closure_corpus:
         alg = abstract(concrete)
-        n, holds = alg.n, dichotomy(alg)
+        n = alg.n
         minus = oracles.as_array(alg.minus)
         member_sets = [from_mask(up, n) for up in up_masks(alg)]
         member_sets += [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(5)]
-        for members in member_sets:
-            verdict = holds(members)
+        columns = [
+            sum(1 << p for p, members in enumerate(member_sets) if e in members)
+            for e in range(n)
+        ]
+        fails = dichotomy(alg, columns)
+        for p, members in enumerate(member_sets):
+            verdict = not fails >> p & 1
             assert verdict == oracles._is_maximal_by_dichotomy(minus, members)
             verdicts[verdict] += 1
     assert min(verdicts.values()) > 1000

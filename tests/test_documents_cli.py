@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from drest import dra
 from drest.cli import main
 from drest.documents import (
     DocumentError,
@@ -150,6 +151,34 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == {"error": "internal error: broken invariant"}
 
 
+@pytest.mark.parametrize("command", ["validate", "filters", "dualize", "complete", "roundtrip"])
+def test_ops_that_is_not_a_list_is_a_usage_error(tmp_path, capsys, command):
+    doc = {"kind": "algebra", "version": 1, "elements": ["0"], "minus": [["0"]], "rest": [["0"]], "ops": 5}
+    assert main([command, write(tmp_path, "ops.json", json.dumps(doc))]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("$.ops:")
+
+
+def space_doc(**fields) -> str:
+    doc = {"kind": "space", "version": 1, "points": 2, "base": 1, "projection": [0, 0], "basis": [[0], [1]]}
+    return json.dumps({**doc, **fields})
+
+
+def test_negative_space_counts_are_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "space.json", space_doc(points=0, base=-3, projection=[], basis=[]))
+    assert main(["validate", path]) == 2
+    assert "nonnegative" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_short_point_labels_are_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "space.json", space_doc(labels=["a"]))
+    assert main(["validate", path]) == 2
+    assert "labels" in json.loads(capsys.readouterr().err)["error"]
+    with pytest.raises(DocumentError):
+        parse_document(space_doc(labels=["a", "b", "c"]))
+    _, space = parse_document(space_doc(labels=["a", "b"]))
+    assert space.label(1) == "b"
+
+
 def test_validate_missing_file_is_a_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
@@ -194,6 +223,25 @@ def test_complete_reports_the_completion_on_stderr(tmp_path, capsys):
     assert set(report) == {
         "embedding", "target_complete", "image_dense", "source_size", "target_size"
     }
+
+
+def test_complete_runs_each_completion_check_once(tmp_path, capsys, monkeypatch):
+    calls = {"hom_check": 0, "is_fin_compatibly_complete": 0}
+    for name in calls:
+        original = getattr(dra, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        # every module that imported the name gets the counter
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("drest") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["complete", fixture_file(tmp_path, "disjoint_pair")]) == 0
+    assert calls == {"hom_check": 1, "is_fin_compatibly_complete": 1}
+    report = json.loads(capsys.readouterr().err)
+    assert report["embedding"] and report["target_complete"] and report["image_dense"]
 
 
 def test_complete_with_operator(tmp_path, capsys):

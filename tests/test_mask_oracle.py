@@ -1,0 +1,135 @@
+"""The point-mask paths of the dual maps and the relation layer against the
+frozenset definitions in ``oracles``.
+
+Supports, the counit, F on maps, the operator relation, the lifted table and
+the support equation are compared on every corpus algebra (through its unit
+map), on generated valid spaces (through their counit) and on operator
+algebras closed under each catalogue operation.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from conftest import abstract
+from drest.dra import OpTable, binary_table, bottom, derived_meet, from_concrete
+from drest.duality import (
+    NOWHERE,
+    EtaleSpace,
+    F_morphism,
+    G_morphism,
+    G_object,
+    _counit,
+    counit_lambda,
+    dual_of,
+    space_morphism,
+    unit_eta,
+)
+from drest.filters import hat, maximal_filters
+from drest.fixtures import FIXTURES, get_fixture
+from drest.operators import (
+    CATALOGUE,
+    NOT_IMPLEMENTED,
+    OPERATOR_ALGEBRA_CAP,
+    SpaceRelation,
+    _relation_table,
+    check_eta_preserves_operator,
+    check_relation_properties,
+    classify_operator,
+    relation_from_operator,
+)
+from drest.pfun import closure_generate
+
+
+def assert_dual_maps_agree(algebra) -> None:
+    mfs = maximal_filters(algebra)
+    for e in range(algebra.n):
+        assert hat(mfs, e) == oracles.hat(mfs.points, e)
+    eta = unit_eta(algebra)
+    assert F_morphism(eta).mapping == oracles.F_morphism(eta)
+    sections = dual_of(algebra).sections
+    assert _counit(sections).mapping == oracles.counit(sections)
+
+
+def test_corpus_dual_maps_agree(closure_corpus):
+    for concrete in closure_corpus:
+        assert_dual_maps_agree(abstract(concrete))
+    assert len(closure_corpus) == 1944
+
+
+@st.composite
+def valid_spaces(draw) -> EtaleSpace:
+    """Discrete spaces of 1-6 points, their basis the singletons plus a few
+    unions of them."""
+    n = draw(st.integers(1, 6))
+    n_base = draw(st.integers(1, n))
+    projection = list(range(n_base)) + draw(
+        st.lists(st.integers(0, n_base - 1), min_size=n - n_base, max_size=n - n_base)
+    )
+    singletons = [frozenset({x}) for x in range(n)]
+    unions = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    return EtaleSpace(n, n_base, tuple(projection), tuple(singletons) + tuple(map(frozenset, unions)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_spaces(), st.data())
+def test_generated_space_dual_maps_agree(space, data):
+    sections = G_object(space)
+    assert _counit(sections).mapping == oracles.counit(sections)
+    assert_dual_maps_agree(sections.algebra)
+    # F of a map between two different algebras
+    back = G_morphism(counit_lambda(space))
+    assert F_morphism(back).mapping == oracles.F_morphism(back)
+    # the identity on some whole fibres is a partial morphism; F of its dual
+    # is undefined on the points whose filter misses the image
+    kept = data.draw(st.sets(st.integers(0, space.n_base - 1)))
+    partial = space_morphism(
+        space, space, [x if b in kept else NOWHERE for x, b in enumerate(space.projection)]
+    )
+    restricted = G_morphism(partial)
+    assert F_morphism(restricted).mapping == oracles.F_morphism(restricted)
+
+
+def operator_cases(concretes):
+    """The meet and the constant bottom on every valid fixture, and every
+    catalogue operation on the closures of the given concrete algebras."""
+    for name in FIXTURES:
+        if name != "broken_restriction":
+            alg = get_fixture(name).algebra
+            yield alg, binary_table("meet", alg.n, lambda x, y, alg=alg: derived_meet(alg, x, y))
+            yield alg, OpTable("zero", 1, alg.n, (bottom(alg),) * alg.n)
+    for concrete in concretes:
+        for op in CATALOGUE:
+            if op in NOT_IMPLEMENTED:
+                continue
+            try:
+                closed = closure_generate(
+                    concrete.carrier, concrete.elements, ops=("difference", "restrict", op)
+                )
+            except ValueError:
+                continue
+            if len(closed.elements) <= OPERATOR_ALGEBRA_CAP:
+                with_op = from_concrete(closed, extra_ops=(op,))
+                yield with_op.with_ops(()), with_op.op(op)
+
+
+def test_operator_relation_layer_agrees(closure_corpus):
+    fixtures = [get_fixture(name).concrete for name in FIXTURES]
+    concretes = [c for c in fixtures if c is not None] + closure_corpus[::40]
+    seen = {"relations": 0, "lifted": 0, "eta": 0}
+    for alg, table in operator_cases(concretes):
+        rel = relation_from_operator(alg, table)
+        assert rel.tuples == oracles.relation_from_operator(alg, table)
+        seen["relations"] += 1
+        report = check_relation_properties(rel)
+        if report.compatibility_property and report.spectral:
+            sections = dual_of(alg).sections
+            assert _relation_table(rel, sections).entries == oracles.relation_table(rel, sections)
+            seen["lifted"] += 1
+        if classify_operator(alg, table).is_compat_preserving_operator:
+            literal = SpaceRelation(table.name, rel.space, table.arity, oracles.relation_from_operator(alg, table))
+            assert check_eta_preserves_operator(alg, table) == oracles.check_eta_preserves_operator(
+                alg, table, literal
+            )
+            seen["eta"] += 1
+    assert min(seen.values()) >= 200, seen
