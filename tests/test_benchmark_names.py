@@ -16,8 +16,8 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _drest_module(name: str):
-    return importlib.import_module(name) if name == "drest" or name.startswith("drest.") else None
+def _is_drest(name: str) -> bool:
+    return name == "drest" or name.startswith("drest.")
 
 
 def referenced_names(tree: ast.AST) -> set[tuple[str, str]]:
@@ -25,7 +25,7 @@ def referenced_names(tree: ast.AST) -> set[tuple[str, str]]:
     found: set[tuple[str, str]] = set()
     aliases: dict[str, str] = {}  # local name -> drest module name
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and _drest_module(node.module):
+        if isinstance(node, ast.ImportFrom) and node.module and _is_drest(node.module):
             for alias in node.names:
                 found.add((node.module, alias.name))
                 full = f"{node.module}.{alias.name}"
@@ -36,7 +36,7 @@ def referenced_names(tree: ast.AST) -> set[tuple[str, str]]:
                 aliases[alias.asname or alias.name] = full
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if _drest_module(alias.name):
+                if _is_drest(alias.name):
                     aliases[alias.asname or alias.name] = alias.name
     for node in ast.walk(tree):
         if not isinstance(node, ast.Attribute):
@@ -50,7 +50,7 @@ def referenced_names(tree: ast.AST) -> set[tuple[str, str]]:
             and value.func.attr == "import_module"
             and value.args
             and isinstance(value.args[0], ast.Constant)
-            and str(value.args[0].value).startswith("drest.")
+            and _is_drest(str(value.args[0].value))
         ):
             found.add((value.args[0].value, node.attr))
     return found
