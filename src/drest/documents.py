@@ -15,6 +15,10 @@ from .operators import SpaceRelation
 from .pfun import Carrier, ConcretePFAlgebra, PartialFunction
 
 FORMAT_VERSION = 1
+# a pfalgebra document spells out every element, but each one is stored over
+# the whole carrier, so the carrier size is the only number in it that
+# multiplies memory; the closure and catalogue checks stop at 4 points
+PFALGEBRA_CARRIER_CAP = 64
 
 KINDS = ("algebra", "pfalgebra", "space", "morphism", "operator", "relation")
 
@@ -149,6 +153,8 @@ def pfalgebra_from_dict(doc: dict, path: str = "$") -> ConcretePFAlgebra:
     size = _field(doc, "carrier", int, path)
     if size < 1:
         raise DocumentError(f"{path}.carrier", "carrier size must be positive")
+    if size > PFALGEBRA_CARRIER_CAP:
+        raise DocumentError(f"{path}.carrier", f"carrier capped at {PFALGEBRA_CARRIER_CAP} points")
     labels = doc.get("labels")
     if labels is not None:
         _expect(labels, list, f"{path}.labels")

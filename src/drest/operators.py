@@ -1,16 +1,23 @@
 """Compatibility-preserving operators and their dual point relations.
 
-An operator here is a total operation table on a finite algebra.  The three
-defining properties (compatibility preservation, normality, additivity) are
-decided by exhaustive scans; relations on dual spaces are classified the same
-way and translated back and forth against operation tables.  Point sets are
-int masks: the relation of an operator is read off the support table, and
-one mask image function applies a relation for every check and table.
+An operator here is a total operation table on a finite algebra.  Of the
+three defining properties, compatibility preservation ORs the outputs of all
+coordinatewise compatible argument tuples into one mask per tuple, one
+coordinate at a time (O(k n^(k+1)) int ORs at arity k); additivity compares
+table rows against a join table; normality scans the bottom slices.  The
+tables live only inside each call, and a failure names the first witness in
+lexicographic order, as the literal double scans kept as test oracles do.
+Relations on dual spaces are classified by scans and translated back and
+forth against operation tables.  Point sets are int masks: the relation of
+an operator is read off the support table, and one mask image function
+applies a relation for every check and table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from . import filters as flt
@@ -18,12 +25,12 @@ from .dra import (
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
+    _least,
     bits,
     bottom,
-    compatible,
     from_concrete,
     hom_check,
-    join_if_exists,
+    up_masks,
 )
 from .duality import (
     DualAlgebra,
@@ -33,6 +40,7 @@ from .duality import (
     _Topology,
     complete,
     dual_of,
+    section_count,
 )
 from .pfun import ConcretePFAlgebra, closure_generate
 
@@ -47,12 +55,16 @@ class OperatorCheckError(ValueError):
 def _check_caps(algebra: FiniteAlgebra, table: OpTable) -> None:
     if table.arity > OPERATOR_ARITY_CAP:
         raise OperatorCheckError(f"operator arity capped at {OPERATOR_ARITY_CAP}")
-    if algebra.n > OPERATOR_ALGEBRA_CAP:
+    _check_size(algebra.n)
+    if table.size != algebra.n:
+        raise OperatorCheckError("operation table sized for a different algebra")
+
+
+def _check_size(n: int) -> None:
+    if n > OPERATOR_ALGEBRA_CAP:
         raise OperatorCheckError(
             f"operator checks capped at {OPERATOR_ALGEBRA_CAP} elements"
         )
-    if table.size != algebra.n:
-        raise OperatorCheckError("operation table sized for a different algebra")
 
 
 def check_compat_preserving(
@@ -60,15 +72,31 @@ def check_compat_preserving(
 ) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Coordinatewise compatible inputs must give compatible outputs.
 
-    Returns the verdict and a witness pair of argument tuples on failure.
+    Returns the verdict and a witness pair of argument tuples on failure:
+    the first failing ``xs`` in lexicographic order, and the first ``ys``
+    compatible with it whose output is not compatible with its output.
     """
     _check_caps(algebra, table)
-    n = algebra.n
-    for xs in product(range(n), repeat=table.arity):
-        for ys in product(range(n), repeat=table.arity):
-            if all(compatible(algebra, x, y) for x, y in zip(xs, ys)):
-                if not compatible(algebra, table(*xs), table(*ys)):
-                    return False, (xs, ys)
+    n, k, f = algebra.n, table.arity, table.entries
+    compat = _compat_masks(algebra)
+    members = [list(bits(c)) for c in compat]
+    # reach[xs]: the outputs of every ys compatible with xs, as a mask.  Each
+    # pass ORs over the last coordinate and moves it to the front, so after
+    # k passes the coordinates are back in order.
+    reach = [1 << e for e in f]
+    for _ in range(k):
+        rows = [reach[i : i + n] for i in range(0, len(reach), n)]
+        reach = [
+            reduce(or_, map(row.__getitem__, members[x])) for x in range(n) for row in rows
+        ]
+    for xs, outputs, out in zip(product(range(n), repeat=k), reach, f):
+        if outputs & ~compat[out]:
+            ys = next(
+                ys
+                for ys in product(*(members[x] for x in xs))
+                if not compat[out] >> table(*ys) & 1
+            )
+            return False, (xs, ys)
     return True, None
 
 
@@ -93,25 +121,42 @@ def check_additive(
     """Existing binary joins in any coordinate must be carried to joins.
 
     Pairs without a join are skipped; the premise only speaks of joins that
-    exist.
+    exist.  The witness is the first failure with the varied coordinate i,
+    then the other coordinates, then x <= y in lexicographic order.
     """
     _check_caps(algebra, table)
-    n = algebra.n
-    for i in range(table.arity):
-        for rest in product(range(n), repeat=table.arity - 1):
-            for x in range(n):
-                for y in range(x, n):
-                    j = join_if_exists(algebra, (x, y))
-                    if j is None:
-                        continue
-                    out_j = table(*rest[:i], j, *rest[i:])
-                    out_xy = join_if_exists(
-                        algebra,
-                        (table(*rest[:i], x, *rest[i:]), table(*rest[:i], y, *rest[i:])),
-                    )
-                    if out_xy != out_j:
-                        return False, rest[:i] + (x, y) + rest[i:]
+    n, k, f = algebra.n, table.arity, table.entries
+    up = up_masks(algebra)
+    join = [[_least(up, ux & uy) for uy in up] for ux in up]
+    pairs = [
+        (x, y, join[x][y]) for x in range(n) for y in range(x, n) if join[x][y] is not None
+    ]
+    for i in range(k):
+        stride = n ** (k - 1 - i)
+        for rest in product(range(n), repeat=k - 1):
+            # the entries with every coordinate but the i-th fixed to rest
+            start = _flatten(rest[:i] + (0,) + rest[i:], n)
+            row = f[start : start + (n - 1) * stride + 1 : stride]
+            for x, y, j in pairs:
+                if join[row[x]][row[y]] != row[j]:
+                    return False, rest[:i] + (x, y) + rest[i:]
     return True, None
+
+
+def _compat_masks(algebra: FiniteAlgebra) -> list[int]:
+    """compat[x]: the elements y with r(x, y) == r(y, x), as a bitmask."""
+    n, r = algebra.n, algebra.rest.entries
+    return [
+        sum(1 << y for y in range(n) if r[x * n + y] == r[y * n + x]) for x in range(n)
+    ]
+
+
+def _flatten(args: Sequence[int], n: int) -> int:
+    """The row-major position of an argument tuple in a table."""
+    idx = 0
+    for a in args:
+        idx = idx * n + a
+    return idx
 
 
 @dataclass(frozen=True)
@@ -237,12 +282,12 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     def point_compat(x: int, y: int) -> bool:
         return x == y or space.projection[x] != space.projection[y]
 
-    compat = True
-    for s in rel.tuples:
-        for t in rel.tuples:
-            if all(point_compat(s[i], t[i]) for i in range(rel.arity)):
-                if not point_compat(s[-1], t[-1]):
-                    compat = False
+    compat = all(
+        point_compat(s[-1], t[-1])
+        for s in rel.tuples
+        for t in rel.tuples
+        if all(point_compat(s[i], t[i]) for i in range(rel.arity))
+    )
     if not compat:
         failures.append("compatibility property fails")
 
@@ -403,10 +448,13 @@ def complete_with_operators(
     via its point relation.
 
     The embedding preserves every operator, and each carried operator passes
-    the three operator checks on the completion.
+    the three operator checks on the completion, so a completion larger than
+    the operator cap is refused before it is built.
     """
     for table in tables:
         _require_operator(algebra, table)
+    if tables:
+        _check_size(section_count(dual_of(algebra).space))
 
     completed, iota = complete(algebra)
     sections = dual_of(algebra).sections

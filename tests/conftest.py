@@ -2,7 +2,8 @@
 
 Criterion-style tests quantify over all difference/restriction closures of at
 most two partial functions on carriers of size up to three; generating that
-corpus once keeps the suite fast.
+corpus once keeps the suite fast.  The operator tests share one list of
+operation tables built from fixtures and corpus closures.
 """
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from drest.dra import FiniteAlgebra, from_concrete
+from drest.dra import FiniteAlgebra, OpTable, binary_table, bottom, derived_meet, from_concrete
 from drest.fixtures import FIXTURES, get_fixture
+from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
 from drest.pfun import Carrier, ConcretePFAlgebra, closure_generate, enumerate_all_pfs
 
 
@@ -48,3 +50,28 @@ def valid_fixture_algebras() -> dict[str, FiniteAlgebra]:
 
 def abstract(concrete: ConcretePFAlgebra, extra_ops=()) -> FiniteAlgebra:
     return from_concrete(concrete, extra_ops)
+
+
+def operator_cases(corpus, stride: int):
+    """The meet and the constant bottom on every valid fixture, and every
+    catalogue operation on the closures of the concrete fixtures and of every
+    stride-th corpus algebra."""
+    for name in FIXTURES:
+        if name != "broken_restriction":
+            alg = get_fixture(name).algebra
+            yield alg, binary_table("meet", alg.n, lambda x, y, alg=alg: derived_meet(alg, x, y))
+            yield alg, OpTable("zero", 1, alg.n, (bottom(alg),) * alg.n)
+    fixtures = [get_fixture(name).concrete for name in FIXTURES]
+    for concrete in [c for c in fixtures if c is not None] + corpus[::stride]:
+        for op in CATALOGUE:
+            if op in NOT_IMPLEMENTED:
+                continue
+            try:
+                closed = closure_generate(
+                    concrete.carrier, concrete.elements, ops=("difference", "restrict", op)
+                )
+            except ValueError:
+                continue
+            if len(closed.elements) <= OPERATOR_ALGEBRA_CAP:
+                with_op = from_concrete(closed, extra_ops=(op,))
+                yield with_op.with_ops(()), with_op.op(op)

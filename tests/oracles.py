@@ -12,7 +12,9 @@ dichotomy predicate are kept as numpy array code, one n³ array per law; the
 library compares table rows through ``itemgetter``.  The counit, F on maps,
 supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
-sets as int masks and reads one support table per algebra.
+sets as int masks and reads one support table per algebra.  Compatibility
+preservation and additivity are kept as the double scans over argument
+tuples; the library decides them on mask and join tables.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from drest import dra
 from drest.dra import (
     AlgebraMap,
     AxiomViolation,
@@ -28,6 +31,7 @@ from drest.dra import (
     OpTable,
     ValidationReport,
     bottom,
+    compatible,
     leq,
 )
 from drest.duality import (
@@ -39,7 +43,7 @@ from drest.duality import (
     SpaceMorphism,
 )
 from drest.filters import maximal_filters
-from drest.operators import RelationReport, SpaceRelation
+from drest.operators import RelationReport, SpaceRelation, _check_caps
 
 
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
@@ -490,3 +494,48 @@ def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable, rel: Sp
         hat(points, table(*args)) == apply_relation(rel, [hat(points, a) for a in args])
         for args in product(range(algebra.n), repeat=table.arity)
     )
+
+
+def check_compat_preserving(
+    algebra: FiniteAlgebra, table: OpTable
+) -> tuple[bool, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Coordinatewise compatible inputs must give compatible outputs.
+
+    Returns the verdict and a witness pair of argument tuples on failure.
+    """
+    _check_caps(algebra, table)
+    n = algebra.n
+    for xs in product(range(n), repeat=table.arity):
+        for ys in product(range(n), repeat=table.arity):
+            if all(compatible(algebra, x, y) for x, y in zip(xs, ys)):
+                if not compatible(algebra, table(*xs), table(*ys)):
+                    return False, (xs, ys)
+    return True, None
+
+
+def check_additive(
+    algebra: FiniteAlgebra, table: OpTable
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Existing binary joins in any coordinate must be carried to joins.
+
+    Pairs without a join are skipped; the premise only speaks of joins that
+    exist.  Joins are the library's up-set ones, which are compared with
+    ``join_if_exists`` above on the corpus.
+    """
+    _check_caps(algebra, table)
+    n = algebra.n
+    for i in range(table.arity):
+        for rest in product(range(n), repeat=table.arity - 1):
+            for x in range(n):
+                for y in range(x, n):
+                    j = dra.join_if_exists(algebra, (x, y))
+                    if j is None:
+                        continue
+                    out_j = table(*rest[:i], j, *rest[i:])
+                    out_xy = dra.join_if_exists(
+                        algebra,
+                        (table(*rest[:i], x, *rest[i:]), table(*rest[:i], y, *rest[i:])),
+                    )
+                    if out_xy != out_j:
+                        return False, rest[:i] + (x, y) + rest[i:]
+    return True, None

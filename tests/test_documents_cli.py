@@ -169,6 +169,16 @@ def test_negative_space_counts_are_a_usage_error(tmp_path, capsys):
     assert "nonnegative" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_oversized_pfalgebra_carrier_is_a_usage_error(tmp_path, capsys):
+    doc = {"kind": "pfalgebra", "version": 1, "carrier": 1_000_000, "elements": []}
+    assert main(["validate", write(tmp_path, "pf.json", json.dumps(doc))]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "$.carrier: carrier capped at 64 points"
+    with pytest.raises(DocumentError, match="capped at"):
+        parse_document(json.dumps({**doc, "carrier": 65}))
+    _, algebra = parse_document(json.dumps({**doc, "carrier": 64}))
+    assert algebra.carrier.size == 64
+
+
 def test_short_point_labels_are_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, "space.json", space_doc(labels=["a"]))
     assert main(["validate", path]) == 2

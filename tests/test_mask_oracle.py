@@ -11,8 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract
-from drest.dra import OpTable, binary_table, bottom, derived_meet, from_concrete
+from conftest import abstract, operator_cases
 from drest.duality import (
     NOWHERE,
     EtaleSpace,
@@ -26,11 +25,7 @@ from drest.duality import (
     unit_eta,
 )
 from drest.filters import hat, maximal_filters
-from drest.fixtures import FIXTURES, get_fixture
 from drest.operators import (
-    CATALOGUE,
-    NOT_IMPLEMENTED,
-    OPERATOR_ALGEBRA_CAP,
     SpaceRelation,
     _relation_table,
     check_eta_preserves_operator,
@@ -38,7 +33,6 @@ from drest.operators import (
     classify_operator,
     relation_from_operator,
 )
-from drest.pfun import closure_generate
 
 
 def assert_dual_maps_agree(algebra) -> None:
@@ -90,34 +84,9 @@ def test_generated_space_dual_maps_agree(space, data):
     assert F_morphism(restricted).mapping == oracles.F_morphism(restricted)
 
 
-def operator_cases(concretes):
-    """The meet and the constant bottom on every valid fixture, and every
-    catalogue operation on the closures of the given concrete algebras."""
-    for name in FIXTURES:
-        if name != "broken_restriction":
-            alg = get_fixture(name).algebra
-            yield alg, binary_table("meet", alg.n, lambda x, y, alg=alg: derived_meet(alg, x, y))
-            yield alg, OpTable("zero", 1, alg.n, (bottom(alg),) * alg.n)
-    for concrete in concretes:
-        for op in CATALOGUE:
-            if op in NOT_IMPLEMENTED:
-                continue
-            try:
-                closed = closure_generate(
-                    concrete.carrier, concrete.elements, ops=("difference", "restrict", op)
-                )
-            except ValueError:
-                continue
-            if len(closed.elements) <= OPERATOR_ALGEBRA_CAP:
-                with_op = from_concrete(closed, extra_ops=(op,))
-                yield with_op.with_ops(()), with_op.op(op)
-
-
 def test_operator_relation_layer_agrees(closure_corpus):
-    fixtures = [get_fixture(name).concrete for name in FIXTURES]
-    concretes = [c for c in fixtures if c is not None] + closure_corpus[::40]
     seen = {"relations": 0, "lifted": 0, "eta": 0}
-    for alg, table in operator_cases(concretes):
+    for alg, table in operator_cases(closure_corpus, 40):
         rel = relation_from_operator(alg, table)
         assert rel.tuples == oracles.relation_from_operator(alg, table)
         seen["relations"] += 1

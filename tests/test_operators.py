@@ -1,8 +1,14 @@
 """Operator checks, dual relations, and the concrete catalogue."""
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+from unittest.mock import patch
+
 import pytest
 
+from conftest import operator_cases
+from drest import operators
 from drest.dra import OpTable, binary_table, bottom, from_concrete, derived_meet
 from drest.duality import F_object, counit_lambda, identity_morphism
 from drest.filters import hat, maximal_filters
@@ -13,6 +19,7 @@ from drest.fixtures import (
     single_point,
 )
 from drest.operators import (
+    OPERATOR_ALGEBRA_CAP,
     OperatorCheckError,
     SpaceRelation,
     apply_relation,
@@ -259,6 +266,25 @@ def test_complete_algebras_keep_their_operators():
     assert equipped.n == alg.n
     reordered = [table(embedding.table[a]) for a in range(alg.n)]
     assert reordered == [embedding.table[d(a)] for a in range(alg.n)]
+
+
+def test_completion_larger_than_the_cap_is_refused_before_it_is_built(closure_corpus):
+    seen = Counter()
+    for alg, table in operator_cases(closure_corpus, 40):
+        if not classify_operator(alg, table).is_compat_preserving_operator:
+            continue
+        size = prod(len(cls) + 1 for cls in maximal_filters(alg).classes)
+        with patch.object(operators, "complete", wraps=operators.complete) as built:
+            if size > OPERATOR_ALGEBRA_CAP:
+                with pytest.raises(OperatorCheckError, match="operator checks capped at 10 elements"):
+                    complete_with_operators(alg, [table])
+                assert not built.called
+                seen["refused"] += 1
+            else:
+                equipped, _, _ = complete_with_operators(alg, [table])
+                assert equipped.n == size
+                seen["completed"] += 1
+    assert min(seen["refused"], seen["completed"]) >= 20, seen
 
 
 def test_completion_rejects_non_operators():
