@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from . import filters as flt
 from .documents import (
-    DocumentError,
     algebra_to_dict,
     emit_document,
     parse_document,
@@ -34,7 +33,6 @@ from .duality import (
 )
 from .fixtures import FIXTURES, get_fixture
 from .operators import (
-    OperatorCheckError,
     classify_concrete_ops,
     classify_operator,
     relation_from_operator,
@@ -58,6 +56,17 @@ def _load(path: str, expect_kind: Optional[str] = None):
 def _fail(message: str, code: int = USAGE) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return code
+
+
+class _Invalid(Exception):
+    """An input algebra fails the defining laws: exit 1."""
+
+
+def _valid(algebra, side: str = "input"):
+    """The algebra itself, once it satisfies the defining laws."""
+    if not validate_axioms(algebra).ok:
+        raise _Invalid(f"{side} algebra fails validation")
+    return algebra
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +112,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_filters(args) -> int:
-    _, algebra = _load(args.file, "algebra")
-    if not validate_axioms(algebra).ok:
-        return _fail("input algebra fails validation", FAIL)
+    algebra = _valid(_load(args.file, "algebra")[1])
     mfs = flt.maximal_filters(algebra)
     out = {
         "maximal_filters": [
@@ -123,9 +130,7 @@ def cmd_filters(args) -> int:
 def cmd_dualize(args) -> int:
     kind, value = _load(args.file)
     if kind == "algebra":
-        if not validate_axioms(value).ok:
-            return _fail("input algebra fails validation", FAIL)
-        sys.stdout.write(emit_document(F_object(value)))
+        sys.stdout.write(emit_document(F_object(_valid(value))))
         return OK
     if kind == "space":
         sys.stdout.write(emit_document(G_object(value).algebra))
@@ -134,9 +139,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    _, algebra = _load(args.file, "algebra")
-    if not validate_axioms(algebra).ok:
-        return _fail("input algebra fails validation", FAIL)
+    algebra = _valid(_load(args.file, "algebra")[1])
     bare = algebra.with_ops(())
     if args.with_op:
         try:
@@ -168,9 +171,7 @@ def cmd_roundtrip(args) -> int:
     kind, value = _load(args.file)
     results = {}
     if kind == "algebra":
-        if not validate_axioms(value).ok:
-            return _fail("input algebra fails validation", FAIL)
-        algebra = value.with_ops(())
+        algebra = _valid(value).with_ops(())
         triangles = check_triangle_identities(algebra)
         results["triangle_space_side"] = triangles.space_side
         results["triangle_algebra_side"] = triangles.algebra_side
@@ -194,9 +195,8 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_check_hom(args) -> int:
     _, mapping = _load(args.file, "morphism")
-    for side, algebra in (("source", mapping.source), ("target", mapping.target)):
-        if not validate_axioms(algebra).ok:
-            return _fail(f"{side} algebra fails validation", FAIL)
+    _valid(mapping.source, "source")
+    _valid(mapping.target, "target")
     report = hom_check(mapping)
     out = {
         "hom": report.is_hom,
@@ -224,9 +224,7 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_check_op(args) -> int:
-    _, algebra = _load(args.file, "algebra")
-    if not validate_axioms(algebra).ok:
-        return _fail("input algebra fails validation", FAIL)
+    algebra = _valid(_load(args.file, "algebra")[1])
     try:
         table = algebra.op(args.op)
     except KeyError as exc:
@@ -340,13 +338,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DocumentError as exc:
-        return _fail(f"{exc.path}: {exc.message}")
-    except OperatorCheckError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except _Invalid as exc:
+        return _fail(str(exc), FAIL)
+    except (OSError, ValueError) as exc:  # documents and caps among them
         return _fail(str(exc))
     except AssertionError as exc:
         return _fail(str(exc), INTERNAL)

@@ -53,6 +53,29 @@ def _resolve(name: Any, index: dict[str, int], path: str) -> int:
     return index[name]
 
 
+def _op_table(doc: Any, index: dict[str, int], path: str) -> OpTable:
+    """An operation: a name, an arity and n ** arity entries named by index."""
+    _expect(doc, dict, path)
+    name = _field(doc, "name", str, path)
+    arity = _field(doc, "arity", int, path)
+    if arity < 0:
+        raise DocumentError(f"{path}.arity", "arity must be nonnegative")
+    entries = _field(doc, "entries", list, path)
+    n = len(index)
+    # for n >= 2, n ** arity passes the entry count once arity exceeds its
+    # bit length, so a huge arity is refused before the power is taken
+    if n > 1 and arity > len(entries).bit_length() or len(entries) != n**arity:
+        raise DocumentError(
+            f"{path}.entries", f"operation {name!r} of arity {arity} needs {n}^{arity} entries"
+        )
+    return OpTable(
+        name,
+        arity,
+        n,
+        tuple(_resolve(e, index, f"{path}.entries[{i}]") for i, e in enumerate(entries)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # algebra
 
@@ -108,31 +131,8 @@ def algebra_from_dict(doc: dict, path: str = "$") -> FiniteAlgebra:
                 entries.append(_resolve(cell, index, f"{path}.{field_name}[{i}][{j}]"))
         return OpTable(field_name, 2, n, tuple(entries))
 
-    extras: list[OpTable] = []
-    for k, op in enumerate(_expect(doc.get("ops", []), list, f"{path}.ops")):
-        op_path = f"{path}.ops[{k}]"
-        _expect(op, dict, op_path)
-        name = _field(op, "name", str, op_path)
-        arity = _field(op, "arity", int, op_path)
-        if not 0 <= arity:
-            raise DocumentError(f"{op_path}.arity", "arity must be nonnegative")
-        entries = _field(op, "entries", list, op_path)
-        if len(entries) != n**arity:
-            raise DocumentError(
-                f"{op_path}.entries",
-                f"operation {name!r} of arity {arity} needs {n ** arity} entries",
-            )
-        extras.append(
-            OpTable(
-                name,
-                arity,
-                n,
-                tuple(
-                    _resolve(e, index, f"{op_path}.entries[{i}]")
-                    for i, e in enumerate(entries)
-                ),
-            )
-        )
+    ops = _expect(doc.get("ops", []), list, f"{path}.ops")
+    extras = [_op_table(op, index, f"{path}.ops[{k}]") for k, op in enumerate(ops)]
     return FiniteAlgebra(tuple(names), table("minus"), table("rest"), tuple(extras))
 
 
@@ -285,23 +285,7 @@ def operator_from_dict(doc: dict, path: str = "$") -> tuple[FiniteAlgebra, OpTab
     algebra = algebra_from_dict(
         _field(doc, "algebra", dict, path), f"{path}.algebra"
     )
-    name = _field(doc, "name", str, path)
-    arity = _field(doc, "arity", int, path)
-    entries = _field(doc, "entries", list, path)
-    if len(entries) != algebra.n**arity:
-        raise DocumentError(
-            f"{path}.entries",
-            f"operation of arity {arity} needs {algebra.n ** arity} entries",
-        )
-    index = {n: i for i, n in enumerate(algebra.elements)}
-    table = OpTable(
-        name,
-        arity,
-        algebra.n,
-        tuple(
-            _resolve(e, index, f"{path}.entries[{i}]") for i, e in enumerate(entries)
-        ),
-    )
+    table = _op_table(doc, {name: i for i, name in enumerate(algebra.elements)}, path)
     return algebra, table
 
 

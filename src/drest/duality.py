@@ -403,16 +403,11 @@ class DualAlgebra:
     index: dict[int, int] = field(repr=False, compare=False)
 
 
-def section_count(space: EtaleSpace) -> int:
-    """The number of sections of a valid space, which is discrete: one point
-    or none from each fibre."""
-    return prod(len(space.fiber(b)) + 1 for b in range(space.n_base))
-
-
 def _section_algebra(space: EtaleSpace) -> DualAlgebra:
     """The sections of a valid space and their difference and restriction
     tables; refuses before any table is built when there are too many."""
-    count = section_count(space)
+    # a section picks one point or none from each fibre
+    count = prod(len(space.fiber(b)) + 1 for b in range(space.n_base))
     if count > SECTION_CAP:
         raise ValueError(f"sections capped at {SECTION_CAP}; this space has {count}")
     # a valid space is discrete, so every injective set is a section

@@ -12,7 +12,9 @@ dichotomy predicate are kept as numpy array code, one n³ array per law; the
 library compares table rows through ``itemgetter``.  The counit, F on maps,
 supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
-sets as int masks and reads one support table per algebra.  Compatibility
+sets as int masks and reads one support table per algebra; that applying a
+relation commutes with unions, which the library's image map does by
+construction, is kept as the literal check.  Compatibility
 preservation and additivity are kept as the double scans over argument
 tuples; the library decides them on mask and join tables.
 """
@@ -484,6 +486,21 @@ def relation_table(rel: SpaceRelation, dual: DualAlgebra) -> tuple[int, ...]:
         dual.sections.index(apply_relation(rel, [dual.sections[i] for i in args]))
         for args in product(range(n), repeat=rel.arity)
     )
+
+
+def check_union_commutation(rel: SpaceRelation) -> bool:
+    """Applying the relation distributes over unions of sections in each
+    argument."""
+    secs = sections(rel.space)
+    for args in product(secs, repeat=rel.arity):
+        whole = apply_relation(rel, args)
+        for i in range(rel.arity):
+            for extra in secs:
+                merged = args[:i] + (args[i] | extra,) + args[i + 1 :]
+                swapped = args[:i] + (extra,) + args[i + 1 :]
+                if apply_relation(rel, merged) != whole | apply_relation(rel, swapped):
+                    return False
+    return True
 
 
 def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable, rel: SpaceRelation) -> bool:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,13 @@ from drest.fixtures import (
     disjoint_pair,
     get_fixture,
     inclusion_disjoint_into_boolean,
+    single_point,
 )
-from drest.operators import relation_from_operator
+from drest.filters import maximal_filters
+from drest.operators import OPERATOR_ALGEBRA_CAP, relation_from_operator
+from drest.pfun import Carrier, PartialFunction, closure_generate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, name, text):
@@ -102,6 +108,34 @@ def test_bad_arity_is_positioned():
     assert "entries" in err.value.path
 
 
+def test_huge_arity_is_refused_before_the_power_is_taken(tmp_path):
+    # in a child process, so that taking the power fails by the timeout
+    # instead of running for minutes
+    doc = json.loads(emit_document(disjoint_pair().algebra))
+    doc["ops"] = [{"name": "big", "arity": 10**9, "entries": ["{}"]}]
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", "validate", write(tmp_path, "big.json", json.dumps(doc))],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=10, capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert json.loads(run.stderr)["error"].startswith("$.ops[0].entries:")
+
+
+def test_negative_operator_arity_is_positioned(tmp_path, capsys):
+    for fixture in (single_point(), disjoint_pair()):
+        alg = fixture.algebra
+        doc = {
+            "kind": "operator",
+            "version": 1,
+            "algebra": json.loads(emit_document(alg)),
+            "name": "f",
+            "arity": -1,
+            "entries": [alg.elements[0]],
+        }
+        assert main(["validate", write(tmp_path, "op.json", json.dumps(doc))]) == 2
+        assert json.loads(capsys.readouterr().err)["error"].startswith("$.arity:")
+
+
 def test_unresolved_element_name_is_positioned():
     doc = json.loads(emit_document(disjoint_pair().algebra))
     doc["minus"][0][0] = "ghost"
@@ -139,6 +173,22 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", bad]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is False and out["violations"]
+
+
+@pytest.mark.parametrize("argv", [["filters"], ["dualize"], ["complete"], ["roundtrip"], ["check-op", "domain"]])
+def test_invalid_input_algebra_exits_1(tmp_path, capsys, argv):
+    assert main([argv[0], fixture_file(tmp_path, "broken_restriction"), *argv[1:]]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "input algebra fails validation"}
+
+
+def test_check_hom_names_the_invalid_side(tmp_path, capsys):
+    doc = json.loads(emit_document(inclusion_disjoint_into_boolean()))
+    broken = json.loads(emit_document(broken_restriction().algebra))
+    for side in ("source", "target"):
+        bad = {**doc, side: broken}
+        bad["map"] = [bad["target"]["elements"][0]] * len(bad["source"]["elements"])
+        assert main(["check-hom", write(tmp_path, "map.json", json.dumps(bad))]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"{side} algebra fails validation"}
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -262,6 +312,22 @@ def test_complete_with_operator(tmp_path, capsys):
     assert "domain" in embedding.target.op_names()
 
 
+def test_complete_with_operator_beyond_the_operator_cap(tmp_path, capsys):
+    # a 7-element closure under domain completes to 12 elements, more than
+    # the operator checks take; the carried operator is not classified
+    carrier = Carrier(3)
+    seeds = [PartialFunction.from_graph(carrier, g) for g in ([(1, 0), (2, 2)], [(0, 0)])]
+    closed = closure_generate(carrier, seeds, ops=("difference", "restrict", "domain"))
+    alg = from_concrete(closed, extra_ops=("domain",))
+    size = prod(len(cls) + 1 for cls in maximal_filters(alg).classes)
+    assert alg.n == 7 and size == 12 > OPERATOR_ALGEBRA_CAP
+    assert main(["complete", write(tmp_path, "with_d.json", emit_document(alg)), "--with-op", "domain"]) == 0
+    out, err = capsys.readouterr()
+    _, embedding = parse_document(out)
+    assert embedding.target.n == json.loads(err)["target_size"] == size
+    assert "domain" in embedding.target.op_names()
+
+
 def test_roundtrip_command(tmp_path, capsys):
     for name in ("disjoint_pair", "conflicting_pair", "boolean_four", "single_point"):
         path = fixture_file(tmp_path, name)
@@ -342,7 +408,18 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_loads_no_numpy():
     # start-up is most of a command's time; numpy is for the test oracles only
-    src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, drest.cli; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_survey_script_counts_the_two_point_closures():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "survey_closures.py"), "--max-carrier", "2"],
+        env=env, check=True, timeout=60, capture_output=True, text=True,
+    )
+    counts = dict(line.split(": ", 1) for line in run.stdout.splitlines())
+    assert counts["closures generated and validated"] == "48"
+    assert counts["already complete"] == "36"
+    assert counts["completions refused at the sections cap"] == "0"

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
+import oracles
 from conftest import operator_cases
 from drest import operators
 from drest.dra import OpTable, binary_table, bottom, from_concrete, derived_meet
@@ -29,7 +30,6 @@ from drest.operators import (
     check_morphism_back_forth,
     check_normal,
     check_relation_properties,
-    check_union_commutation,
     classify_concrete_ops,
     classify_operator,
     complete_with_operators,
@@ -132,7 +132,7 @@ def test_relation_properties_for_operator_relations():
         rel = relation_from_operator(alg, d)
         report = check_relation_properties(rel)
         assert report.ok, report.failures
-        assert check_union_commutation(rel.space, rel)
+        assert oracles.check_union_commutation(rel)
 
 
 def test_full_relation_on_a_doubled_fibre_fails_compatibility():
@@ -268,23 +268,22 @@ def test_complete_algebras_keep_their_operators():
     assert reordered == [embedding.table[d(a)] for a in range(alg.n)]
 
 
-def test_completion_larger_than_the_cap_is_refused_before_it_is_built(closure_corpus):
+def test_carried_operators_pass_the_operator_checks(closure_corpus):
+    # the carried tables are compatibility-preserving operators by
+    # construction; the classifier, its cap raised to each completion, agrees
+    # on completions within the operator cap and above it
     seen = Counter()
     for alg, table in operator_cases(closure_corpus, 40):
         if not classify_operator(alg, table).is_compat_preserving_operator:
             continue
-        size = prod(len(cls) + 1 for cls in maximal_filters(alg).classes)
-        with patch.object(operators, "complete", wraps=operators.complete) as built:
-            if size > OPERATOR_ALGEBRA_CAP:
-                with pytest.raises(OperatorCheckError, match="operator checks capped at 10 elements"):
-                    complete_with_operators(alg, [table])
-                assert not built.called
-                seen["refused"] += 1
-            else:
-                equipped, _, _ = complete_with_operators(alg, [table])
-                assert equipped.n == size
-                seen["completed"] += 1
-    assert min(seen["refused"], seen["completed"]) >= 20, seen
+        assert check_relation_properties(relation_from_operator(alg, table)).ok
+        equipped, _, (lifted,) = complete_with_operators(alg, [table])
+        assert equipped.n == prod(len(cls) + 1 for cls in maximal_filters(alg).classes)
+        with patch.object(operators, "OPERATOR_ALGEBRA_CAP", equipped.n):
+            report = classify_operator(equipped.with_ops(()), lifted)
+        assert report.is_compat_preserving_operator, report.witnesses
+        seen["above" if equipped.n > OPERATOR_ALGEBRA_CAP else "within"] += 1
+    assert min(seen["above"], seen["within"]) >= 20, seen
 
 
 def test_completion_rejects_non_operators():
