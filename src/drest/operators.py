@@ -13,13 +13,15 @@ an operator is read off the support table, and one mask image function
 applies a relation for every check and table.  The completion carries an
 operator as the image map of its relation, which is a compatibility-preserving
 operator by construction (proved at ``complete_with_operators``), so the
-operator cap bounds the inputs only.
+operator cap bounds the inputs only; the carried table's size is bounded by
+the sections cap squared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import prod
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -36,6 +38,7 @@ from .dra import (
     up_masks,
 )
 from .duality import (
+    SECTION_CAP,
     DualAlgebra,
     EtaleSpace,
     G_object,
@@ -451,9 +454,21 @@ def complete_with_operators(
     elements, and the supports of compatible elements hold at most one
     point per fibre together.  So every entry is a section, and compatible
     arguments give compatible entries.
+
+    A carried table has one entry per tuple of sections, so it is refused
+    before the completion is built when it would exceed ``SECTION_CAP**2``
+    entries: every unary and binary table fits, a ternary one fits on up to
+    101 sections.
     """
+    # a section picks one point or none from each fibre
+    count = prod(len(cls) + 1 for cls in dual_of(algebra).mfs.classes)
     for table in tables:
         _require_operator(algebra, table)
+        if count**table.arity > SECTION_CAP**2:
+            raise OperatorCheckError(
+                f"carried tables capped at {SECTION_CAP**2} entries; "
+                f"{table.name} would have {count**table.arity}"
+            )
     completed, iota = complete(algebra)
     sections = dual_of(algebra).sections
     lifted = tuple(

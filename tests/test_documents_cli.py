@@ -17,7 +17,7 @@ from drest.documents import (
     emit_document,
     parse_document,
 )
-from drest.dra import from_concrete
+from drest.dra import OpTable, bottom, from_concrete
 from drest.duality import F_object
 from drest.fixtures import (
     boolean_four,
@@ -30,7 +30,7 @@ from drest.fixtures import (
 )
 from drest.filters import maximal_filters
 from drest.operators import OPERATOR_ALGEBRA_CAP, relation_from_operator
-from drest.pfun import Carrier, PartialFunction, closure_generate
+from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,6 +326,22 @@ def test_complete_with_operator_beyond_the_operator_cap(tmp_path, capsys):
     _, embedding = parse_document(out)
     assert embedding.target.n == json.loads(err)["target_size"] == size
     assert "domain" in embedding.target.op_names()
+
+
+def test_oversized_carried_table_is_refused_before_the_completion(tmp_path):
+    # nine disjoint atoms complete to 2^9 sections, so a ternary carried
+    # table would have 512^3 entries; in a child process, so that building
+    # it fails by the timeout instead of running for minutes
+    carrier = Carrier(9)
+    atoms = [PartialFunction.from_graph(carrier, g) for g in [[]] + [[(i, i)] for i in range(9)]]
+    alg = from_concrete(ConcretePFAlgebra(carrier, tuple(sorted(atoms, key=lambda f: f.sort_key))))
+    alg = alg.with_ops((OpTable("zero", 3, alg.n, (bottom(alg),) * alg.n**3),))
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", "complete", write(tmp_path, "z.json", emit_document(alg)), "--with-op", "zero"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=10, capture_output=True, text=True,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "capped at" in json.loads(run.stderr)["error"]
 
 
 def test_roundtrip_command(tmp_path, capsys):
