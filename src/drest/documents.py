@@ -304,6 +304,8 @@ def relation_from_dict(doc: dict, path: str = "$") -> SpaceRelation:
     space = space_from_dict(_field(doc, "space", dict, path), f"{path}.space")
     name = _field(doc, "name", str, path)
     arity = _field(doc, "arity", int, path)
+    if arity < 0:
+        raise DocumentError(f"{path}.arity", "arity must be nonnegative")
     tuples_doc = _field(doc, "tuples", list, path)
     tuples = []
     for i, t in enumerate(tuples_doc):

@@ -130,12 +130,7 @@ def from_concrete(
             raise ValueError("algebra not closed under requested operation")
         return index[values]
 
-    minus = binary_table(
-        "minus", n, lambda x, y: lookup(RAW_OPS["difference"][1](elems[x].values, elems[y].values))
-    )
-    rest = binary_table(
-        "rest", n, lambda x, y: lookup(RAW_OPS["restrict"][1](elems[x].values, elems[y].values))
-    )
+    minus, rest = algebra.dr_tables()
     extras = []
     for name in extra_ops:
         if name == "identity":
@@ -147,7 +142,9 @@ def from_concrete(
             for args in product(range(n), repeat=arity)
         )
         extras.append(OpTable(name, arity, n, entries))
-    return FiniteAlgebra(names, minus, rest, tuple(extras))
+    return FiniteAlgebra(
+        names, OpTable("minus", 2, n, minus), OpTable("rest", 2, n, rest), tuple(extras)
+    )
 
 
 # ---------------------------------------------------------------------------

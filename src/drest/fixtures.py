@@ -88,7 +88,7 @@ def broken_restriction() -> Fixture:
 
 
 FIXTURES: dict[str, Callable[[], Fixture]] = {
-    f().name: f
+    f.__name__: f
     for f in (
         single_point,
         disjoint_pair,

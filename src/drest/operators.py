@@ -218,6 +218,8 @@ class SpaceRelation:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        if self.arity < 0:
+            raise ValueError(f"relation {self.name}: arity must be nonnegative")
         for t in self.tuples:
             if len(t) != self.arity + 1:
                 raise ValueError(f"relation {self.name}: tuple of wrong length")

@@ -4,6 +4,13 @@ Every value is a partial self-map on ``{0, ..., size-1}``, stored as a
 fixed-length tuple with ``-1`` marking "undefined".  All operations are pure;
 closures of seed sets under the named operations provide genuine algebras of
 partial functions that the abstract layer is tested against.
+
+The ``values`` tuples are the public form.  The closure, the difference and
+restriction tables of an algebra and its closedness check run on graph
+masks instead (bit ``x*size + y`` set iff f(x) = y), where difference is
+``a & ~b`` and restriction is ``b & dom(a)``; the further operations run on
+tuples through one decode/encode adapter.  The tuple versions are kept as
+test oracles.
 """
 from __future__ import annotations
 
@@ -262,6 +269,38 @@ RAW_OPS: dict[str, tuple[int, Callable[..., tuple[int, ...]]]] = {
 }
 
 
+def _graph_codec(size: int):
+    """Encode, decode and domain-cylinder functions for graph masks on one
+    carrier size: bit ``x*size + y`` is set iff f(x) = y.
+
+    On masks, difference is ``a & ~b`` and restricting b to the domain of a
+    is ``b & dom(a)``.  The constants are built per call.
+    """
+    row = (1 << size) - 1
+    low = sum(1 << (x * size) for x in range(size))
+    offsets = range(0, size * size, size)
+    shifts = range(size)
+
+    def encode(values: Sequence[int]) -> int:
+        mask = 0
+        for offset, v in zip(offsets, values):
+            if v != UNDEF:
+                mask |= 1 << (offset + v)
+        return mask
+
+    def decode(mask: int) -> tuple[int, ...]:
+        # a row holds at most one bit; an empty row decodes to -1 (UNDEF)
+        return tuple(((mask >> offset) & row).bit_length() - 1 for offset in offsets)
+
+    def dom(mask: int) -> int:
+        spread = 0
+        for k in shifts:
+            spread |= mask >> k
+        return (spread & low) * row
+
+    return encode, decode, dom
+
+
 @dataclass(frozen=True)
 class ConcretePFAlgebra:
     """A duplicate-free, canonically ordered family of partial functions.
@@ -295,9 +334,37 @@ class ConcretePFAlgebra:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _graph_masks(self) -> tuple[list[int], list[int]]:
+        """The graph mask of every element and its domain cylinder."""
+        encode, _, dom = _graph_codec(self.carrier.size)
+        masks = [encode(f.values) for f in self.elements]
+        return masks, [dom(m) for m in masks]
+
+    def dr_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Row-major difference and restriction tables on element indices."""
+        masks, doms = self._graph_masks()
+        index = {m: i for i, m in enumerate(masks)}
+        try:
+            minus = tuple([index[a & ~b] for a in masks for b in masks])
+            rest = tuple([index[b & d] for d in doms for b in masks])
+        except KeyError:
+            raise ValueError("algebra not closed under requested operation") from None
+        return minus, rest
+
     def is_closed_under(self, op_names: Iterable[str]) -> bool:
+        masks, doms = self._graph_masks()
+        present = set(masks)
         members = {f.values for f in self.elements}
         for name in op_names:
+            if name == "difference":
+                complements = [~b for b in masks]
+                if not all({a & c for c in complements} <= present for a in masks):
+                    return False
+                continue
+            if name == "restrict":
+                if not all({b & d for b in masks} <= present for d in doms):
+                    return False
+                continue
             if name == "identity":
                 if tuple(range(self.carrier.size)) not in members:
                     return False
@@ -319,7 +386,12 @@ def closure_generate(
     ops: Iterable[str] = ("difference", "restrict"),
 ) -> ConcretePFAlgebra:
     """Least family containing the seeds and the empty function, closed under
-    the named operations.  Difference and restriction are mandatory."""
+    the named operations.  Difference and restriction are mandatory.
+
+    Members are graph masks.  Each round applies difference and restriction
+    to every ordered pair with at least one new member, once; any further
+    operation runs on value tuples through one decode/encode adapter.
+    """
     op_names = tuple(ops)
     if "difference" not in op_names or "restrict" not in op_names:
         raise ValueError("closure must include difference and restrict")
@@ -330,33 +402,42 @@ def closure_generate(
             raise CarrierMismatch("seed on a foreign carrier")
 
     # "identity" is a constant, so it just seeds the closure
-    table = [RAW_OPS[name] for name in op_names if name != "identity"]
-    members: set[tuple[int, ...]] = {(UNDEF,) * carrier.size}
+    base = ("difference", "restrict", "identity")
+    others = [RAW_OPS[name] for name in op_names if name not in base]
+    encode, decode, dom = _graph_codec(carrier.size)
+    start = {0} | {encode(f.values) for f in seeds}
     if "identity" in op_names:
-        members.add(tuple(range(carrier.size)))
-    members.update(f.values for f in seeds)
-    frontier = list(members)
+        start.add(encode(range(carrier.size)))
+    doms: dict[int, int] = {}  # member -> its domain cylinder
+    old: list[int] = []
+    old_doms: list[int] = []
+    old_values: list[tuple[int, ...]] = []  # decoded old members, for `others`
+    frontier = list(start)
     while frontier:
-        fresh: list[tuple[int, ...]] = []
-        current = list(members)
-        for arity, raw in table:
-            if arity == 0:
-                candidates = [raw()]
-            elif arity == 1:
-                candidates = [raw(f) for f in frontier]
-            else:
-                candidates = []
-                for f in frontier:
-                    for g in current:
-                        candidates.append(raw(f, g))
-                        candidates.append(raw(g, f))
-            for c in candidates:
-                if c not in members:
-                    members.add(c)
-                    fresh.append(c)
-        frontier = fresh
+        new_doms = [dom(m) for m in frontier]
+        doms.update(zip(frontier, new_doms))
+        current = old + frontier
+        complements = [~b for b in current]
+        made = {a & c for a in frontier for c in complements}
+        made.update(a & c for a in old for c in complements[len(old):])
+        made.update(b & d for d in new_doms for b in current)
+        made.update(b & d for d in old_doms for b in frontier)
+        if others:
+            fresh = [decode(m) for m in frontier]
+            every = old_values + fresh
+            for arity, raw in others:
+                if arity == 1:
+                    results = {raw(f) for f in fresh}
+                else:
+                    results = {raw(f, g) for f in fresh for g in every}
+                    results.update(raw(f, g) for f in old_values for g in fresh)
+                made.update(map(encode, results))
+            old_values = every
+        old, old_doms = current, old_doms + new_doms
+        frontier = [m for m in made if m not in doms]
 
-    ordered = sorted(members, key=lambda v: tuple(x + 1 for x in v))
+    # UNDEF is -1, below every point, so plain tuple order is canonical order
+    ordered = sorted(map(decode, doms))
     return ConcretePFAlgebra(carrier, tuple(PartialFunction(carrier, v) for v in ordered))
 
 

@@ -16,7 +16,10 @@ sets as int masks and reads one support table per algebra; that applying a
 relation commutes with unions, which the library's image map does by
 construction, is kept as the literal check.  Compatibility
 preservation and additivity are kept as the double scans over argument
-tuples; the library decides them on mask and join tables.
+tuples; the library decides them on mask and join tables.  The closure of
+partial functions, the difference and restriction tables and the closedness
+check are kept on value tuples, one point at a time; the library runs them on
+graph masks.
 """
 from __future__ import annotations
 
@@ -46,6 +49,15 @@ from drest.duality import (
 )
 from drest.filters import maximal_filters
 from drest.operators import RelationReport, SpaceRelation, _check_caps
+from drest.pfun import (
+    CLOSURE_SIZE_CAP,
+    RAW_OPS,
+    UNDEF,
+    Carrier,
+    CarrierMismatch,
+    ConcretePFAlgebra,
+    PartialFunction,
+)
 
 
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
@@ -556,3 +568,91 @@ def check_additive(
                     if out_xy != out_j:
                         return False, rest[:i] + (x, y) + rest[i:]
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# closure, tables and closedness of partial functions, on value tuples
+
+def closure_generate(
+    carrier: Carrier,
+    seeds: Sequence[PartialFunction],
+    ops: Iterable[str] = ("difference", "restrict"),
+) -> ConcretePFAlgebra:
+    """Least family containing the seeds and the empty function, closed under
+    the named operations.  Difference and restriction are mandatory."""
+    op_names = tuple(ops)
+    if "difference" not in op_names or "restrict" not in op_names:
+        raise ValueError("closure must include difference and restrict")
+    if carrier.size > CLOSURE_SIZE_CAP:
+        raise ValueError(f"closure carrier capped at size {CLOSURE_SIZE_CAP}")
+    for f in seeds:
+        if f.carrier != carrier:
+            raise CarrierMismatch("seed on a foreign carrier")
+
+    # "identity" is a constant, so it just seeds the closure
+    table = [RAW_OPS[name] for name in op_names if name != "identity"]
+    members: set[tuple[int, ...]] = {(UNDEF,) * carrier.size}
+    if "identity" in op_names:
+        members.add(tuple(range(carrier.size)))
+    members.update(f.values for f in seeds)
+    frontier = list(members)
+    while frontier:
+        fresh: list[tuple[int, ...]] = []
+        current = list(members)
+        for arity, raw in table:
+            if arity == 0:
+                candidates = [raw()]
+            elif arity == 1:
+                candidates = [raw(f) for f in frontier]
+            else:
+                candidates = []
+                for f in frontier:
+                    for g in current:
+                        candidates.append(raw(f, g))
+                        candidates.append(raw(g, f))
+            for c in candidates:
+                if c not in members:
+                    members.add(c)
+                    fresh.append(c)
+        frontier = fresh
+
+    ordered = sorted(members, key=lambda v: tuple(x + 1 for x in v))
+    return ConcretePFAlgebra(carrier, tuple(PartialFunction(carrier, v) for v in ordered))
+
+
+def dr_tables(algebra: ConcretePFAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row-major difference and restriction tables, one value tuple per entry."""
+    elems = algebra.elements
+    n = len(elems)
+    index = {f.values: i for i, f in enumerate(elems)}
+
+    def lookup(values: tuple[int, ...]) -> int:
+        if values not in index:
+            raise ValueError("algebra not closed under requested operation")
+        return index[values]
+
+    minus = dra.binary_table(
+        "minus", n, lambda x, y: lookup(RAW_OPS["difference"][1](elems[x].values, elems[y].values))
+    )
+    rest = dra.binary_table(
+        "rest", n, lambda x, y: lookup(RAW_OPS["restrict"][1](elems[x].values, elems[y].values))
+    )
+    return minus.entries, rest.entries
+
+
+def is_closed_under(algebra: ConcretePFAlgebra, op_names: Iterable[str]) -> bool:
+    members = {f.values for f in algebra.elements}
+    for name in op_names:
+        if name == "identity":
+            if tuple(range(algebra.carrier.size)) not in members:
+                return False
+            continue
+        arity, raw = RAW_OPS[name]
+        for args in product(algebra.elements, repeat=arity):
+            try:
+                result = raw(*(a.values for a in args))
+            except ValueError:
+                return False
+            if result not in members:
+                return False
+    return True

@@ -136,6 +136,15 @@ def test_negative_operator_arity_is_positioned(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"].startswith("$.arity:")
 
 
+def test_negative_relation_arity_is_positioned():
+    alg = from_concrete(disjoint_pair().concrete, extra_ops=("domain",))
+    doc = json.loads(emit_document(relation_from_operator(alg.with_ops(()), alg.op("domain"))))
+    doc.update(arity=-1, tuples=[[]])
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(doc))
+    assert err.value.path == "$.arity"
+
+
 def test_unresolved_element_name_is_positioned():
     doc = json.loads(emit_document(disjoint_pair().algebra))
     doc["minus"][0][0] = "ghost"

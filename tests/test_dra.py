@@ -46,6 +46,10 @@ def test_fixture_algebras_validate(name):
     assert validate_axioms(get_fixture(name).algebra).ok
 
 
+def test_fixture_keys_are_their_names():
+    assert all(get_fixture(key).name == key for key in FIXTURES)
+
+
 def test_broken_fixture_reports_only_the_fourth_law():
     report = validate_axioms(broken_restriction().algebra)
     assert not report.ok

@@ -170,6 +170,12 @@ def test_empty_relation_induces_the_constant_empty_operation():
     assert set(table.entries) == {bot}
 
 
+def test_negative_relation_arity_is_rejected():
+    space = F_object(disjoint_pair().algebra)
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        SpaceRelation("r", space, -1, frozenset({()}))
+
+
 def test_hat_equality_for_operators():
     for fixture in (disjoint_pair(), conflicting_pair(), boolean_four()):
         alg, d = domain_algebra(fixture)

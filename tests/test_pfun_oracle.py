@@ -1,0 +1,189 @@
+"""The graph-mask closure, tables and closedness check against the value-tuple
+definitions in ``oracles``.
+
+Closures must be equal algebras or fail with the same error text; tables and
+closedness verdicts must be equal.  The inputs are every seed pair on
+carriers 1-3, seeded three-seed sets on carrier 4, every catalogue operation
+(and ``identity``) on fixed seed sets, and seed sets drawn by hypothesis.
+"""
+from __future__ import annotations
+
+import random
+from itertools import combinations_with_replacement
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from drest.dra import from_concrete
+from drest.pfun import (
+    RAW_OPS,
+    Carrier,
+    ConcretePFAlgebra,
+    PartialFunction,
+    closure_generate,
+    enumerate_all_pfs,
+)
+
+OPS = ("difference", "restrict")
+OP_NAMES = (*RAW_OPS, "identity")
+
+
+def outcome(closure, carrier, seeds, ops=OPS):
+    try:
+        return closure(carrier, seeds, ops=ops)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_closures_agree(carrier, seeds, ops=OPS):
+    got = outcome(closure_generate, carrier, seeds, ops)
+    assert got == outcome(oracles.closure_generate, carrier, seeds, ops)
+    return got
+
+
+def assert_tables_agree(closed: ConcretePFAlgebra) -> None:
+    minus, rest = oracles.dr_tables(closed)
+    alg = from_concrete(closed)
+    assert alg.minus.entries == minus and alg.rest.entries == rest
+
+
+def dropped(closed: ConcretePFAlgebra, i: int) -> ConcretePFAlgebra:
+    return ConcretePFAlgebra(closed.carrier, closed.elements[:i] + closed.elements[i + 1:])
+
+
+def test_every_seed_pair_on_carriers_up_to_three():
+    count = 0
+    for size in (1, 2, 3):
+        carrier = Carrier(size)
+        for seeds in combinations_with_replacement(enumerate_all_pfs(carrier), 2):
+            closed = assert_closures_agree(carrier, list(seeds))
+            assert_tables_agree(closed)
+            count += 1
+    assert count == 2128
+
+
+def test_three_seed_closures_on_carrier_four():
+    rng = random.Random(4)
+    carrier = Carrier(4)
+    pool = enumerate_all_pfs(carrier)
+    for _ in range(150):
+        closed = assert_closures_agree(carrier, rng.sample(pool, 3))
+        assert_tables_agree(closed)
+        assert closed.is_closed_under(OPS)
+
+
+@pytest.mark.parametrize("name", OP_NAMES)
+def test_every_catalogue_operation(name):
+    rng = random.Random(name)
+    for size in (1, 2, 3, 4):
+        carrier = Carrier(size)
+        pool = enumerate_all_pfs(carrier)
+        for k in (0, 1, 2):
+            for _ in range(12 if size < 4 else 3):
+                seeds = rng.sample(pool, k)
+                got = assert_closures_agree(carrier, seeds, (*OPS, name))
+                if isinstance(got, ConcretePFAlgebra):
+                    assert got.is_closed_under((*OPS, name))
+
+
+def test_converse_of_a_non_injective_seed_fails_alike():
+    carrier = Carrier(2)
+    constant = PartialFunction(carrier, (0, 0))
+    got = assert_closures_agree(carrier, [constant], (*OPS, "converse"))
+    assert got == (ValueError, "converse of a non-injective partial function")
+
+
+def test_refusals_keep_their_text():
+    c5 = Carrier(5)
+    assert assert_closures_agree(c5, [])[1] == "closure carrier capped at size 4"
+    c2 = Carrier(2)
+    assert assert_closures_agree(c2, [], ("difference",))[1] == (
+        "closure must include difference and restrict"
+    )
+    foreign = PartialFunction.empty(Carrier(3))
+    assert assert_closures_agree(c2, [foreign])[1] == "seed on a foreign carrier"
+
+
+def seed_sets(size: int):
+    values = st.integers(min_value=-1, max_value=size - 1)
+    pf = st.tuples(*[values] * size).map(lambda v: PartialFunction(Carrier(size), v))
+    return st.lists(pf, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), seed_sets(n))
+    ),
+    st.sampled_from(
+        ("", "identity", "domain", "range", "fixset", "antidomain", "converse", "meet")
+    ),
+)
+def test_generated_seed_sets(case, extra):
+    size, seeds = case
+    ops = OPS + ((extra,) if extra else ())
+    assert_closures_agree(Carrier(size), seeds, ops)
+
+
+def test_closedness_verdicts(closure_corpus):
+    for closed in closure_corpus[::7]:
+        for ops in (OPS, (*OPS, "identity"), (*OPS, "domain"), (*OPS, "compose")):
+            assert closed.is_closed_under(ops) == oracles.is_closed_under(closed, ops)
+        # without the empty function, a - a is missing
+        if len(closed) > 1:
+            assert not dropped(closed, 0).is_closed_under(OPS)
+        for i in range(1, len(closed)):
+            smaller = dropped(closed, i)
+            assert smaller.is_closed_under(OPS) == oracles.is_closed_under(smaller, OPS)
+
+
+def test_closedness_of_each_operation_on_subfamilies(closure_corpus):
+    rng = random.Random(5)
+    for closed in closure_corpus[::5]:
+        for _ in range(4):
+            keep = [f for f in closed.elements[1:] if rng.random() < 0.7]
+            family = ConcretePFAlgebra(closed.carrier, closed.elements[:1] + tuple(keep))
+            for ops in (("difference",), ("restrict",)):
+                assert family.is_closed_under(ops) == oracles.is_closed_under(family, ops)
+
+
+def test_a_missing_restriction_by_the_last_element_is_seen():
+    carrier = Carrier(2)
+    # {0:0, 1:0} restricted to the domain of {0:1} is missing; every
+    # difference is present
+    family = ConcretePFAlgebra(
+        carrier,
+        tuple(PartialFunction(carrier, v) for v in ((-1, -1), (0, 0), (1, -1))),
+    )
+    assert family.is_closed_under(("difference",))
+    assert not family.is_closed_under(("restrict",))
+    assert not oracles.is_closed_under(family, ("restrict",))
+
+
+def test_tables_of_an_unclosed_family_are_refused():
+    carrier = Carrier(2)
+    closed = closure_generate(carrier, [PartialFunction(carrier, (0, 1))])
+    broken = dropped(closed, 0)
+    with pytest.raises(ValueError, match="not closed") as mask_err:
+        broken.dr_tables()
+    with pytest.raises(ValueError) as tuple_err:
+        oracles.dr_tables(broken)
+    assert str(mask_err.value) == str(tuple_err.value)
+
+
+def test_restrictions_of_one_function_beyond_the_closure_cap():
+    # every restriction of one total function is closed under both
+    # operations; carrier 7 takes the domain spread past four points
+    carrier = Carrier(7)
+    total = (3, 0, 6, 3, 1, 1, 5)
+    elements = tuple(
+        PartialFunction(carrier, tuple(v if bits >> x & 1 else -1 for x, v in enumerate(total)))
+        for bits in range(1 << 7)
+    )
+    family = ConcretePFAlgebra(carrier, tuple(sorted(elements, key=lambda f: f.sort_key)))
+    assert family.is_closed_under(OPS)
+    assert family.dr_tables() == oracles.dr_tables(family)
+    for i in (0, 1, 64, 127):
+        smaller = dropped(family, i)
+        assert smaller.is_closed_under(OPS) == oracles.is_closed_under(smaller, OPS)
