@@ -10,7 +10,7 @@ import json
 from typing import Any, Optional
 
 from .dra import AlgebraMap, FiniteAlgebra, OpTable
-from .duality import EtaleSpace
+from .duality import SECTION_CAP, EtaleSpace
 from .operators import SpaceRelation
 from .pfun import Carrier, ConcretePFAlgebra, PartialFunction
 
@@ -166,6 +166,9 @@ def pfalgebra_from_dict(doc: dict, path: str = "$") -> ConcretePFAlgebra:
     except ValueError as exc:
         raise DocumentError(f"{path}.labels", str(exc)) from None
     graphs = _field(doc, "elements", list, path)
+    # closure checks take n^2 operations; no larger algebra could be completed
+    if len(graphs) > SECTION_CAP:
+        raise DocumentError(f"{path}.elements", f"elements capped at {SECTION_CAP}")
     functions = []
     for i, graph in enumerate(graphs):
         g_path = f"{path}.elements[{i}]"

@@ -3,15 +3,17 @@
 A space is a finite point set with a projection onto a base set and a basis
 of opens.  A finite topology is fixed by each point's least neighbourhood,
 the intersection of the basis sets around it, so the validator decides it on
-int bitmasks; only a non-stable basis (an invalid space) has its opens
-listed.  A valid space is discrete, so its sections are the choices of at
-most one point per fibre, capped at SECTION_CAP.  The literal definitions are
-kept as test oracles.  Each algebra keeps one dual record (:func:`dual_of`),
-which the functors, unit, counit and completion read instead of rebuilding
-it; a space passed in by a caller gets none.  Point and section sets are int
-masks throughout: the unit reads the support table of the maximal filters,
-the counit sends a point x to the up-set of the singleton section {x}, and
-F and G on maps pull masks back; frozensets appear only in public fields.
+int bitmasks: a stable basis in O(k·B + k²) for k points and B basis sets,
+after one pass over the basis; only a non-stable basis (an invalid space) has
+its opens listed.  A valid space is discrete, so its sections are the choices
+of at most one point per fibre, capped at SECTION_CAP.  The literal
+definitions are kept as test oracles.  Each algebra keeps one dual record
+(:func:`dual_of`), which the functors, unit, counit and completion read
+instead of rebuilding it; a space passed in by a caller gets none.  Point and
+section sets are int masks throughout: the unit reads the support table of
+the maximal filters, the counit sends a point x to the up-set of the
+singleton section {x}, and F and G on maps pull masks back; frozensets appear
+only in public fields.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import prod
-from operator import and_, or_
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from . import filters as flt
@@ -89,58 +91,65 @@ class EtaleSpace:
             return self.point_labels[point]
         return str(point)
 
-    @property
-    def all_points(self) -> frozenset[int]:
-        return frozenset(range(self.n_points))
-
-    def fiber(self, base_point: int) -> frozenset[int]:
-        return frozenset(
-            x for x in range(self.n_points) if self.projection[x] == base_point
-        )
-
-    def project(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.projection[x] for x in subset)
-
-    def project_preimage(self, base_subset: Iterable[int]) -> frozenset[int]:
-        wanted = set(base_subset)
-        return frozenset(
-            x for x in range(self.n_points) if self.projection[x] in wanted
-        )
-
 
 def _union(masks: Iterable[int]) -> int:
     return reduce(or_, masks, 0)
 
 
-class _Topology:
-    """A space's basis and fibres as int bitmasks over its points.
+def _fibres(space: EtaleSpace) -> list[int]:
+    """The point mask of each fibre, indexed by base point."""
+    fibres = [0] * space.n_base
+    for x, b in enumerate(space.projection):
+        fibres[b] |= 1 << x
+    return fibres
 
-    A set is open iff it is the union of the basis sets inside it.  ``least``
-    holds each point's least neighbourhood N(x): the intersection of the basis
-    sets containing x, or None when no basis set does.  On an intersection-
-    stable basis N(x) is the smallest open set around x.
+
+class _Topology:
+    """A space's basis, fibres and least neighbourhoods as int bitmasks,
+    built in one pass over the basis.  ``least[x]`` is N(x), the
+    intersection of the basis sets holding x, or None when none does.
+
+    The basis is stable (u & v a union of basis sets for all u, v) iff every
+    N(x) is a basis set: then u & v is the union of the N(x) for x in it;
+    conversely stability makes N(x) open, so a basis set c has
+    x in c <= N(x) <= c.  On a stable basis s is open iff every x in s has
+    an N(x) <= s: a basis set around x holds N(x), and s is the union of
+    those N(x).  Otherwise s is open iff it is the union of the basis sets
+    inside it.
     """
 
     def __init__(self, space: EtaleSpace) -> None:
         self.full = (1 << space.n_points) - 1
         self.basis = tuple(dict.fromkeys(flt.to_mask(u) for u in space.basis))
         self.basis_set = frozenset(self.basis)
-        self.fibre = tuple(flt.to_mask(space.fiber(b)) for b in space.projection)
-        around = [[u for u in self.basis if u >> x & 1] for x in range(space.n_points)]
-        self.least = tuple(reduce(and_, us) if us else None for us in around)
+        fibres = _fibres(space)
+        self.fibre = tuple(fibres[b] for b in space.projection)
+        least = [self.full] * space.n_points
+        self.covered = 0
+        for u in self.basis:
+            self.covered |= u
+            for x in bits(u):
+                least[x] &= u
+        self.least = tuple(u if self.covered >> x & 1 else None for x, u in enumerate(least))
+        self.stable = all(u is None or u in self.basis_set for u in self.least)
 
     def is_open(self, s: int) -> bool:
+        if self.stable:
+            return not s & ~self.covered and all(self.least[x] | s == s for x in bits(s))
         return not s or s in self.basis_set or _union(u for u in self.basis if u & s == u) == s
 
     def saturate(self, s: int) -> int:
         """Every point over the image of s."""
         return _union(self.fibre[x] for x in bits(s))
 
+    def injective_on(self, u: int) -> bool:
+        return all(self.fibre[x] & u == 1 << x for x in bits(u))
+
     def is_homeo_on(self, u: int) -> bool:
         """The projection maps the open set u injectively onto an open set, and
         every open subset of u onto an open set.  Images and preimages commute
         with unions, so the open subsets u & c for basis sets c decide it."""
-        return all(self.fibre[x] & u == 1 << x for x in bits(u)) and all(
+        return self.injective_on(u) and all(
             self.is_open(self.saturate(u & c)) for c in self.basis
         )
 
@@ -177,28 +186,48 @@ class EtaleReport:
 
 
 def validate_etale(space: EtaleSpace) -> EtaleReport:
+    """On a stable basis N(x) is the least open set around x, so each open
+    set is the union of the N(x) inside it, and N alone decides, in
+    O(k·B + k²) for k points and B basis sets:
+
+    * the projection is open iff it maps each N(x) onto an open set, as
+      images commute with unions;
+    * it is a local homeomorphism iff it is open, every point is covered
+      and it is injective on each N(x): a witness u around x holds N(x),
+      so the projection is injective on N(x) and maps it onto an open set;
+      conversely N(x) is a witness, its open subsets being open;
+    * zero-dimensional iff each N(x) is clopen: a clopen k with
+      x in k <= N(x) equals N(x);
+    * Hausdorff iff any x != y are covered with N(x) & N(y) empty: opens
+      around x and y hold N(x) and N(y), which are opens themselves; with
+      two points or more, that is N(x) = {x} for every x.
+
+    Only a non-stable basis, which makes the space invalid, has its opens
+    listed and its basis sets scanned pairwise.
+    """
     top = _Topology(space)
     failures: list[str] = []
 
-    stable = all(top.is_open(u & v) for u in top.basis for v in top.basis)
+    stable = top.stable
     if not stable:
         failures.append("basis not intersection-stable")
 
-    surjective = space.project(range(space.n_points)) == frozenset(range(space.n_base))
+    surjective = all(_fibres(space))
     if not surjective:
         failures.append("projection not surjective")
 
-    # images commute with unions, so basis sets decide openness of the map
-    open_map = all(top.is_open(top.saturate(u)) for u in top.basis)
+    # images commute with unions, so a family generating the opens decides the map
+    generators = [u for u in top.least if u is not None] if stable else top.basis
+    open_map = all(top.is_open(top.saturate(u)) for u in generators)
     if not open_map:
         failures.append("projection not an open map")
 
     if stable:
-        # opens are closed under intersection: N(x) is the least open set
-        # around x, and a nonempty union of clopen sets is clopen, so a basis
-        # set has a clopen neighbourhood basis iff it is clopen itself
-        local_homeo = all(u is not None and top.is_homeo_on(u) for u in top.least)
-        zero_dimensional = all(top.is_open(top.full ^ u) for u in top.basis if u)
+        local_homeo = open_map and top.covered == top.full and all(
+            top.injective_on(u) for u in top.least
+        )
+        zero_dimensional = all(u is None or top.is_open(top.full ^ u) for u in top.least)
+        hausdorff = space.n_points < 2 or all(u == 1 << x for x, u in enumerate(top.least))
     else:
         # N(x) need not be open here: quantify over the listed opens
         x_opens = top.opens()
@@ -210,15 +239,15 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
         zero_dimensional = all(
             _union(k for k in clopens if k & u == k) == u for u in top.basis
         )
+        # apart[u]: the points of the basis sets disjoint from u
+        apart = {u: _union(v for v in top.basis if not u & v) for u in top.basis}
+        hausdorff = all(
+            _union(apart[u] for u in top.basis if u >> x & 1) | 1 << x == top.full
+            for x in range(space.n_points)
+        )
     if not local_homeo:
         failures.append("projection not a local homeomorphism")
 
-    # apart[u]: the points of the basis sets disjoint from u
-    apart = {u: _union(v for v in top.basis if not u & v) for u in top.basis}
-    hausdorff = all(
-        _union(apart[u] for u in top.basis if u >> x & 1) | 1 << x == top.full
-        for x in range(space.n_points)
-    )
     if not hausdorff:
         failures.append("points not separated by disjoint opens")
 
@@ -252,6 +281,12 @@ class SpaceMorphism:
     source: EtaleSpace
     target: EtaleSpace
     mapping: tuple[int, ...]  # NOWHERE marks "undefined"
+
+    def __post_init__(self) -> None:
+        if len(self.mapping) != self.source.n_points:
+            raise ValueError("mapping must cover every source point")
+        if any(not NOWHERE <= v < self.target.n_points for v in self.mapping):
+            raise ValueError("mapping value outside the target")
 
     def __call__(self, x: int) -> Optional[int]:
         v = self.mapping[x]
@@ -293,38 +328,30 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
     src, tgt = m.source, m.target
     failures: list[str] = []
 
+    # pre[y]: the points mapped to y; images[x0, y0]: the images over y0 of points over x0
+    pre = [0] * tgt.n_points
+    images: dict[tuple[int, int], int] = {}
+    q2 = True
+    for x, v in enumerate(m.mapping):
+        if v != NOWHERE:
+            pre[v] |= 1 << x
+            key = src.projection[x], tgt.projection[v]
+            seen = images.get(key, 0)
+            q2 = q2 and not seen >> v & 1
+            images[key] = seen | 1 << v
+
     # preimages commute with unions, so basis sets decide continuity
     src_top = _Topology(src)
-    continuous = all(src_top.is_open(_preimage(m, flt.to_mask(v))) for v in tgt.basis)
+    continuous = all(src_top.is_open(_union(pre[y] for y in v)) for v in tgt.basis)
     if not continuous:
         failures.append("not continuous")
 
-    dom = m.defined_on
-    q1 = all(
-        tgt.projection[m.mapping[x]] == tgt.projection[m.mapping[y]]
-        for x in dom
-        for y in dom
-        if src.projection[x] == src.projection[y]
-    )
+    # each source fibre lands in one target fibre (q1), onto all of it (q3)
+    q1 = len({x0 for x0, _ in images}) == len(images)
     if not q1:
         failures.append("does not preserve equivalence")
-
-    induced = {
-        (src.projection[x], tgt.projection[m.mapping[x]]) for x in dom
-    }
-    q2 = True
-    q3 = True
-    for x0, y0 in induced:
-        restricted = [
-            x
-            for x in src.fiber(x0) & dom
-            if tgt.projection[m.mapping[x]] == y0
-        ]
-        images = [m.mapping[x] for x in restricted]
-        if len(set(images)) != len(images):
-            q2 = False
-        if set(images) != set(tgt.fiber(y0)):
-            q3 = False
+    tgt_fibres = _fibres(tgt)
+    q3 = all(mask == tgt_fibres[y0] for (_, y0), mask in images.items())
     if not q2:
         failures.append("not fibrewise injective")
     if not q3:
@@ -367,7 +394,7 @@ def identity_morphism(space: EtaleSpace) -> SpaceMorphism:
 def is_space_isomorphism(m: SpaceMorphism) -> bool:
     """Total homeomorphism whose point map preserves and reflects fibres."""
     src, tgt = m.source, m.target
-    if m.defined_on != src.all_points:
+    if NOWHERE in m.mapping:
         return False
     if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
         return False
@@ -407,21 +434,21 @@ def _section_algebra(space: EtaleSpace) -> DualAlgebra:
     """The sections of a valid space and their difference and restriction
     tables; refuses before any table is built when there are too many."""
     # a section picks one point or none from each fibre
-    count = prod(len(space.fiber(b)) + 1 for b in range(space.n_base))
+    fibres = _fibres(space)
+    count = prod(f.bit_count() + 1 for f in fibres)
     if count > SECTION_CAP:
         raise ValueError(f"sections capped at {SECTION_CAP}; this space has {count}")
     # a valid space is discrete, so every injective set is a section
-    top = _Topology(space)
-    choices = [(0, *(1 << x for x in space.fiber(b))) for b in range(space.n_base)]
+    choices = [(0, *(1 << x for x in bits(f))) for f in fibres]
     masks = sorted(
         (sum(pick) for pick in product(*choices)),
         key=lambda m: (m.bit_count(), list(bits(m))),
     )
     # position[m]: the index of the section with mask m, or NOWHERE
-    position = [NOWHERE] * (top.full + 1)
+    position = [NOWHERE] * (1 << space.n_points)
     for i, m in enumerate(masks):
         position[m] = i
-    saturated = [top.saturate(m) for m in masks]
+    saturated = [_union(f for f in fibres if f & m) for m in masks]
     minus = tuple(position[m & ~v] for m in masks for v in masks)
     if NOWHERE in minus:
         raise AssertionError("internal error: sections not closed under difference")

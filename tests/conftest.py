@@ -2,16 +2,19 @@
 
 Criterion-style tests quantify over all difference/restriction closures of at
 most two partial functions on carriers of size up to three; generating that
-corpus once keeps the suite fast.  The operator tests share one list of
-operation tables built from fixtures and corpus closures.
+corpus once keeps the suite fast.  Seeded three-seed closures on carrier 4
+reach the sizes the two-seed corpus does not.  The operator tests share one
+list of operation tables built from fixtures and corpus closures.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 
 from drest.dra import FiniteAlgebra, OpTable, binary_table, bottom, derived_meet, from_concrete
+from drest.filters import FILTER_SIZE_CAP
 from drest.fixtures import FIXTURES, get_fixture
 from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
 from drest.pfun import Carrier, ConcretePFAlgebra, closure_generate, enumerate_all_pfs
@@ -31,6 +34,19 @@ def _closure_corpus(max_carrier: int = 3) -> list[ConcretePFAlgebra]:
             seen.add(key)
             algebras.append(closed)
     return algebras
+
+
+def three_seed_closures(rng: random.Random, count: int) -> list[ConcretePFAlgebra]:
+    """Closures of three distinct carrier-4 functions with at most
+    FILTER_SIZE_CAP elements."""
+    carrier = Carrier(4)
+    pool = enumerate_all_pfs(carrier)
+    found = []
+    while len(found) < count:
+        closed = closure_generate(carrier, rng.sample(pool, 3))
+        if len(closed) <= FILTER_SIZE_CAP:
+            found.append(closed)
+    return found
 
 
 @pytest.fixture(scope="session")

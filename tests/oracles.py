@@ -60,6 +60,19 @@ from drest.pfun import (
 )
 
 
+def fiber(space: EtaleSpace, base_point: int) -> frozenset[int]:
+    return frozenset(x for x in range(space.n_points) if space.projection[x] == base_point)
+
+
+def project(space: EtaleSpace, subset: Iterable[int]) -> frozenset[int]:
+    return frozenset(space.projection[x] for x in subset)
+
+
+def project_preimage(space: EtaleSpace, base_subset: Iterable[int]) -> frozenset[int]:
+    wanted = set(base_subset)
+    return frozenset(x for x in range(space.n_points) if space.projection[x] in wanted)
+
+
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     """All unions of basis sets, including the empty union."""
     result: set[frozenset[int]] = {frozenset()}
@@ -77,7 +90,7 @@ def base_opens(space: EtaleSpace, x_opens: frozenset[frozenset[int]]) -> frozens
     return frozenset(
         frozenset(v)
         for v in _subsets(space.n_base)
-        if space.project_preimage(v) in x_opens
+        if project_preimage(space, v) in x_opens
     )
 
 
@@ -102,26 +115,26 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     if not stable:
         failures.append("basis not intersection-stable")
 
-    surjective = space.project(range(space.n_points)) == frozenset(range(space.n_base))
+    surjective = project(space, range(space.n_points)) == frozenset(range(space.n_base))
     if not surjective:
         failures.append("projection not surjective")
 
     y_opens = base_opens(space, x_opens)
-    continuous = all(space.project_preimage(v) in x_opens for v in y_opens)
+    continuous = all(project_preimage(space, v) in x_opens for v in y_opens)
     if not continuous:  # tautological under the quotient topology, still checked
         failures.append("projection not continuous")
 
-    open_map = all(space.project(u) in y_opens for u in x_opens)
+    open_map = all(project(space, u) in y_opens for u in x_opens)
     if not open_map:
         failures.append("projection not an open map")
 
     def injective_on(u: frozenset[int]) -> bool:
-        return len(space.project(u)) == len(u)
+        return len(project(space, u)) == len(u)
 
     def restriction_is_homeo(u: frozenset[int]) -> bool:
-        if not injective_on(u) or space.project(u) not in y_opens:
+        if not injective_on(u) or project(space, u) not in y_opens:
             return False
-        return all(space.project(u & w) in y_opens for w in x_opens)
+        return all(project(space, u & w) in y_opens for w in x_opens)
 
     local_homeo = all(
         any(x in u and restriction_is_homeo(u) for u in x_opens)
@@ -143,7 +156,7 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     if not hausdorff:
         failures.append("points not separated by disjoint opens")
 
-    clopens = {u for u in x_opens if space.all_points - u in x_opens}
+    clopens = {u for u in x_opens if frozenset(range(space.n_points)) - u in x_opens}
     zero_dimensional = all(
         any(x in k and k <= o for k in clopens)
         for o in x_opens
@@ -226,13 +239,13 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
     for x0, y0 in induced:
         restricted = [
             x
-            for x in src.fiber(x0) & dom
+            for x in fiber(src, x0) & dom
             if tgt.projection[m.mapping[x]] == y0
         ]
         images = [m.mapping[x] for x in restricted]
         if len(set(images)) != len(images):
             q2 = False
-        if set(images) != set(tgt.fiber(y0)):
+        if set(images) != set(fiber(tgt, y0)):
             q3 = False
     if not q2:
         failures.append("not fibrewise injective")
@@ -252,7 +265,7 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
 def is_space_isomorphism(m: SpaceMorphism) -> bool:
     """Total homeomorphism whose point map preserves and reflects fibres."""
     src, tgt = m.source, m.target
-    if m.defined_on != src.all_points:
+    if m.defined_on != frozenset(range(src.n_points)):
         return False
     if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
         return False
@@ -277,7 +290,7 @@ def sections(space: EtaleSpace) -> list[frozenset[int]]:
         (
             u
             for u in x_opens
-            if is_compact(space, u) and len(space.project(u)) == len(u)
+            if is_compact(space, u) and len(project(space, u)) == len(u)
         ),
         key=lambda s: (len(s), sorted(s)),
     )
@@ -290,7 +303,7 @@ def dual_tables(space: EtaleSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     index = {u: i for i, u in enumerate(secs)}
     minus = tuple(index[u - v] for u in secs for v in secs)
     rest = tuple(
-        index[space.project_preimage(space.project(u)) & v] for u in secs for v in secs
+        index[project_preimage(space, project(space, u)) & v] for u in secs for v in secs
     )
     return minus, rest
 

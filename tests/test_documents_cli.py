@@ -238,6 +238,22 @@ def test_oversized_pfalgebra_carrier_is_a_usage_error(tmp_path, capsys):
     assert algebra.carrier.size == 64
 
 
+def test_pfalgebra_with_too_many_elements_is_a_usage_error(tmp_path):
+    # the 4,096 restrictions of the identity on 12 points, a closed algebra;
+    # in a child process, so that checking its closure fails by the timeout
+    elements = [[[x, x] for x in range(12) if m >> x & 1] for m in range(1 << 12)]
+    doc = {"kind": "pfalgebra", "version": 1, "carrier": 12, "elements": elements}
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", "validate", write(tmp_path, "pf.json", json.dumps(doc))],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=10, capture_output=True, text=True,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert json.loads(run.stderr)["error"] == "$.elements: elements capped at 1024"
+    # the empty function is added to the listed graphs, and the cap counts those
+    _, algebra = parse_document(json.dumps({**doc, "elements": elements[1:1025]}))
+    assert len(algebra.elements) == 1025
+
+
 def test_short_point_labels_are_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, "space.json", space_doc(labels=["a"]))
     assert main(["validate", path]) == 2

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import oracles
 from drest import duality, filters
 from drest.dra import (
     AlgebraMap,
@@ -29,6 +30,7 @@ from drest.duality import (
     G_object,
     InvalidMorphism,
     InvalidSpace,
+    SpaceMorphism,
     check_triangle_identities,
     complete,
     completion_characterizations,
@@ -158,6 +160,79 @@ def test_non_stable_basis_at_the_size_cap():
     assert identity_morphism(space).is_identity()
 
 
+# edge cases of the least-neighbourhood proofs in ``validate_etale``
+PINNED = [
+    # stable, but point 2 lies in no basis set
+    (
+        EtaleSpace(3, 3, (0, 1, 2), (frozenset({0}), frozenset({1}))),
+        True,
+        (
+            "projection not a local homeomorphism",
+            "points not separated by disjoint opens",
+            "no clopen neighbourhood basis",
+        ),
+    ),
+    # one uncovered point is still Hausdorff
+    (EtaleSpace(1, 1, (0,), ()), True, ("projection not a local homeomorphism",)),
+    # stable and injective on N(1) = N(2) = {1, 2}, but {0} projects onto
+    # base point 0, whose preimage {0, 1} is not open
+    (
+        EtaleSpace(3, 2, (0, 0, 1), (frozenset({0}), frozenset({1, 2}))),
+        True,
+        (
+            "projection not an open map",
+            "projection not a local homeomorphism",
+            "points not separated by disjoint opens",
+        ),
+    ),
+    # {0, 1} and {1, 2} meet in {1}, which is not open
+    (
+        EtaleSpace(3, 3, (0, 1, 2), (frozenset({0, 1}), frozenset({1, 2}))),
+        False,
+        (
+            "basis not intersection-stable",
+            "points not separated by disjoint opens",
+            "no clopen neighbourhood basis",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("space, stable, failures", PINNED)
+def test_pinned_edge_cases(space, stable, failures):
+    report = validate_etale(space)
+    assert report == oracles.validate_etale(space)
+    assert report.basis_intersection_stable == stable
+    assert report.failures == failures
+
+
+def test_stable_bases_list_no_opens(monkeypatch):
+    calls = {"opens": 0, "is_homeo_on": 0}
+
+    def counted(name):
+        original = getattr(duality._Topology, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(duality._Topology, name, wrapper)
+
+    counted("opens")
+    counted("is_homeo_on")
+    stable = [space for space, is_stable, _ in PINNED if is_stable] + [
+        two_fibre_space(),
+        space_at_the_cap([x // 2 for x in range(SPACE_SIZE_CAP)], []),
+        space_at_the_cap([0, 0, *range(1, SPACE_SIZE_CAP - 1)], [frozenset({0, 1})]),
+        *(F_object(get_fixture(name).algebra) for name in VALID),
+    ]
+    for space in stable:
+        assert validate_etale(space).basis_intersection_stable
+    assert calls == {"opens": 0, "is_homeo_on": 0}
+    validate_etale(PINNED[-1][0])
+    assert calls["opens"] == 1 and calls["is_homeo_on"] > 0
+
+
 # ---------------------------------------------------------------------------
 # sections
 
@@ -201,7 +276,7 @@ def test_dual_algebra_operations_are_set_theoretic():
     for i, u in enumerate(dual.sections):
         for j, v in enumerate(dual.sections):
             assert dual.sections[alg.m(i, j)] == u - v
-            expected = dual.space.project_preimage(dual.space.project(u)) & v
+            expected = oracles.project_preimage(dual.space, oracles.project(dual.space, u)) & v
             assert dual.sections[alg.r(i, j)] == expected
 
 
@@ -222,6 +297,13 @@ def test_fibre_collapse_is_rejected():
     tgt = EtaleSpace(2, 2, (0, 1), (frozenset({0}), frozenset({1})))
     with pytest.raises(InvalidMorphism):
         space_morphism(src, tgt, (0, 0, 1))
+
+
+@pytest.mark.parametrize("mapping", [(0,), (0, 1, 0), (0, 5), (0, 2), (-2, 0)])
+def test_malformed_point_maps_are_refused(mapping):
+    space = EtaleSpace(2, 2, (0, 1), (frozenset({0}), frozenset({1})))
+    with pytest.raises(ValueError, match="mapping"):
+        SpaceMorphism(space, space, mapping)
 
 
 def test_partial_morphism_on_open_domain():

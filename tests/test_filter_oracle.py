@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from conftest import three_seed_closures
 from drest.dra import (
     FiniteAlgebra,
     OpTable,
@@ -86,15 +87,6 @@ def test_atoms_match_the_scan_on_the_corpus(closure_corpus):
     for concrete in closure_corpus:
         assert_matches_scan(from_concrete(concrete))
     assert len(closure_corpus) == 1944
-
-
-def three_seed_closures(rng: random.Random, count: int):
-    found = []
-    while len(found) < count:
-        closed = closure_generate(CARRIER, rng.sample(POOL, 3))
-        if len(closed) <= FILTER_SIZE_CAP:
-            found.append(closed)
-    return found
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -2,9 +2,11 @@
 
 Every report field, the failure messages in their order, morphism checks,
 isomorphism checks, relation checks, sections and the dual's tables must
-agree: exhaustively on spaces of at most three points, and on generated
-spaces of four to six points whose bases may be non-stable or leave points
-uncovered.
+agree: exhaustively on spaces of at most three points, on generated spaces
+of four to six points whose bases may be non-stable or leave points
+uncovered, and on the traffic the library itself makes: the dual spaces of
+corpus algebras and of three-seed closures, of their completions, and the
+F(unit) and counit morphisms between them.
 """
 from __future__ import annotations
 
@@ -14,12 +16,18 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import abstract, three_seed_closures
 from drest.duality import (
     EtaleSpace,
+    F_morphism,
     G_object,
     SpaceMorphism,
+    _counit,
+    _Topology,
+    dual_of,
     is_space_isomorphism,
     opens,
+    unit_eta,
     validate_etale,
     validate_morphism,
 )
@@ -75,6 +83,41 @@ def test_every_space_of_at_most_three_points_agrees():
     assert count == 6980
 
 
+def test_stability_and_openness_match_the_definitions():
+    for space in small_spaces():
+        top = _Topology(space)
+        literal_opens = oracles.opens(space)
+        assert top.stable == all(u & v in literal_opens for u in space.basis for v in space.basis)
+        for s in range(1 << space.n_points):
+            assert top.is_open(s) == (members(s, space.n_points) in literal_opens), (space, s)
+
+
+def assert_dual_traffic_agrees(algebra) -> int:
+    """The dual space of the algebra and of its completion, F(unit) and the
+    counit; returns the largest basis seen."""
+    record = dual_of(algebra)
+    completion = dual_of(record.sections.algebra)
+    for space in (record.space, completion.space):
+        assert validate_etale(space) == oracles.validate_etale(space), space
+    for m in (F_morphism(unit_eta(algebra)), _counit(record.sections)):
+        assert validate_morphism(m) == oracles.validate_morphism(m)
+    return max(len(record.space.basis), len(completion.space.basis))
+
+
+def test_corpus_dual_traffic_agrees(closure_corpus):
+    for concrete in closure_corpus:
+        assert_dual_traffic_agrees(abstract(concrete))
+    assert len(closure_corpus) == 1944
+
+
+def test_three_seed_dual_traffic_agrees():
+    largest = max(
+        assert_dual_traffic_agrees(abstract(closed))
+        for closed in three_seed_closures(random.Random(2), 40)
+    )
+    assert largest >= 48
+
+
 @settings(max_examples=150, deadline=None)
 @given(spaces())
 def test_generated_spaces_agree(space):
@@ -109,6 +152,18 @@ def morphisms(draw) -> SpaceMorphism:
         )
     )
     return SpaceMorphism(source, target, tuple(mapping))
+
+
+def test_every_point_map_between_spaces_of_at_most_two_points_agrees():
+    spaces = [space for space in small_spaces() if space.n_points <= 2]
+    count = 0
+    for source in spaces:
+        for target in spaces:
+            for mapping in product(range(-1, target.n_points), repeat=source.n_points):
+                m = SpaceMorphism(source, target, mapping)
+                assert validate_morphism(m) == oracles.validate_morphism(m), m
+                count += 1
+    assert count == 38688
 
 
 @settings(max_examples=300, deadline=None)
