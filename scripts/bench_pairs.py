@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Compare two source trees on one benchmark workload in alternating pairs.
+"""Compare two source trees on benchmark workloads in alternating pairs.
 
-Runs ``perfbench/run.py --trace 0`` in each tree, once per pair, alternating
-which tree runs first, with seed ``base_seed + i`` for pair i.  For every
-end-to-end metric that ``BENCHMARK.json`` declares, prints each side's median
-and quartiles, the number of pairs the second tree (the change) wins, ties
-counting for neither, and a verdict:
+For each workload, runs ``perfbench/run.py --trace 0`` in each tree, once per
+pair, alternating which tree runs first, with seed ``base_seed + i`` for pair
+i.  Each workload gets its own table: for every end-to-end metric that
+``BENCHMARK.json`` declares, each side's median and quartiles, the number of
+pairs the second tree (the change) wins, ties counting for neither, and a
+verdict:
 
 * ``gain``: the change wins at least nine tenths of the pairs, and its median
   is better than the parent's by more than the parent's quartile distance;
@@ -16,8 +17,9 @@ counting for neither, and a verdict:
   the parent;
 * ``within bound``: none of these.
 
-Names, units, directions, bounds and the run length come from the
-``BENCHMARK.json`` of the parent tree; the script edits no file.
+Names, units, directions, bounds, the run length and the default workloads
+(every one declared) come from the ``BENCHMARK.json`` of the parent tree;
+``--workload`` may be repeated to pick some.  The script edits no file.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload space-dualize \\
         --pairs 10 --seed 1301
@@ -49,6 +51,11 @@ def load_metrics(tree: Path) -> tuple[list[Metric], float]:
         for m in spec["end_to_end"]
     ]
     return metrics, float(spec["run_seconds"])
+
+
+def load_workloads(tree: Path) -> list[str]:
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,27 +105,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args(argv)
-
-    metrics, seconds = load_metrics(args.parent)
+def compare(args, workload: str, metrics: list[Metric], seconds: float) -> None:
+    """Run the pairs of one workload and print its table."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed + i, seconds)
+            result = run_once(getattr(args, side), workload, args.seed + i, seconds)
             runs[side].append(result)
-            print(f"pair {i + 1} seed {args.seed + i} {side}: "
+            print(f"{workload} pair {i + 1} seed {args.seed + i} {side}: "
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                   file=sys.stderr, flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs, seeds "
+    print(f"{workload}: {args.pairs} pairs of {seconds:g} s runs, seeds "
           f"{args.seed}-{args.seed + args.pairs - 1}, median [quartiles]")
     print("| metric | parent | change | change wins | verdict |")
     print("|---|---|---|---|---|")
@@ -135,7 +134,24 @@ def main(argv=None) -> int:
         side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
         for side, rs in runs.items()
     }
-    print(f"| failed_frac | {failed['parent']:.4g} | {failed['change']:.4g} | | |")
+    print(f"| failed_frac | {failed['parent']:.4g} | {failed['change']:.4g} | | |", flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to compare; repeatable, every declared one by default")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args(argv)
+
+    metrics, seconds = load_metrics(args.parent)
+    for i, workload in enumerate(args.workload or load_workloads(args.parent)):
+        if i:
+            print()
+        compare(args, workload, metrics, seconds)
     return 0
 
 

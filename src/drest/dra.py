@@ -1,20 +1,22 @@
 """Abstract finite algebras of difference and restriction, given by tables.
 
-An algebra is a list of element names plus total operation tables.  The
-validator checks the five defining equations on every element tuple, a whole
-table row at a time: rows are tuples, and composing or transposing them with
+An algebra is a list of element names plus total operation tables.  It is
+valid exactly when it has a :func:`representation`, its support table checked
+in O(n²) to be an isomorphism onto partial functions.  Only an invalid one has
+the five defining equations walked, a whole table row at a time, to list the
+witnesses: rows are tuples, and composing or transposing them with
 ``itemgetter`` and ``zip`` keeps the inner loops in C without n³ arrays.
 Everything else (order, compatibility, joins, homomorphisms, isomorphism
-search) is derived from the two tables.  The order is kept as one up-set
-bitmask per element, built on first use and stored on the algebra, so joins
-intersect masks.
+search) is derived from the two tables.  The up-set bitmask of each element
+and the representation are built on first use and stored on the algebra, so
+joins intersect masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, product
-from operator import and_, itemgetter
+from itertools import chain, product, repeat
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .pfun import RAW_OPS, ConcretePFAlgebra, PartialFunction
@@ -67,9 +69,10 @@ class FiniteAlgebra:
     minus: OpTable
     rest: OpTable
     extra_ops: tuple[OpTable, ...] = ()
-    # built on first use, not compared, and dropped with the algebra: the
-    # up-set masks (up_masks) and the dual record (drest.duality.dual_of)
+    # built on first use, not compared, and dropped with the algebra: up_masks,
+    # representation (() for none) and the dual record (drest.duality.dual_of)
     _up: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _dual: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,10 +178,12 @@ class ValidationReport:
 def validate_axioms(algebra: FiniteAlgebra) -> ValidationReport:
     """Check the five defining equations on every element tuple.
 
-    A non-constant x - x (no common bottom) is reported on its own and
-    short-circuits the equation checks, which all presuppose a bottom.
-    Witnesses are listed law by law, each in row-major order.
+    An algebra with a :func:`representation` passes.  Otherwise a non-constant
+    x - x (no common bottom) is reported alone, as every law presupposes a
+    bottom, and witnesses are listed law by law, each in row-major order.
     """
+    if representation(algebra) is not None:
+        return ValidationReport(())
     n, names = algebra.n, algebra.elements
     diag = algebra.minus.entries[:: n + 1]
     if diag.count(diag[0]) != n:
@@ -258,6 +263,65 @@ def up_masks(algebra: FiniteAlgebra) -> tuple[int, ...]:
         )
         object.__setattr__(algebra, "_up", up)
     return up
+
+
+Representation = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def representation(algebra: FiniteAlgebra) -> Optional[Representation]:
+    """``(atoms, classes, hats)`` when the support table is an isomorphism
+    onto partial functions from classes to points, else None; kept on the
+    algebra.  Point i is atoms[i], which has only the bottom strictly below;
+    hats[e] is the mask of the points below e, and the classes group points
+    p, q with r(p, q) = q and r(q, p) = p.  It is a representation when
+    (1) the classes partition the points, each in its own class, (2) each
+    hats[x] meets each class at most once, (3) hats is injective, and for
+    all x, y (4) hats[x - y] = hats[x] & ~hats[y] and (5) hats[r(x, y)] =
+    hats[y] & sat(hats[x]), sat(h) being the union of the classes h meets.
+
+    Soundness: by (1) and (2), hats[x] is the graph of a partial function
+    f_x from classes to points, as a point names its class.  Graph difference
+    is then hats[x] & ~hats[y], and f_y restricted to the domain of f_x is
+    hats[y] & sat(hats[x]); so by (3)-(5), x -> f_x is an isomorphism onto
+    partial functions closed under both operations, where x - x is the empty
+    function and the five defining equations hold.  Completeness is the
+    finite representation theorem: this table, of the maximal filters over
+    their classes, represents every valid algebra.
+    """
+    if algebra._rep is None:
+        object.__setattr__(algebra, "_rep", _represent(algebra) or ())
+    return algebra._rep or None
+
+
+def _represent(algebra: FiniteAlgebra) -> Optional[Representation]:
+    n, up, bot = algebra.n, up_masks(algebra), bottom(algebra)
+    above = reduce(or_, (up[x] & ~(1 << x) for x in range(n) if x != bot), 0)
+    atoms = sorted((a for a in range(n) if a != bot and not above >> a & 1), key=up.__getitem__)
+    hats = [sum(1 << i for i, a in enumerate(atoms) if up[a] >> e & 1) for e in range(n)]
+
+    r = algebra.r
+    classes: list[tuple[int, ...]] = []
+    class_of = [0] * len(atoms)  # the class mask of each point
+    for i, p in enumerate(atoms):
+        if not class_of[i]:
+            cls = tuple(j for j, q in enumerate(atoms) if r(p, q) == q and r(q, p) == p)
+            if i not in cls or any(class_of[j] for j in cls):
+                return None
+            classes.append(cls)
+            mask = sum(1 << j for j in cls)
+            for j in cls:
+                class_of[j] = mask
+    if len(set(hats)) != n or any(h & class_of[i] != 1 << i for h in hats for i in bits(h)):
+        return None
+
+    sat = [reduce(or_, (class_of[i] for i in bits(h)), 0) for h in hats]
+    inverse, at = [~h for h in hats], hats.__getitem__
+    for x, (m_row, r_row) in enumerate(zip(algebra.minus.rows(), algebra.rest.rows())):
+        if list(map(at, m_row)) != list(map(and_, repeat(hats[x]), inverse)):
+            return None
+        if list(map(at, r_row)) != list(map(and_, hats, repeat(sat[x]))):
+            return None
+    return tuple(atoms), tuple(classes), tuple(hats)
 
 
 def _least(up: tuple[int, ...], uppers: int) -> Optional[int]:

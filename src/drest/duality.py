@@ -9,11 +9,12 @@ its opens listed.  A valid space is discrete, so its sections are the choices
 of at most one point per fibre, capped at SECTION_CAP.  The literal
 definitions are kept as test oracles.  Each algebra keeps one dual record
 (:func:`dual_of`), which the functors, unit, counit and completion read
-instead of rebuilding it; a space passed in by a caller gets none.  Point and
-section sets are int masks throughout: the unit reads the support table of
-the maximal filters, the counit sends a point x to the up-set of the
-singleton section {x}, and F and G on maps pull masks back; frozensets appear
-only in public fields.
+instead of rebuilding it; a space passed in by a caller gets none.  Read off
+the algebra's representation, its space is valid and its unit an embedding
+with no check run.  Point and section sets are int masks: the unit reads the
+support table, the counit sends a point x to the up-set of the singleton
+section {x}, and F and G on maps pull masks back; frozensets appear only in
+public fields.
 """
 from __future__ import annotations
 
@@ -392,23 +393,14 @@ def identity_morphism(space: EtaleSpace) -> SpaceMorphism:
 
 
 def is_space_isomorphism(m: SpaceMorphism) -> bool:
-    """Total homeomorphism whose point map preserves and reflects fibres."""
-    src, tgt = m.source, m.target
-    if NOWHERE in m.mapping:
+    """A total bijection that is a morphism both ways: continuity both ways
+    makes it a homeomorphism, and fibres kept both ways are preserved and
+    reflected, which for a bijection also maps each fibre onto one."""
+    if sorted(m.mapping) != list(range(m.target.n_points)):
         return False
-    if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
-        return False
-    src_top, tgt_top = _Topology(src), _Topology(tgt)
-    if not all(src_top.is_open(_preimage(m, v)) for v in tgt_top.basis):
-        return False
-    if not all(tgt_top.is_open(flt.to_mask(m.mapping[x] for x in u)) for u in src.basis):
-        return False
-    return all(
-        (src.projection[x] == src.projection[y])
-        == (tgt.projection[m.mapping[x]] == tgt.projection[m.mapping[y]])
-        for x in range(src.n_points)
-        for y in range(src.n_points)
-    )
+    inverse = sorted(range(m.source.n_points), key=m.mapping.__getitem__)
+    back = SpaceMorphism(m.target, m.source, tuple(inverse))
+    return validate_morphism(m).ok and validate_morphism(back).ok
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +467,12 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
 
 @dataclass(frozen=True)
 class DualRecord:
-    """An algebra's dual data: its maximal filters with the support table,
-    and the dual space, validated when built."""
+    """An algebra's dual data: its maximal filters, support table and space."""
 
     mfs: flt.MaxFilterSpace
     space: EtaleSpace
     _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
-    # the unit map once checked to be an embedding, and its completion report
-    _unit: Optional[AlgebraMap] = field(default=None, init=False, repr=False, compare=False)
+    # the completion report of the unit, checked once
     _report: Optional[CompletionReport] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -494,7 +484,13 @@ class DualRecord:
 
 
 def dual_of(algebra: FiniteAlgebra) -> DualRecord:
-    """The algebra's dual record, built on first use and kept on the algebra."""
+    """The algebra's dual record, built on first use and kept on the algebra;
+    ValueError without a representation.  The space is valid by construction:
+    only the bottom lies below an atom, so hats[atoms[i]] = {i} and the space
+    is discrete.  That makes it stable, Hausdorff and zero-dimensional with
+    N(x) = {x}, and its projection open and injective on each N(x); it is
+    onto, each class holding a point.
+    """
     if algebra._dual is not None:
         return algebra._dual
     mfs = flt.maximal_filters(algebra)
@@ -510,11 +506,6 @@ def dual_of(algebra: FiniteAlgebra) -> DualRecord:
         basis=tuple(sorted({flt.from_mask(h, n_points) for h in mfs.hats}, key=sorted)),
         point_labels=labels,
     )
-    report = validate_etale(space)
-    if not report.ok:
-        raise AssertionError(
-            f"internal error: dual space invalid ({'; '.join(report.failures)})"
-        )
     object.__setattr__(algebra, "_dual", DualRecord(mfs, space))
     return algebra._dual
 
@@ -526,18 +517,12 @@ def F_object(algebra: FiniteAlgebra) -> EtaleSpace:
 
 
 def unit_eta(algebra: FiniteAlgebra) -> AlgebraMap:
-    """Send each element to its support among the maximal filters.  The map
-    is built and checked to be an embedding once, and kept on the dual
-    record."""
+    """Send each element to its support among the maximal filters: an
+    embedding with no check run, as the supports are distinct sections on
+    which the section tables act as the representation's conditions say."""
     dual = dual_of(algebra)
-    if dual._unit is None:
-        sections = dual.sections
-        table = tuple(map(sections.index.__getitem__, dual.mfs.hats))
-        mapping = AlgebraMap(algebra, sections.algebra, table)
-        if not hom_check(mapping).is_embedding:
-            raise AssertionError("internal error: representation map not an embedding")
-        object.__setattr__(dual, "_unit", mapping)
-    return dual._unit
+    table = tuple(map(dual.sections.index.__getitem__, dual.mfs.hats))
+    return AlgebraMap(algebra, dual.sections.algebra, table)
 
 
 def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
@@ -618,9 +603,12 @@ def check_triangle_identities(obj) -> TriangleReport:
     else:
         raise TypeError("expected an algebra or a space")
 
-    left = compose_morphisms(F_morphism(unit_eta(algebra)), _counit(dual_of(algebra).sections))
+    # anchored at an algebra, both identities run through the same counit
+    counit = _counit(sections)
+    left_counit = counit if obj is algebra else _counit(dual_of(algebra).sections)
+    left = compose_morphisms(F_morphism(unit_eta(algebra)), left_counit)
     # G(counit) runs from G F G(space) back to G(space)
-    g_counit = _G_morphism(_counit(sections), sections, dual_of(sections.algebra).sections)
+    g_counit = _G_morphism(counit, sections, dual_of(sections.algebra).sections)
     right = g_counit.compose(unit_eta(sections.algebra))
     return TriangleReport(left.is_identity(), right.is_identity())
 
@@ -678,14 +666,13 @@ def complete(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, AlgebraMap]:
 def canonical_completion(algebra: FiniteAlgebra) -> tuple[AlgebraMap, CompletionReport]:
     """The canonical embedding and its completion report, checked once per
     algebra and kept on the dual record."""
-    dual = dual_of(algebra)
+    dual, iota = dual_of(algebra), unit_eta(algebra)
     if dual._report is None:
-        iota = unit_eta(algebra)  # checked to be an embedding when first built
-        report = _completion_report(iota, embedding=True)
+        report = _completion_report(iota, embedding=True)  # an embedding by construction
         if not report.ok:
             raise AssertionError("internal error: canonical embedding is not a completion")
         object.__setattr__(dual, "_report", report)
-    return dual._unit, dual._report
+    return iota, dual._report
 
 
 def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:
@@ -749,28 +736,15 @@ def completion_characterizations(
             raise ValueError("extension must share the source")
         if not hom_check(kappa).is_embedding:
             raise ValueError(f"extension {name} is not an embedding")
-        k_report = completion_report(kappa)
-        smallest_applicable = k_report.target_complete
-        largest_applicable = k_report.image_dense
-        smallest = (
-            _factoring_embedding(iota, kappa) is not None
-            if smallest_applicable
-            else False
-        )
-        largest = (
-            _factoring_embedding(kappa, iota) is not None
-            if largest_applicable
-            else False
-        )
-        entries.append(
-            CharacterizationEntry(
-                extension=name,
-                smallest_applicable=smallest_applicable,
-                smallest_factors=smallest,
-                largest_applicable=largest_applicable,
-                largest_factors=largest,
-            )
-        )
+        report = _completion_report(kappa, embedding=True)
+        smallest, largest = report.target_complete, report.image_dense
+        entries.append(CharacterizationEntry(
+            extension=name,
+            smallest_applicable=smallest,
+            smallest_factors=smallest and _factoring_embedding(iota, kappa) is not None,
+            largest_applicable=largest,
+            largest_factors=largest and _factoring_embedding(kappa, iota) is not None,
+        ))
     return tuple(entries)
 
 

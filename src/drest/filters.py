@@ -3,22 +3,18 @@
 Element and point sets are int bitmasks internally and are exposed as
 frozensets.  In a finite algebra every filter holds the meet of its members,
 so it is the up-set of that member: the maximal filters are the up-sets of
-the atoms, found from the order.  A point is the position of its atom, and
-the support of an element is the mask of the points holding it; the support
-table is built once, by :func:`maximal_filters`, and the independent
-meet/difference dichotomy predicate checks every point at once on it,
-combining whole table rows through ``itemgetter``.  The subset scan
-``all_proper_filters`` is kept, capped, as the oracle the tests compare
-against.
+the atoms.  A point is the position of its atom, and the support of an
+element is the mask of the points holding it; the support table is the
+algebra's :func:`drest.dra.representation`, and an algebra without one has
+no dual space.  The subset scan ``all_proper_filters`` is kept, capped, as
+the oracle the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import and_, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, picker, up_masks
+from .dra import FiniteAlgebra, bottom, derived_meet, leq, representation, up_masks
 
 FILTER_SIZE_CAP = 16
 
@@ -88,23 +84,6 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(from_mask(m, n) for m in found)
 
 
-def dichotomy(algebra: FiniteAlgebra, columns: Sequence[int]) -> int:
-    """The points, as a mask, that fail the dichotomy predicate.
-
-    columns[e] is the mask of the points holding element e.  A proper filter
-    is maximal iff for every member a and every b exactly one of
-    a.b = a - (a - b) and a - b belongs to it, so a point passes iff it lies
-    in columns[a.b] ^ columns[a - b] for every b and every member a.  One
-    pass over the rows decides every point at once.
-    """
-    fails = 0
-    for a, row in enumerate(algebra.minus.rows()):
-        pick = picker(row)  # pick(s) = (s[a - b] for every b)
-        exact = reduce(and_, map(xor, picker(pick(row))(columns), pick(columns)))
-        fails |= columns[a] & ~exact
-    return fails
-
-
 @dataclass(frozen=True)
 class MaxFilterSpace:
     """The points of the dual space: maximal filters plus their grouping by
@@ -170,34 +149,17 @@ def filter_domain_rel(
 
 
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
-    """All maximal proper filters, canonically ordered, with their grouping
-    and the support table.
-
-    The maximal filters are the up-sets of the atoms, the elements with
-    nothing but the bottom strictly below them.  Second route: each must
-    satisfy the dichotomy predicate; disagreement means a bug and raises.
+    """All maximal proper filters, the up-sets of the atoms, canonically
+    ordered, with their grouping and the support table: the algebra's
+    representation.  An algebra without one fails the defining laws and
+    raises ValueError.
     """
-    n, up, bot = algebra.n, up_masks(algebra), bottom(algebra)
-
-    def is_atom(a: int) -> bool:
-        return a != bot and not any(up[x] >> a & 1 for x in range(n) if x not in (a, bot))
-
-    atoms = sorted(filter(is_atom, range(n)), key=up.__getitem__)
-    hats = [0] * n
-    for i, a in enumerate(atoms):
-        for e in bits(up[a]):
-            hats[e] |= 1 << i
-    if dichotomy(algebra, hats):
-        raise AssertionError("internal error: up-set of an atom fails the dichotomy predicate")
-
-    r = algebra.r
-    classes: list[tuple[int, ...]] = []
-    for i, p in enumerate(atoms):
-        # filter_equiv both ways on the up-sets of p and q
-        if not any(i in cls for cls in classes):
-            classes.append(tuple(j for j, q in enumerate(atoms) if r(p, q) == q and r(q, p) == p))
-    points = tuple(from_mask(up[a], n) for a in atoms)
-    return MaxFilterSpace(algebra, tuple(atoms), points, tuple(classes), tuple(hats))
+    rep = representation(algebra)
+    if rep is None:
+        raise ValueError("algebra is not represented by partial functions, so it has no dual space")
+    atoms, classes, hats = rep
+    points = tuple(from_mask(up_masks(algebra)[a], algebra.n) for a in atoms)
+    return MaxFilterSpace(algebra, atoms, points, classes, hats)
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:

@@ -8,8 +8,10 @@ differential tests compare the two on small spaces.  Joins and the
 shared-domain relation of filters are kept the same way, quantified over
 elements with ``leq``; the library intersects up-set bitmasks and compares
 the least members of principal filters.  The axiom validator and the
-dichotomy predicate are kept as numpy array code, one n³ array per law; the
-library compares table rows through ``itemgetter``.  The counit, F on maps,
+dichotomy predicate for maximal filters are kept as numpy array code, one n³
+array per law; the library decides validity by its representation, walking
+table rows through ``itemgetter`` only to list the witnesses of an invalid
+algebra.  The counit, F on maps,
 supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
 sets as int masks and reads one support table per algebra; that applying a

@@ -1,20 +1,33 @@
-"""The row-wise axiom validator and dichotomy predicate against the numpy
-array versions kept in ``oracles``.
+"""The axiom validator and the representation that decides it, against the
+numpy array versions kept in ``oracles``.
 
 Whole ``ValidationReport``s are compared, so the witnesses must agree in
-number and in order (law by law, then row-major).
+number and in order (law by law, then row-major), and an algebra must have a
+representation exactly when its report is ok.
 """
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import abstract
-from drest.dra import FiniteAlgebra, OpTable, up_masks, validate_axioms
-from drest.filters import dichotomy, from_mask
+from drest import dra
+from drest.dra import FiniteAlgebra, OpTable, bottom, representation, up_masks, validate_axioms
+from drest.duality import dual_of
+from drest.filters import from_mask, maximal_filters
 from drest.fixtures import FIXTURES, get_fixture
+
+
+def checked_report(alg: FiniteAlgebra) -> dra.ValidationReport:
+    """The report, asserted equal to the oracle's and to be ok exactly when
+    the algebra has a representation."""
+    report = validate_axioms(alg)
+    assert report == oracles.validate_axioms(alg)
+    assert (representation(alg) is not None) == report.ok
+    return report
 
 
 def corrupted(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
@@ -30,16 +43,12 @@ def corrupted(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
 
 def test_corpus_reports_match_the_oracle(closure_corpus):
     for concrete in closure_corpus:
-        alg = abstract(concrete)
-        report = validate_axioms(alg)
-        assert report.ok
-        assert report == oracles.validate_axioms(alg)
+        assert checked_report(abstract(concrete)).ok
 
 
 def test_fixture_reports_match_the_oracle():
     for name in FIXTURES:
-        alg = get_fixture(name).algebra
-        assert validate_axioms(alg) == oracles.validate_axioms(alg)
+        checked_report(get_fixture(name).algebra)
     assert not validate_axioms(get_fixture("broken_restriction").algebra).ok
 
 
@@ -47,9 +56,7 @@ def test_corrupted_corpus_tables_match_the_oracle(closure_corpus):
     rng = random.Random(4)
     failing = set()
     for concrete in closure_corpus:
-        alg = corrupted(abstract(concrete), rng)
-        report = validate_axioms(alg)
-        assert report == oracles.validate_axioms(alg)
+        report = checked_report(corrupted(abstract(concrete), rng))
         failing.update(v.axiom for v in report.violations)
     # every law, and the bottom check, is seen failing
     assert failing == {"no-constant-bottom", *(f"law-{i}" for i in range(1, 6))}
@@ -74,27 +81,68 @@ def random_tables(draw) -> FiniteAlgebra:
 @settings(max_examples=300, deadline=None)
 @given(random_tables())
 def test_random_tables_match_the_oracle(alg):
-    assert validate_axioms(alg) == oracles.validate_axioms(alg)
+    checked_report(alg)
 
 
-def test_dichotomy_matches_the_oracle_on_up_sets_and_random_sets(closure_corpus):
-    # each member set is one point of the columns table; the library decides
-    # them all in one pass and the oracle one at a time
-    rng = random.Random(9)
+def unsound_first_draft() -> FiniteAlgebra:
+    """Its one atom a has r(a, a) = x - x, not a, so a class builder that
+    starts each class from a point's partners leaves a in none; it fails
+    law 5."""
+    return FiniteAlgebra(
+        ("x", "y"), OpTable("minus", 2, 2, (0, 0, 1, 0)), OpTable("rest", 2, 2, (0, 0, 0, 0))
+    )
+
+
+def two_points_in_one_class() -> FiniteAlgebra:
+    """The subsets of two points p, q of one class under set difference and
+    restriction to the classes met.  Every condition of the representation
+    holds but one: the support of {p, q} meets the class twice, and law 5
+    fails."""
+    masks = range(4)
+    minus = tuple(x & ~y for x in masks for y in masks)
+    rest = tuple(y if x else 0 for x in masks for y in masks)
+    return FiniteAlgebra(
+        ("0", "p", "q", "pq"), OpTable("minus", 2, 4, minus), OpTable("rest", 2, 4, rest)
+    )
+
+
+@pytest.mark.parametrize("alg", [unsound_first_draft(), two_points_in_one_class()])
+def test_pinned_tables_without_a_representation(alg):
+    assert representation(alg) is None
+    assert {v.axiom for v in checked_report(alg).violations} == {"law-5"}
+
+
+@pytest.mark.parametrize("alg", [unsound_first_draft(), get_fixture("broken_restriction").algebra])
+def test_no_dual_without_a_representation(alg):
+    with pytest.raises(ValueError, match="not represented"):
+        maximal_filters(alg)
+    with pytest.raises(ValueError, match="not represented"):
+        dual_of(alg)
+
+
+def test_represented_algebras_never_walk_the_laws(closure_corpus, monkeypatch):
+    calls = []
+    original = dra.picker
+    monkeypatch.setattr(dra, "picker", lambda positions: calls.append(1) or original(positions))
+    for concrete in closure_corpus:
+        assert validate_axioms(abstract(concrete)).ok
+    assert not calls
+    assert not validate_axioms(get_fixture("broken_restriction").algebra).ok
+    assert calls
+
+
+def test_every_maximal_filter_passes_the_dichotomy_oracle(closure_corpus):
+    # the up-sets of the elements other than the bottom are the proper
+    # filters; the oracle's predicate holds on exactly the maximal ones
     verdicts = {True: 0, False: 0}
     for concrete in closure_corpus:
         alg = abstract(concrete)
-        n = alg.n
         minus = oracles.as_array(alg.minus)
-        member_sets = [from_mask(up, n) for up in up_masks(alg)]
-        member_sets += [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(5)]
-        columns = [
-            sum(1 << p for p, members in enumerate(member_sets) if e in members)
-            for e in range(n)
-        ]
-        fails = dichotomy(alg, columns)
-        for p, members in enumerate(member_sets):
-            verdict = not fails >> p & 1
-            assert verdict == oracles._is_maximal_by_dichotomy(minus, members)
-            verdicts[verdict] += 1
+        points = set(maximal_filters(alg).points)
+        for e, up in enumerate(up_masks(alg)):
+            if e != bottom(alg):
+                members = from_mask(up, alg.n)
+                verdict = oracles._is_maximal_by_dichotomy(minus, members)
+                assert verdict == (members in points)
+                verdicts[verdict] += 1
     assert min(verdicts.values()) > 1000

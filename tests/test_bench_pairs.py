@@ -62,3 +62,36 @@ def test_metrics_come_from_the_benchmark_definition():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [m.name for m in metrics] == [m["name"] for m in spec["end_to_end"]]
     assert seconds == spec["run_seconds"]
+
+
+def fake_run(tree, workload, seed, seconds):
+    """A run whose every declared metric reads the seed, with 1 of 4 items
+    failed."""
+    metrics, _ = bench_pairs.load_metrics(ROOT)
+    return {"metrics": {m.name: {"value": float(seed)} for m in metrics}, "failed": 1, "attempted": 4}
+
+
+def test_every_declared_workload_gets_its_own_table(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(
+        bench_pairs, "run_once", lambda *a: seen.append((a[1], a[2])) or fake_run(*a)
+    )
+    assert bench_pairs.main([str(ROOT), str(ROOT), "--pairs", "2", "--seed", "7"]) == 0
+    workloads = bench_pairs.load_workloads(ROOT)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert workloads == [w["name"] for w in spec["workloads"]]
+    # two runs per pair, seeds 7 and 8, one workload after another
+    assert seen == [(w, s) for w in workloads for s in (7, 7, 8, 8)]
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if line.endswith("median [quartiles]")]
+    assert [h.split(":")[0] for h in headers] == workloads
+    assert out.count("| failed_frac | 0.25 | 0.25 | | |") == len(workloads)
+
+
+def test_workload_may_be_repeated(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: seen.append(a[1]) or fake_run(*a))
+    picked = ["--workload", "cli-documents", "--workload", "space-dualize"]
+    assert bench_pairs.main([str(ROOT), str(ROOT), "--pairs", "1", *picked]) == 0
+    assert seen == ["cli-documents"] * 2 + ["space-dualize"] * 2
+    assert capsys.readouterr().out.count("| metric |") == 2

@@ -324,7 +324,8 @@ def test_complete_runs_each_completion_check_once(tmp_path, capsys, monkeypatch)
             if getattr(module, "__name__", "").startswith("drest") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert main(["complete", fixture_file(tmp_path, "disjoint_pair")]) == 0
-    assert calls == {"hom_check": 1, "is_fin_compatibly_complete": 1}
+    # the unit is the representation, an embedding with no check run
+    assert calls == {"hom_check": 0, "is_fin_compatibly_complete": 1}
     report = json.loads(capsys.readouterr().err)
     assert report["embedding"] and report["target_complete"] and report["image_dense"]
 

@@ -429,14 +429,19 @@ def test_unique_completion_iso_rejects_non_completions():
         unique_completion_iso(iota, identity)
 
 
-def test_completion_characterizations():
+def test_completion_characterizations(monkeypatch):
     alg = disjoint_pair().algebra
     iota = complete(alg)[1]
     extensions = [
         ("names-into-boolean", inclusion_disjoint_into_boolean()),
         ("identity", AlgebraMap(alg, alg, tuple(range(alg.n)))),
     ]
+    checked = []
+    original = duality.hom_check
+    monkeypatch.setattr(duality, "hom_check", lambda m: checked.append(m) or original(m))
     entries = completion_characterizations(iota, extensions)
+    # each extension is checked to be an embedding once
+    assert all(sum(m is kappa for m in checked) == 1 for _, kappa in extensions)
     by_name = {e.extension: e for e in entries}
     cube = by_name["names-into-boolean"]
     assert cube.smallest_applicable and cube.smallest_factors
@@ -515,9 +520,30 @@ def test_each_dual_is_built_and_validated_once(monkeypatch):
     complete(alg)
     completed, _ = complete(alg)
     complete(completed)
-    # one dual for the algebra and one for its completion; one unit check for
-    # each, and one for G of the counit
-    assert calls == {"maximal_filters": 2, "validate_etale": 2, "hom_check": 3}
+    # one dual for the algebra and one for its completion, each valid by
+    # construction with an embedding for its unit; one check for G of the counit
+    assert calls == {"maximal_filters": 2, "validate_etale": 0, "hom_check": 1}
     assert dual_of(alg) is dual_of(alg)
     fresh = eighteen_element_completion()
     assert alg == fresh and hash(alg) == hash(fresh)
+
+
+def test_one_triangle_check_builds_each_counit_once(monkeypatch):
+    calls = {"_counit": 0, "validate_morphism": 0}
+    for name in calls:
+        original = getattr(duality, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(duality, name, counted)
+    alg = boolean_four().algebra
+    assert check_triangle_identities(alg).ok
+    # anchored at an algebra both identities share the counit of its sections;
+    # the other two validations are of F(unit) and of the composite
+    assert calls == {"_counit": 1, "validate_morphism": 3}
+    calls.update(_counit=0, validate_morphism=0)
+    # anchored at a space, the left identity needs the counit of the dual's sections
+    assert check_triangle_identities(F_object(alg)).ok
+    assert calls == {"_counit": 2, "validate_morphism": 4}

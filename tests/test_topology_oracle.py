@@ -94,11 +94,14 @@ def test_stability_and_openness_match_the_definitions():
 
 def assert_dual_traffic_agrees(algebra) -> int:
     """The dual space of the algebra and of its completion, F(unit) and the
-    counit; returns the largest basis seen."""
+    counit; returns the largest basis seen.  ``dual_of`` runs no check, as
+    its spaces are valid by construction, so each is asserted valid here."""
     record = dual_of(algebra)
     completion = dual_of(record.sections.algebra)
     for space in (record.space, completion.space):
-        assert validate_etale(space) == oracles.validate_etale(space), space
+        report = validate_etale(space)
+        assert report.ok and report.discrete, space
+        assert report == oracles.validate_etale(space), space
     for m in (F_morphism(unit_eta(algebra)), _counit(record.sections)):
         assert validate_morphism(m) == oracles.validate_morphism(m)
     return max(len(record.space.basis), len(completion.space.basis))
