@@ -28,6 +28,7 @@ from .duality import (
     check_triangle_identities,
     complete,
     counit_lambda,
+    dual_of,
     lambda_naturality_square,
     validate_etale,
 )
@@ -113,7 +114,7 @@ def cmd_validate(args) -> int:
 
 def cmd_filters(args) -> int:
     algebra = _valid(_load(args.file, "algebra")[1])
-    mfs = flt.maximal_filters(algebra)
+    mfs = dual_of(algebra).mfs
     out = {
         "maximal_filters": [
             sorted(algebra.elements[a] for a in mu) for mu in mfs.points

@@ -6,16 +6,21 @@ in O(n²) to be an isomorphism onto partial functions.  Only an invalid one has
 the five defining equations walked, a whole table row at a time, to list the
 witnesses: rows are tuples, and composing or transposing them with
 ``itemgetter`` and ``zip`` keeps the inner loops in C without n³ arrays.
-Everything else (order, compatibility, joins, homomorphisms, isomorphism
-search) is derived from the two tables.  The up-set bitmask of each element
-and the representation are built on first use and stored on the algebra, so
-joins intersect masks.
+The representation, built on first use and stored on the algebra with an
+index from each support back to its element, carries the order and the
+joins: x <= y is inclusion of supports, a join is the element whose support
+is the union of the members', and the algebra is finitely compatibly
+complete when every partial section is a support.  The up-set bitmask of
+each element is built on first use and stored too, for the representation
+itself and the additivity check; compatibility, homomorphisms and the
+isomorphism search read the two tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
+from math import prod
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -70,9 +75,11 @@ class FiniteAlgebra:
     rest: OpTable
     extra_ops: tuple[OpTable, ...] = ()
     # built on first use, not compared, and dropped with the algebra: up_masks,
-    # representation (() for none) and the dual record (drest.duality.dual_of)
+    # representation (() for none), the element of each support, and the dual
+    # record (drest.duality.dual_of)
     _up: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
     _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _support_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _dual: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -257,9 +264,14 @@ def up_masks(algebra: FiniteAlgebra) -> tuple[int, ...]:
     """up[x]: the elements y with x <= y, as a bitmask."""
     up = algebra._up
     if up is None:
-        n, m = algebra.n, algebra.minus.entries
+        # x <= y iff x - (x - y) = x, so row x of the meet is the minus row
+        # composed with itself; each row is compared and summed in C.  One
+        # position more keeps itemgetter returning a tuple at n = 1, and
+        # compress stops at the end of powers.
+        powers = [1 << y for y in range(algebra.n)]
         up = tuple(
-            sum(1 << y for y in range(n) if m[x * n + m[x * n + y]] == x) for x in range(n)
+            sum(compress(powers, map(x.__eq__, itemgetter(*row, 0)(row))))
+            for x, row in enumerate(algebra.minus.rows())
         )
         object.__setattr__(algebra, "_up", up)
     return up
@@ -324,14 +336,6 @@ def _represent(algebra: FiniteAlgebra) -> Optional[Representation]:
     return tuple(atoms), tuple(classes), tuple(hats)
 
 
-def _least(up: tuple[int, ...], uppers: int) -> Optional[int]:
-    """The first member of the mask that lies below all of its members."""
-    for u in bits(uppers):
-        if uppers & ~up[u] == 0:
-            return u
-    return None
-
-
 def domain_preorder(algebra: FiniteAlgebra, x: int, y: int) -> bool:
     """x has smaller domain than y: x <= y | x."""
     return leq(algebra, x, algebra.r(y, x))
@@ -358,25 +362,51 @@ def compatible(algebra: FiniteAlgebra, x: int, y: int) -> bool:
     return algebra.r(x, y) == algebra.r(y, x)
 
 
+def _represented(algebra: FiniteAlgebra) -> Representation:
+    rep = representation(algebra)
+    if rep is None:
+        raise ValueError("algebra is not represented by partial functions")
+    return rep
+
+
 def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[int]:
-    """Least upper bound of the set in the intrinsic order, if it exists."""
-    members = list(members)
-    if not members:
-        return bottom(algebra)
-    up = up_masks(algebra)
-    return _least(up, reduce(and_, (up[s] for s in members)))
+    """Least upper bound of the set in the intrinsic order, if it exists: the
+    element whose support is the union of the members' supports.  An algebra
+    without a :func:`representation` raises ValueError.
+
+    The order is inclusion of supports: hats[x - (x - y)] = hats[x] & hats[y]
+    by condition (4), and hats is injective, so x <= y iff hats[x] <= hats[y].
+    The upper bounds of the members are therefore the elements whose support
+    holds the union U, and an element with support U is the least of them.
+    One exists as soon as any upper bound z does: by (4),
+    z - ((z - x1) - ... - xk) has support hats[z] & (hats[x1] | ... | hats[xk]),
+    which is U.  The empty union is 0, the support of the bottom.
+    """
+    hats = _represented(algebra)[2]
+    if algebra._support_index is None:
+        object.__setattr__(algebra, "_support_index", {h: e for e, h in enumerate(hats)})
+    return algebra._support_index.get(reduce(or_, map(hats.__getitem__, members), 0))
 
 
 def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:
-    """Every compatible pair has a join (pairs suffice for finite families)."""
-    n = algebra.n
-    up = up_masks(algebra)
-    return all(
-        _least(up, up[x] & up[y]) is not None
-        for x in range(n)
-        for y in range(x + 1, n)
-        if compatible(algebra, x, y)
-    )
+    """Every compatible pair has a join (pairs suffice for finite families):
+    every partial section is a support, so n = prod(|class| + 1).  An algebra
+    without a :func:`representation` raises ValueError.
+
+    hats is injective into the partial sections, the point masks meeting each
+    class at most once (condition (2)), of which there are prod(|class| + 1);
+    so n is that product exactly when every partial section is a support.
+    Then a compatible pair x, y has a join: r(x, y) = r(y, x) says by (5)
+    that f_x and f_y agree where both are defined, so hats[x] | hats[y] is a
+    partial section, a support, and its element is the join
+    (:func:`join_if_exists`).  Conversely let every compatible pair have a
+    join.  Each singleton {i} is hats[atoms[i]], and two elements whose
+    supports meet disjoint sets of classes are compatible, both restrictions
+    having empty support by (5).  So a partial section is reached from the
+    bottom one point at a time, each step the join of a compatible pair,
+    whose support is the union: every partial section is a support.
+    """
+    return algebra.n == prod(len(cls) + 1 for cls in _represented(algebra)[1])
 
 
 def derived_override(algebra: FiniteAlgebra, x: int, y: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 from math import prod
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -38,7 +38,7 @@ from .dra import (
     is_subtraction_algebra,
     join_if_exists,
     leq,
-    up_masks,
+    representation,
 )
 
 SPACE_SIZE_CAP = 16
@@ -477,10 +477,46 @@ class DualRecord:
 
     @property
     def sections(self) -> DualAlgebra:
-        """G of the dual space: the completion of the algebra."""
+        """G of the dual space: the completion of the algebra, built with its
+        representation."""
         if self._sections is None:
-            object.__setattr__(self, "_sections", _section_algebra(self.space))
+            sections = _section_algebra(self.space)
+            _seed_representation(sections)
+            object.__setattr__(self, "_sections", sections)
         return self._sections
+
+
+def _seed_representation(sections: DualAlgebra) -> None:
+    """Store on the section algebra of a dual space the representation that
+    :func:`drest.dra.representation` would find, reading no table.
+
+    The space is discrete and every section a partial section, and the tables
+    are m & ~v and sat(m) & v on section masks, so the masks themselves
+    satisfy the representation's conditions (1)-(5) over the fibres.  The
+    order is inclusion, so the atoms are the singleton sections; they are put
+    in the order the representation sorts them, by up-set mask, the up-set
+    of {x} being the sections that hold x.  The support of a section is then
+    its mask relabelled to that order, and the classes, the points p, q with
+    r(p, q) = q, are the fibres, each listed in the new order and the
+    classes ordered by their first point.  Only the space of a dual record
+    is known to be valid, so only :attr:`DualRecord.sections` seeds.
+    """
+    masks, space = sections.masks, sections.space
+    # up[x]: the positions of the sections holding x
+    powers = [1 << i for i in range(len(masks))]
+    up = [sum(compress(powers, map((1 << x).__and__, masks))) for x in range(space.n_points)]
+    order = sorted(range(space.n_points), key=up.__getitem__)
+    atoms = tuple(sections.index[1 << x] for x in order)
+    classes: dict[int, list[int]] = {}  # fibre -> its points in the new order
+    for j, x in enumerate(order):
+        classes.setdefault(space.projection[x], []).append(j)
+    hats = masks
+    if order != sorted(order):
+        relabel = [0] * len(order)
+        for j, x in enumerate(order):
+            relabel[x] = 1 << j
+        hats = tuple(_union(map(relabel.__getitem__, bits(m))) for m in masks)
+    object.__setattr__(sections.algebra, "_rep", (atoms, tuple(map(tuple, classes.values())), hats))
 
 
 def dual_of(algebra: FiniteAlgebra) -> DualRecord:
@@ -532,13 +568,13 @@ def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
 
 
 def _counit(sections: DualAlgebra) -> SpaceMorphism:
-    # the sections containing x are the up-set of the singleton section {x}
+    # the sections containing x are the up-set of the singleton section {x},
+    # the point of that atom
     space, target = sections.space, dual_of(sections.algebra)
-    up = up_masks(sections.algebra)
+    point_of = {a: i for i, a in enumerate(target.mfs.atoms)}
     mapping = []
     for x in range(space.n_points):
-        single = sections.index.get(1 << x)
-        point = None if single is None else target.mfs.point_index(up[single])
+        point = point_of.get(sections.index.get(1 << x))
         if point is None:
             raise AssertionError("internal error: point filter not maximal")
         mapping.append(point)
@@ -648,9 +684,10 @@ def completion_report(m: AlgebraMap) -> CompletionReport:
 
 def _completion_report(m: AlgebraMap, embedding: bool) -> CompletionReport:
     complete_target = is_fin_compatibly_complete(m.target)
-    up = up_masks(m.target)
+    # t <= c is inclusion of supports
+    hats = representation(m.target)[2]
     dense = all(
-        join_if_exists(m.target, [t for t in m.table if up[t] >> c & 1]) == c
+        join_if_exists(m.target, [t for t in m.table if not hats[t] & ~hats[c]]) == c
         for c in range(m.target.n)
     )
     return CompletionReport(embedding, complete_target, dense)

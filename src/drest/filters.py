@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dra import FiniteAlgebra, bottom, derived_meet, leq, representation, up_masks
+from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, representation, up_masks
 
 FILTER_SIZE_CAP = 16
 
@@ -88,19 +88,26 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
 class MaxFilterSpace:
     """The points of the dual space: maximal filters plus their grouping by
     the shared-domain equivalence.  Point i is the up-set of atoms[i];
-    hats[e] is the support of element e, the mask of the points holding it."""
+    hats[e] is the support of element e, the mask of the points holding it.
+    The points are read off the supports: the up-set of atoms[i] holds e
+    exactly when hats[e] holds i."""
 
     algebra: FiniteAlgebra
     atoms: tuple[int, ...]
-    points: tuple[frozenset[int], ...]
+    points: tuple[frozenset[int], ...] = field(init=False)
     classes: tuple[tuple[int, ...], ...]
     hats: tuple[int, ...] = field(repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _class: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        up = up_masks(self.algebra)
-        object.__setattr__(self, "_index", {up[a]: i for i, a in enumerate(self.atoms)})
+        members = [0] * len(self.atoms)  # the element mask of each point
+        for e, h in enumerate(self.hats):
+            for i in bits(h):
+                members[i] |= 1 << e
+        n = self.algebra.n
+        object.__setattr__(self, "points", tuple(from_mask(m, n) for m in members))
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(members)})
         object.__setattr__(
             self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
         )
@@ -158,8 +165,7 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
     if rep is None:
         raise ValueError("algebra is not represented by partial functions, so it has no dual space")
     atoms, classes, hats = rep
-    points = tuple(from_mask(up_masks(algebra)[a], algebra.n) for a in atoms)
-    return MaxFilterSpace(algebra, atoms, points, classes, hats)
+    return MaxFilterSpace(algebra, atoms, classes, hats)
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:

@@ -30,11 +30,9 @@ from .dra import (
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
-    _least,
     bits,
     bottom,
     from_concrete,
-    hom_check,
     up_masks,
 )
 from .duality import (
@@ -47,7 +45,7 @@ from .duality import (
     complete,
     dual_of,
 )
-from .pfun import ConcretePFAlgebra, closure_generate
+from .pfun import CLOSURE_SIZE_CAP, UNDEF, ConcretePFAlgebra, closure_generate
 
 OPERATOR_ARITY_CAP = 3
 OPERATOR_ALGEBRA_CAP = 10
@@ -142,6 +140,14 @@ def check_additive(
                 if join[row[x]][row[y]] != row[j]:
                     return False, rest[:i] + (x, y) + rest[i:]
     return True, None
+
+
+def _least(up: Sequence[int], uppers: int) -> Optional[int]:
+    """The first member of the mask that lies below all of its members."""
+    for u in bits(uppers):
+        if uppers & ~up[u] == 0:
+            return u
+    return None
 
 
 def _compat_masks(algebra: FiniteAlgebra) -> list[int]:
@@ -444,9 +450,10 @@ def complete_with_operators(
     """The finite compatible completion, with each operator carried across
     as the image map of its point relation.
 
-    The inputs are checked to be compatibility-preserving operators, and the
-    equipped embedding to be an embedding, which compares each carried table
-    with its input.  The carried tables need no check of their own.  An image
+    The inputs are checked to be compatibility-preserving operators.  The
+    unit is an embedding by construction, so of the equipped embedding only
+    the carried tables are new: each is compared with its input through the
+    unit.  The carried tables need no check of their own.  An image
     map sends an empty argument to empty and commutes with unions in each
     argument, so it is normal and additive.  A point is the up-set of an
     atom, and an operator f is additive, hence monotone, so (ps, nu) lies in
@@ -477,15 +484,19 @@ def complete_with_operators(
         _relation_table(relation_from_operator(algebra, table), sections)
         for table in tables
     )
-    embedding = AlgebraMap(algebra.with_ops(tables), completed.with_ops(lifted), iota.table)
-    if not hom_check(embedding).is_embedding:
-        raise AssertionError("internal error: equipped embedding not an embedding")
+    h = iota.table
+    for table, carried in zip(tables, lifted):
+        arguments = product(range(algebra.n), repeat=table.arity)
+        if [carried(*map(h.__getitem__, xs)) for xs in arguments] != [h[e] for e in table.entries]:
+            raise AssertionError(f"internal error: carried {table.name} does not extend its input")
+    embedding = AlgebraMap(algebra.with_ops(tables), completed.with_ops(lifted), h)
     return embedding.target, embedding, lifted
 
 
 # ---------------------------------------------------------------------------
 # the concrete-operation catalogue
 
+CLOSURE_OVER_CAP = "closure exceeds the operator check cap"
 NOT_IMPLEMENTED = ("update",)  # no formula fixed here; listed, never classified
 
 CATALOGUE = (
@@ -504,6 +515,10 @@ CATALOGUE = (
 
 @dataclass(frozen=True)
 class CatalogueEntry:
+    """One classified operation.  ``closed_size`` is the size of the closure,
+    or None when none was built: the operation is not implemented, the
+    closure failed, or the input alone already exceeds the operator cap."""
+
     operation: str
     implemented: bool
     closed_size: Optional[int] = None
@@ -521,13 +536,24 @@ def classify_concrete_ops(
     The algebra is first closed under difference, restriction, and the tested
     operation; operations whose closure leaves partial functions (converse on
     a non-injective element) or exceeds the size cap are reported unclassified.
+    A closure holds the input and the empty function, so when those alone
+    exceed the cap no closure is built.  Building one would fail first only
+    on an oversized carrier or, in its first round, on the converse of a
+    non-injective element, and those keep their own note.
     """
+    size = algebra.carrier.size
+    over_cap = size <= CLOSURE_SIZE_CAP and OPERATOR_ALGEBRA_CAP < len(
+        {f.values for f in algebra.elements} | {(UNDEF,) * size}
+    )
     entries: list[CatalogueEntry] = []
     for name in operations:
         if name in NOT_IMPLEMENTED:
             entries.append(
                 CatalogueEntry(name, False, note="no definition adopted")
             )
+            continue
+        if over_cap and (name != "converse" or all(f.is_injective() for f in algebra.elements)):
+            entries.append(CatalogueEntry(name, False, note=CLOSURE_OVER_CAP))
             continue
         try:
             closed = closure_generate(
@@ -544,7 +570,7 @@ def classify_concrete_ops(
                     name,
                     False,
                     closed_size=len(closed.elements),
-                    note="closure exceeds the operator check cap",
+                    note=CLOSURE_OVER_CAP,
                 )
             )
             continue

@@ -6,13 +6,13 @@ compactness, interiors and properness are tested by their quantifiers.  The
 library decides the same verdicts from least neighbourhoods on bitmasks; the
 differential tests compare the two on small spaces.  Joins and the
 shared-domain relation of filters are kept the same way, quantified over
-elements with ``leq``; the library intersects up-set bitmasks and compares
-the least members of principal filters.  The axiom validator and the
-dichotomy predicate for maximal filters are kept as numpy array code, one n³
-array per law; the library decides validity by its representation, walking
-table rows through ``itemgetter`` only to list the witnesses of an invalid
-algebra.  The counit, F on maps,
-supports and the operator relation layer are kept on frozensets of points
+elements with ``leq``, and completeness as the pair scan over up-set masks;
+the library looks joins up by the union of supports, counts partial sections
+for completeness, and compares the least members of principal filters.  The
+axiom validator and the dichotomy predicate for maximal filters are kept as
+numpy array code, one n³ array per law; the library decides validity by
+its representation, walking table rows through ``itemgetter`` only to list
+the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
 sets as int masks and reads one support table per algebra; that applying a
 relation commutes with unions, which the library's image map does by
@@ -50,7 +50,7 @@ from drest.duality import (
     SpaceMorphism,
 )
 from drest.filters import maximal_filters
-from drest.operators import RelationReport, SpaceRelation, _check_caps
+from drest.operators import RelationReport, SpaceRelation, _check_caps, _least
 from drest.pfun import (
     CLOSURE_SIZE_CAP,
     RAW_OPS,
@@ -375,6 +375,19 @@ def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[i
     return None
 
 
+def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:
+    """Every compatible pair has a join: the pair scan, each join the least
+    member of the intersected up-set masks."""
+    n = algebra.n
+    up = dra.up_masks(algebra)
+    return all(
+        _least(up, up[x] & up[y]) is not None
+        for x in range(n)
+        for y in range(x + 1, n)
+        if compatible(algebra, x, y)
+    )
+
+
 def filter_equiv(
     algebra: FiniteAlgebra, mu: frozenset[int], nu: frozenset[int]
 ) -> bool:
@@ -563,8 +576,8 @@ def check_additive(
     """Existing binary joins in any coordinate must be carried to joins.
 
     Pairs without a join are skipped; the premise only speaks of joins that
-    exist.  Joins are the library's up-set ones, which are compared with
-    ``join_if_exists`` above on the corpus.
+    exist.  Joins are the library's support ones, which are compared with
+    ``join_if_exists`` above.
     """
     _check_caps(algebra, table)
     n = algebra.n

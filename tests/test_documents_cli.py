@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import prod
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from drest.fixtures import (
 )
 from drest.filters import maximal_filters
 from drest.operators import OPERATOR_ALGEBRA_CAP, relation_from_operator
-from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate
+from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate, enumerate_all_pfs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -423,6 +424,29 @@ def test_classify_op_command(tmp_path, capsys):
     assert rows["domain"]["compat_preserving_operator"] is True
     assert rows["override"]["compat_preserving"] is False
     assert rows["update"]["implemented"] is False
+
+
+def test_classify_op_refuses_an_input_over_the_cap_at_once(tmp_path):
+    # the 625 partial functions on four points already exceed the operator cap
+    carrier = Carrier(4)
+    path = write(tmp_path, "all.json", emit_document(ConcretePFAlgebra(carrier, enumerate_all_pfs(carrier))))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", "classify-op", path],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    over = "closure exceeds the operator check cap"
+    expected = [
+        *({"implemented": False, "note": over, "operation": name} for name in (
+            "compose", "domain", "range", "fixset", "identity", "range_restrict", "antidomain", "override",
+        )),
+        {"implemented": False, "note": "converse of a non-injective partial function", "operation": "converse"},
+        {"implemented": False, "note": "no definition adopted", "operation": "update"},
+    ]
+    assert run.returncode == 0
+    assert run.stdout == json.dumps(expected, sort_keys=True) + "\n"
+    assert elapsed < 1.0
 
 
 def test_catalog_lists_all_fixtures(capsys):

@@ -1,4 +1,4 @@
-"""Maximal filters from atoms and joins from up-set masks, against the
+"""Maximal filters from atoms and joins from supports, against the
 literal definitions in ``oracles`` and the capped subset scan.
 
 Up to ``FILTER_SIZE_CAP`` elements the atom route must give the

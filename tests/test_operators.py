@@ -36,7 +36,14 @@ from drest.operators import (
     operation_from_relation,
     relation_from_operator,
 )
-from drest.pfun import Carrier, PartialFunction, closure_generate
+from drest.pfun import (
+    UNDEF,
+    Carrier,
+    ConcretePFAlgebra,
+    PartialFunction,
+    closure_generate,
+    enumerate_all_pfs,
+)
 
 
 def meet_table(algebra) -> OpTable:
@@ -292,6 +299,20 @@ def test_carried_operators_pass_the_operator_checks(closure_corpus):
     assert min(seen["above"], seen["within"]) >= 20, seen
 
 
+def test_a_carried_table_that_misses_its_input_is_an_internal_error(monkeypatch):
+    alg, d = domain_algebra(disjoint_pair())
+    original = operators._relation_table
+
+    def shifted(rel, dual):
+        table = original(rel, dual)
+        entries = tuple((e + 1) % table.size for e in table.entries)
+        return OpTable(table.name, table.arity, table.size, entries)
+
+    monkeypatch.setattr(operators, "_relation_table", shifted)
+    with pytest.raises(AssertionError, match="carried domain does not extend its input"):
+        complete_with_operators(alg, [d])
+
+
 def test_completion_rejects_non_operators():
     alg = from_concrete(conflicting_pair().concrete, extra_ops=("override",))
     with pytest.raises(OperatorCheckError):
@@ -348,6 +369,54 @@ def test_converse_closure_fails_gracefully_on_non_injective_elements():
     entry = entries["converse"]
     assert not entry.implemented
     assert "injective" in entry.note
+
+
+def test_an_input_over_the_cap_is_refused_without_a_closure(monkeypatch):
+    closures = []
+    original = operators.closure_generate
+
+    def counted(carrier, seeds, ops):
+        closures.append(ops[-1])
+        return original(carrier, seeds, ops)
+
+    monkeypatch.setattr(operators, "closure_generate", counted)
+    carrier = Carrier(3)
+    every = ConcretePFAlgebra(carrier, enumerate_all_pfs(carrier))
+    entries = {e.operation: e for e in classify_concrete_ops(every)}
+    # only converse is closed, and its first round meets a non-injective seed
+    assert closures == ["converse"]
+    assert entries["converse"].note == "converse of a non-injective partial function"
+    assert entries.pop("update").note == "no definition adopted"
+    for name, entry in entries.items():
+        if name != "converse":
+            assert (entry.implemented, entry.closed_size) == (False, None)
+            assert entry.note == "closure exceeds the operator check cap"
+    # with injective seeds converse is refused unclosed too
+    injective = ConcretePFAlgebra(carrier, tuple(f for f in every.elements if f.is_injective()))
+    closures.clear()
+    (entry,) = classify_concrete_ops(injective, ("converse",))
+    assert closures == [] and entry.note == "closure exceeds the operator check cap"
+    # an oversized carrier keeps the closure's own refusal
+    big = Carrier(5)
+    wide = [PartialFunction(big, (v,) + (UNDEF,) * 4) for v in range(5)]
+    wide += [PartialFunction(big, (UNDEF, v) + (UNDEF,) * 3) for v in range(5)]
+    wide += [PartialFunction(big, (UNDEF,) * 5), PartialFunction(big, (0, 0) + (UNDEF,) * 3)]
+    (entry,) = classify_concrete_ops(
+        ConcretePFAlgebra(big, tuple(sorted(wide, key=lambda f: f.sort_key))), ("domain",)
+    )
+    assert entry.note.startswith("closure carrier capped")
+    # an input of exactly the cap, closed under domain, is still classified
+    seeds = [PartialFunction(carrier, (UNDEF, 0, 0)), PartialFunction(carrier, (0, UNDEF, 0))]
+    at_cap = original(carrier, seeds, ("difference", "restrict", "domain"))
+    (entry,) = classify_concrete_ops(at_cap, ("domain",))
+    assert len(at_cap) == entry.closed_size == OPERATOR_ALGEBRA_CAP and entry.implemented
+    # ten functions other than the empty one exceed the cap together with it
+    ten = [f for f in at_cap.elements if set(f.values) != {UNDEF}] + [PartialFunction(carrier, (1, 1, 1))]
+    closures.clear()
+    (entry,) = classify_concrete_ops(
+        ConcretePFAlgebra(carrier, tuple(sorted(ten, key=lambda f: f.sort_key))), ("domain",)
+    )
+    assert len(ten) == OPERATOR_ALGEBRA_CAP and closures == [] and entry.closed_size is None
 
 
 def test_apply_relation_respects_arity():
