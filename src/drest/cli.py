@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 when the input is valid and every requested check passes,
-1 when a checked property fails, 2 for unusable input, 3 when an internal
-invariant breaks (a bug in drest, reported as JSON on stderr).
+1 when a checked property fails (an input algebra or space that is not valid
+among them), 2 for unusable input, 3 when an internal invariant breaks or any
+other exception escapes (a bug in drest, reported as JSON on stderr).
+
+Each subcommand imports the library modules it runs, after its input has
+been parsed and validated, so a process loads only what its command needs.
 """
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import filters as flt
 from .documents import (
     algebra_to_dict,
     emit_document,
@@ -20,25 +23,6 @@ from .documents import (
     space_to_dict,
 )
 from .dra import hom_check, is_proper_hom, validate_axioms
-from .duality import (
-    F_morphism,
-    F_object,
-    G_object,
-    canonical_completion,
-    check_triangle_identities,
-    complete,
-    counit_lambda,
-    dual_of,
-    lambda_naturality_square,
-    validate_etale,
-)
-from .fixtures import FIXTURES, get_fixture
-from .operators import (
-    classify_concrete_ops,
-    classify_operator,
-    relation_from_operator,
-    complete_with_operators,
-)
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -60,7 +44,7 @@ def _fail(message: str, code: int = USAGE) -> int:
 
 
 class _Invalid(Exception):
-    """An input algebra fails the defining laws: exit 1."""
+    """An input algebra or space fails its defining laws: exit 1."""
 
 
 def _valid(algebra, side: str = "input"):
@@ -96,6 +80,8 @@ def cmd_validate(args) -> int:
         )
         return OK if report.ok else FAIL
     if kind == "space":
+        from .duality import validate_etale
+
         report = validate_etale(value)
         print(
             json.dumps(
@@ -114,6 +100,9 @@ def cmd_validate(args) -> int:
 
 def cmd_filters(args) -> int:
     algebra = _valid(_load(args.file, "algebra")[1])
+    from .duality import dual_of
+    from .filters import hat
+
     mfs = dual_of(algebra).mfs
     out = {
         "maximal_filters": [
@@ -121,7 +110,7 @@ def cmd_filters(args) -> int:
         ],
         "classes": [list(cls) for cls in mfs.classes],
         "supports": {
-            algebra.elements[a]: sorted(flt.hat(mfs, a)) for a in range(algebra.n)
+            algebra.elements[a]: sorted(hat(mfs, a)) for a in range(algebra.n)
         },
     }
     print(json.dumps(out, sort_keys=True))
@@ -131,22 +120,35 @@ def cmd_filters(args) -> int:
 def cmd_dualize(args) -> int:
     kind, value = _load(args.file)
     if kind == "algebra":
-        sys.stdout.write(emit_document(F_object(_valid(value))))
+        algebra = _valid(value)
+        from .duality import F_object
+
+        sys.stdout.write(emit_document(F_object(algebra)))
         return OK
     if kind == "space":
-        sys.stdout.write(emit_document(G_object(value).algebra))
+        from .duality import G_object, InvalidSpace
+
+        try:
+            dual = G_object(value)
+        except InvalidSpace as exc:
+            raise _Invalid(str(exc)) from None
+        sys.stdout.write(emit_document(dual.algebra))
         return OK
     return _fail(f"dualize does not handle {kind} documents")
 
 
 def cmd_complete(args) -> int:
     algebra = _valid(_load(args.file, "algebra")[1])
+    from .duality import canonical_completion, complete
+
     bare = algebra.with_ops(())
     if args.with_op:
         try:
             tables = [algebra.op(name) for name in args.with_op]
         except KeyError as exc:
             return _fail(str(exc))
+        from .operators import complete_with_operators
+
         # completes the bare algebra, so its report is kept below
         _, embedding, _ = complete_with_operators(bare, tables)
     else:
@@ -170,9 +172,20 @@ def cmd_complete(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     kind, value = _load(args.file)
-    results = {}
     if kind == "algebra":
         algebra = _valid(value).with_ops(())
+    elif kind != "space":
+        return _fail(f"roundtrip does not handle {kind} documents")
+    from .duality import (
+        InvalidSpace,
+        check_triangle_identities,
+        complete,
+        counit_lambda,
+        lambda_naturality_square,
+    )
+
+    results = {}
+    if kind == "algebra":
         triangles = check_triangle_identities(algebra)
         results["triangle_space_side"] = triangles.space_side
         results["triangle_algebra_side"] = triangles.algebra_side
@@ -183,13 +196,14 @@ def cmd_roundtrip(args) -> int:
         results["completion_idempotent"] = (
             completed.n == iota.target.n and len(set(iota2.table)) == completed.n
         )
-    elif kind == "space":
-        triangles = check_triangle_identities(value)
+    else:
+        try:
+            triangles = check_triangle_identities(value)
+        except InvalidSpace as exc:
+            raise _Invalid(str(exc)) from None
         results["triangle_space_side"] = triangles.space_side
         results["triangle_algebra_side"] = triangles.algebra_side
         results["counit_naturality"] = lambda_naturality_square(counit_lambda(value))
-    else:
-        return _fail(f"roundtrip does not handle {kind} documents")
     print(json.dumps(results, sort_keys=True))
     return OK if all(results.values()) else FAIL
 
@@ -210,6 +224,8 @@ def cmd_check_hom(args) -> int:
     if args.dualize:
         if not report.is_hom:
             return _fail("cannot dualize a non-homomorphism", FAIL)
+        from .duality import F_morphism
+
         dual = F_morphism(mapping)
         print(
             json.dumps(
@@ -230,6 +246,8 @@ def cmd_check_op(args) -> int:
         table = algebra.op(args.op)
     except KeyError as exc:
         return _fail(str(exc))
+    from .operators import classify_operator, relation_from_operator
+
     report = classify_operator(algebra.with_ops(()), table)
     out = {
         "name": report.name,
@@ -250,6 +268,8 @@ def cmd_check_op(args) -> int:
 
 def cmd_classify_op(args) -> int:
     _, algebra = _load(args.file, "pfalgebra")
+    from .operators import classify_concrete_ops
+
     entries = classify_concrete_ops(algebra)
     out = []
     for entry in entries:
@@ -269,6 +289,8 @@ def cmd_classify_op(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .fixtures import FIXTURES, get_fixture
+
     out = {}
     for name in sorted(FIXTURES):
         fixture = get_fixture(name)
@@ -345,6 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc))
     except AssertionError as exc:
         return _fail(str(exc), INTERNAL)
+    except Exception as exc:  # any other escape is a bug, not a verdict
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", INTERNAL)
 
 
 if __name__ == "__main__":  # pragma: no cover

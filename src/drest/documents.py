@@ -7,12 +7,15 @@ the names and reports failures with a JSON-path position.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+import sys
+from typing import TYPE_CHECKING, Any, Optional
 
 from .dra import AlgebraMap, FiniteAlgebra, OpTable
-from .duality import SECTION_CAP, EtaleSpace
-from .operators import SpaceRelation
-from .pfun import Carrier, ConcretePFAlgebra, PartialFunction
+
+if TYPE_CHECKING:
+    from .duality import EtaleSpace
+    from .operators import SpaceRelation
+    from .pfun import ConcretePFAlgebra
 
 FORMAT_VERSION = 1
 # a pfalgebra document spells out every element, but each one is stored over
@@ -150,6 +153,9 @@ def pfalgebra_to_dict(algebra: ConcretePFAlgebra) -> dict:
 
 
 def pfalgebra_from_dict(doc: dict, path: str = "$") -> ConcretePFAlgebra:
+    from .duality import SECTION_CAP
+    from .pfun import Carrier, ConcretePFAlgebra, PartialFunction
+
     size = _field(doc, "carrier", int, path)
     if size < 1:
         raise DocumentError(f"{path}.carrier", "carrier size must be positive")
@@ -237,6 +243,8 @@ def space_from_dict(doc: dict, path: str = "$") -> EtaleSpace:
                 _expect(x, int, f"{path}.basis[{i}][{j}]") for j, x in enumerate(u)
             )
         )
+    from .duality import EtaleSpace
+
     try:
         return EtaleSpace(n_points, n_base, proj, tuple(basis), labels)
     except ValueError as exc:
@@ -318,6 +326,8 @@ def relation_from_dict(doc: dict, path: str = "$") -> SpaceRelation:
                 _expect(x, int, f"{path}.tuples[{i}][{j}]") for j, x in enumerate(t)
             )
         )
+    from .operators import SpaceRelation
+
     try:
         return SpaceRelation(name, space, arity, frozenset(tuples))
     except ValueError as exc:
@@ -336,13 +346,15 @@ _PARSERS = {
     "relation": relation_from_dict,
 }
 
-_EMITTERS = {
-    FiniteAlgebra: algebra_to_dict,
-    ConcretePFAlgebra: pfalgebra_to_dict,
-    EtaleSpace: space_to_dict,
-    AlgebraMap: morphism_to_dict,
-    SpaceRelation: relation_to_dict,
-}
+# (defining module, class, emitter): a value's class is loaded once the value
+# exists, so a module not yet imported holds no class to test against
+_EMITTERS = (
+    ("drest.dra", "FiniteAlgebra", algebra_to_dict),
+    ("drest.pfun", "ConcretePFAlgebra", pfalgebra_to_dict),
+    ("drest.duality", "EtaleSpace", space_to_dict),
+    ("drest.dra", "AlgebraMap", morphism_to_dict),
+    ("drest.operators", "SpaceRelation", relation_to_dict),
+)
 
 
 def parse_document(text: str, expect_kind: Optional[str] = None):
@@ -368,8 +380,9 @@ def emit_document(value) -> str:
     if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], OpTable):
         doc = operator_to_dict(*value)
     else:
-        for cls, emitter in _EMITTERS.items():
-            if isinstance(value, cls):
+        for module, cls, emitter in _EMITTERS:
+            home = sys.modules.get(module)
+            if home is not None and isinstance(value, getattr(home, cls)):
                 doc = emitter(value)
                 break
         else:

@@ -22,9 +22,10 @@ from functools import reduce
 from itertools import chain, compress, product, repeat
 from math import prod
 from operator import and_, itemgetter, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .pfun import RAW_OPS, ConcretePFAlgebra, PartialFunction
+if TYPE_CHECKING:
+    from .pfun import ConcretePFAlgebra
 
 ISO_SEARCH_CAP = 12
 
@@ -130,6 +131,8 @@ def from_concrete(
     The algebra must be closed under every requested operation; "identity"
     requires the identity function to be a member.
     """
+    from .pfun import RAW_OPS
+
     elems = algebra.elements
     n = len(elems)
     index = {f.values: i for i, f in enumerate(elems)}

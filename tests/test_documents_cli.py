@@ -191,6 +191,16 @@ def test_invalid_input_algebra_exits_1(tmp_path, capsys, argv):
     assert json.loads(capsys.readouterr().err) == {"error": "input algebra fails validation"}
 
 
+@pytest.mark.parametrize("command", ["dualize", "roundtrip"])
+def test_invalid_input_space_exits_1(tmp_path, capsys, command):
+    # the one basis set holds both points of the one fibre
+    path = write(tmp_path, "space.json", space_doc(basis=[[0, 1]]))
+    assert main([command, path]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "projection not a local homeomorphism; points not separated by disjoint opens"
+    }
+
+
 def test_check_hom_names_the_invalid_side(tmp_path, capsys):
     doc = json.loads(emit_document(inclusion_disjoint_into_boolean()))
     broken = json.loads(emit_document(broken_restriction().algebra))
@@ -209,6 +219,23 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["validate", fixture_file(tmp_path, "disjoint_pair")]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "internal error: broken invariant"}
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(algebra):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr("drest.cli.validate_axioms", broken)
+    assert main(["validate", fixture_file(tmp_path, "disjoint_pair")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "internal error: TypeError: unexpected argument"}
+
+
+def test_failed_import_exits_3(tmp_path, capsys, monkeypatch):
+    # a module the command imports on use cannot be loaded
+    monkeypatch.setitem(sys.modules, "drest.duality", None)
+    assert main(["filters", fixture_file(tmp_path, "disjoint_pair")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"].startswith("internal error: ModuleNotFoundError:")
 
 
 @pytest.mark.parametrize("command", ["validate", "filters", "dualize", "complete", "roundtrip"])
@@ -472,11 +499,68 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert main(["validate", "-"]) == 0
 
 
-def test_cli_import_loads_no_numpy():
-    # start-up is most of a command's time; numpy is for the test oracles only
-    code = "import sys, drest.cli; assert 'numpy' not in sys.modules"
+# start-up is most of a command's time, so a command loads only the modules
+# it runs; numpy is for the test oracles only
+LOADS_CHILD = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from drest.cli import main
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("drest"))]))
+"""
+BASE = ("drest", "drest.cli", "drest.documents", "drest.dra")
+DUAL = BASE + ("drest.duality", "drest.filters")
+OPS = DUAL + ("drest.operators", "drest.pfun")
+LOAD_CASES = [
+    (("--help",), 0, BASE),
+    (("validate", "algebra"), 0, BASE),
+    (("validate", "invalid"), 1, BASE),
+    (("check-hom", "morphism"), 0, BASE),
+    *[((command, "malformed"), 2, BASE) for command in (
+        "validate", "filters", "dualize", "complete", "roundtrip", "check-hom", "classify-op"
+    )],
+    (("check-op", "malformed", "domain"), 2, BASE),
+    (("classify-op", "algebra"), 2, BASE),
+    *[((command, "invalid"), 1, BASE) for command in ("filters", "dualize", "complete", "roundtrip")],
+    (("check-op", "invalid", "domain"), 1, BASE),
+    (("complete", "invalid", "--with-op", "domain"), 1, BASE),
+    (("validate", "space"), 0, DUAL),
+    (("dualize", "space"), 0, DUAL),
+    (("dualize", "invalid-space"), 1, DUAL),
+    (("roundtrip", "space"), 0, DUAL),
+    *[((command, "algebra"), 0, DUAL) for command in ("filters", "dualize", "complete", "roundtrip")],
+    (("check-hom", "morphism", "--dualize"), 0, DUAL),
+    (("check-op", "with-op", "domain"), 0, OPS),
+    (("complete", "with-op", "--with-op", "domain"), 0, OPS),
+    (("classify-op", "pfalgebra"), 0, OPS),
+    (("catalog",), 0, BASE + ("drest.fixtures", "drest.pfun")),
+]
+
+
+@pytest.mark.parametrize("argv,code,modules", LOAD_CASES, ids=[" ".join(c[0]) for c in LOAD_CASES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modules):
+    algebra = disjoint_pair().algebra
+    texts = {
+        "algebra": emit_document(algebra),
+        "invalid": emit_document(broken_restriction().algebra),
+        "malformed": "{",
+        "space": emit_document(F_object(algebra)),
+        "invalid-space": space_doc(basis=[[0, 1]]),
+        "morphism": emit_document(inclusion_disjoint_into_boolean()),
+        "with-op": emit_document(from_concrete(disjoint_pair().concrete, extra_ops=("domain",))),
+        "pfalgebra": emit_document(disjoint_pair().concrete),
+    }
+    argv = [write(tmp_path, f"{a}.json", texts[a]) if a in texts else a for a in argv]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    run = subprocess.run(
+        [sys.executable, "-c", LOADS_CHILD, *argv],
+        env=env, check=True, timeout=60, capture_output=True, text=True,
+    )
+    assert json.loads(run.stdout) == [code, sorted(modules)]
 
 
 def test_survey_script_counts_the_two_point_closures():
