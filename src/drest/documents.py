@@ -10,7 +10,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, Optional
 
-from .dra import AlgebraMap, FiniteAlgebra, OpTable
+from .dra import SECTION_CAP, AlgebraMap, FiniteAlgebra, OpTable
 
 if TYPE_CHECKING:
     from .duality import EtaleSpace
@@ -47,6 +47,15 @@ def _field(obj: dict, name: str, kind: type, path: str) -> Any:
     if name not in obj:
         raise DocumentError(f"{path}.{name}", "missing field")
     return _expect(obj[name], kind, f"{path}.{name}")
+
+
+def _labels(doc: dict, path: str) -> Optional[tuple[str, ...]]:
+    """The optional "labels" field: a list of strings, or absent or null."""
+    labels = doc.get("labels")
+    if labels is None:
+        return None
+    _expect(labels, list, f"{path}.labels")
+    return tuple(_expect(l, str, f"{path}.labels[{i}]") for i, l in enumerate(labels))
 
 
 def _resolve(name: Any, index: dict[str, int], path: str) -> int:
@@ -153,7 +162,6 @@ def pfalgebra_to_dict(algebra: ConcretePFAlgebra) -> dict:
 
 
 def pfalgebra_from_dict(doc: dict, path: str = "$") -> ConcretePFAlgebra:
-    from .duality import SECTION_CAP
     from .pfun import Carrier, ConcretePFAlgebra, PartialFunction
 
     size = _field(doc, "carrier", int, path)
@@ -161,12 +169,7 @@ def pfalgebra_from_dict(doc: dict, path: str = "$") -> ConcretePFAlgebra:
         raise DocumentError(f"{path}.carrier", "carrier size must be positive")
     if size > PFALGEBRA_CARRIER_CAP:
         raise DocumentError(f"{path}.carrier", f"carrier capped at {PFALGEBRA_CARRIER_CAP} points")
-    labels = doc.get("labels")
-    if labels is not None:
-        _expect(labels, list, f"{path}.labels")
-        labels = tuple(
-            _expect(l, str, f"{path}.labels[{i}]") for i, l in enumerate(labels)
-        )
+    labels = _labels(doc, path)
     try:
         carrier = Carrier(size, labels)
     except ValueError as exc:
@@ -228,12 +231,7 @@ def space_from_dict(doc: dict, path: str = "$") -> EtaleSpace:
     proj = tuple(
         _expect(p, int, f"{path}.projection[{i}]") for i, p in enumerate(projection)
     )
-    labels = doc.get("labels")
-    if labels is not None:
-        _expect(labels, list, f"{path}.labels")
-        labels = tuple(
-            _expect(l, str, f"{path}.labels[{i}]") for i, l in enumerate(labels)
-        )
+    labels = _labels(doc, path)
     basis_doc = _field(doc, "basis", list, path)
     basis = []
     for i, u in enumerate(basis_doc):

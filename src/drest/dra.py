@@ -12,8 +12,8 @@ joins: x <= y is inclusion of supports, a join is the element whose support
 is the union of the members', and the algebra is finitely compatibly
 complete when every partial section is a support.  The up-set bitmask of
 each element is built on first use and stored too, for the representation
-itself and the additivity check; compatibility, homomorphisms and the
-isomorphism search read the two tables.
+itself; compatibility, homomorphisms and the isomorphism search read the
+two tables.
 """
 from __future__ import annotations
 
@@ -28,6 +28,9 @@ if TYPE_CHECKING:
     from .pfun import ConcretePFAlgebra
 
 ISO_SEARCH_CAP = 12
+# sections of one space, prod(|fibre| + 1); the dual tables grow with its
+# square, and completing a 1,024-element algebra takes seconds
+SECTION_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -385,10 +388,18 @@ def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[i
     z - ((z - x1) - ... - xk) has support hats[z] & (hats[x1] | ... | hats[xk]),
     which is U.  The empty union is 0, the support of the bottom.
     """
+    hats, element = supports(algebra)
+    return element.get(reduce(or_, map(hats.__getitem__, members), 0))
+
+
+def supports(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The support of each element, and the element of each support; kept on
+    the algebra.  An algebra without a :func:`representation` raises
+    ValueError."""
     hats = _represented(algebra)[2]
     if algebra._support_index is None:
         object.__setattr__(algebra, "_support_index", {h: e for e, h in enumerate(hats)})
-    return algebra._support_index.get(reduce(or_, map(hats.__getitem__, members), 0))
+    return hats, algebra._support_index
 
 
 def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:

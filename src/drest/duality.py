@@ -2,19 +2,18 @@
 
 A space is a finite point set with a projection onto a base set and a basis
 of opens.  A finite topology is fixed by each point's least neighbourhood,
-the intersection of the basis sets around it, so the validator decides it on
-int bitmasks: a stable basis in O(k·B + k²) for k points and B basis sets,
-after one pass over the basis; only a non-stable basis (an invalid space) has
-its opens listed.  A valid space is discrete, so its sections are the choices
-of at most one point per fibre, capped at SECTION_CAP.  The literal
-definitions are kept as test oracles.  Each algebra keeps one dual record
-(:func:`dual_of`), which the functors, unit, counit and completion read
-instead of rebuilding it; a space passed in by a caller gets none.  Read off
-the algebra's representation, its space is valid and its unit an embedding
-with no check run.  Point and section sets are int masks: the unit reads the
-support table, the counit sends a point x to the up-set of the singleton
-section {x}, and F and G on maps pull masks back; frozensets appear only in
-public fields.
+the intersection of the basis sets around it, so the validator decides every
+basis on int bitmasks in O(k·B + k²) for k points and B basis sets, after one
+pass over the basis, and lists no open set.  A valid space is discrete, so
+its sections are the choices of at most one point per fibre, capped at
+SECTION_CAP.  The literal definitions are kept as test oracles.  Each
+algebra keeps one dual record (:func:`dual_of`), which the functors, unit,
+counit and completion read instead of rebuilding it; a space passed in by a
+caller gets none.  Read off the algebra's representation, its space is valid
+and its unit an embedding with no check run.  Point and section sets are int
+masks: the unit reads the support table, the counit sends a point x to the
+up-set of the singleton section {x}, and F and G on maps pull masks back;
+frozensets appear only in public fields.
 """
 from __future__ import annotations
 
@@ -27,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
+    SECTION_CAP,
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
@@ -42,9 +42,6 @@ from .dra import (
 )
 
 SPACE_SIZE_CAP = 16
-# sections of one space, prod(|fibre| + 1); the dual tables grow with its
-# square, and completing a 1,024-element algebra takes seconds
-SECTION_CAP = 1024
 
 NOWHERE = -1
 
@@ -61,8 +58,10 @@ class InvalidMorphism(ValueError):
 class EtaleSpace:
     """Points over base points, with a basis of opens.
 
-    Opens are arbitrary unions of basis sets; the basis must be intersection
-    stable (pairwise intersections are again unions of basis sets).
+    Opens are the unions of finite intersections of basis sets, the topology
+    the basis generates.  A valid space's basis is intersection stable
+    (pairwise intersections are again unions of basis sets), so its opens
+    are the unions of basis sets.
     """
 
     n_points: int
@@ -106,38 +105,38 @@ def _fibres(space: EtaleSpace) -> list[int]:
 
 
 class _Topology:
-    """A space's basis, fibres and least neighbourhoods as int bitmasks,
-    built in one pass over the basis.  ``least[x]`` is N(x), the
-    intersection of the basis sets holding x, or None when none does.
+    """A space's fibres and least neighbourhoods as int bitmasks, built in one
+    pass over the basis.  ``least[x]`` is N(x), the intersection of the basis
+    sets holding x, or None when none does; ``neighbourhoods`` lists the
+    distinct N(x).
 
-    The basis is stable (u & v a union of basis sets for all u, v) iff every
-    N(x) is a basis set: then u & v is the union of the N(x) for x in it;
-    conversely stability makes N(x) open, so a basis set c has
-    x in c <= N(x) <= c.  On a stable basis s is open iff every x in s has
-    an N(x) <= s: a basis set around x holds N(x), and s is the union of
-    those N(x).  Otherwise s is open iff it is the union of the basis sets
-    inside it.
+    The topology is the one the basis generates, the unions of finite
+    intersections of basis sets.  N(x) is one of those intersections, and
+    lies inside every one that holds x, so it is the least open set around x
+    and s is open iff every x in s has an N(x) <= s: s is then the union of
+    those N(x).  The basis is stable (u & v a union of basis sets for all
+    u, v) iff every N(x) is a basis set: then u & v is the union of the N(x)
+    for x in it; conversely stability makes N(x) a union of basis sets, so
+    one of them, c, has x in c <= N(x) <= c.
     """
 
     def __init__(self, space: EtaleSpace) -> None:
         self.full = (1 << space.n_points) - 1
-        self.basis = tuple(dict.fromkeys(flt.to_mask(u) for u in space.basis))
-        self.basis_set = frozenset(self.basis)
+        basis = dict.fromkeys(flt.to_mask(u) for u in space.basis)
         fibres = _fibres(space)
         self.fibre = tuple(fibres[b] for b in space.projection)
         least = [self.full] * space.n_points
         self.covered = 0
-        for u in self.basis:
+        for u in basis:
             self.covered |= u
             for x in bits(u):
                 least[x] &= u
         self.least = tuple(u if self.covered >> x & 1 else None for x, u in enumerate(least))
-        self.stable = all(u is None or u in self.basis_set for u in self.least)
+        self.neighbourhoods = tuple(dict.fromkeys(u for u in self.least if u is not None))
+        self.stable = all(u in basis for u in self.neighbourhoods)
 
     def is_open(self, s: int) -> bool:
-        if self.stable:
-            return not s & ~self.covered and all(self.least[x] | s == s for x in bits(s))
-        return not s or s in self.basis_set or _union(u for u in self.basis if u & s == u) == s
+        return not s & ~self.covered and all(self.least[x] | s == s for x in bits(s))
 
     def saturate(self, s: int) -> int:
         """Every point over the image of s."""
@@ -146,26 +145,15 @@ class _Topology:
     def injective_on(self, u: int) -> bool:
         return all(self.fibre[x] & u == 1 << x for x in bits(u))
 
-    def is_homeo_on(self, u: int) -> bool:
-        """The projection maps the open set u injectively onto an open set, and
-        every open subset of u onto an open set.  Images and preimages commute
-        with unions, so the open subsets u & c for basis sets c decide it."""
-        return self.injective_on(u) and all(
-            self.is_open(self.saturate(u & c)) for c in self.basis
-        )
-
-    def opens(self) -> set[int]:
-        """Every union of basis sets, the empty one included."""
-        found = {0}
-        for u in self.basis:
-            if u not in found:  # else found is already closed under adding u
-                found |= {v | u for v in found}
-        return found
-
 
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
-    """All unions of basis sets, including the empty union."""
-    return frozenset(flt.from_mask(u, space.n_points) for u in _Topology(space).opens())
+    """Every open set: the unions of the least neighbourhoods, including the
+    empty union.  No check lists them."""
+    found = {0}
+    for u in _Topology(space).neighbourhoods:
+        if u not in found:  # else found is already closed under adding u
+            found |= {v | u for v in found}
+    return frozenset(flt.from_mask(u, space.n_points) for u in found)
 
 
 @dataclass(frozen=True)
@@ -187,9 +175,9 @@ class EtaleReport:
 
 
 def validate_etale(space: EtaleSpace) -> EtaleReport:
-    """On a stable basis N(x) is the least open set around x, so each open
-    set is the union of the N(x) inside it, and N alone decides, in
-    O(k·B + k²) for k points and B basis sets:
+    """Each open set is the union of the least neighbourhoods N(x) inside it
+    (:class:`_Topology`), so N alone decides, in O(k·B + k²) for k points
+    and B basis sets:
 
     * the projection is open iff it maps each N(x) onto an open set, as
       images commute with unions;
@@ -199,59 +187,41 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
       conversely N(x) is a witness, its open subsets being open;
     * zero-dimensional iff each N(x) is clopen: a clopen k with
       x in k <= N(x) equals N(x);
+    * discrete iff every N(x) = {x};
     * Hausdorff iff any x != y are covered with N(x) & N(y) empty: opens
       around x and y hold N(x) and N(y), which are opens themselves; with
-      two points or more, that is N(x) = {x} for every x.
+      two points or more, that is discreteness.
 
-    Only a non-stable basis, which makes the space invalid, has its opens
-    listed and its basis sets scanned pairwise.
+    Every field but ``basis_intersection_stable`` describes the topology the
+    basis generates, so a basis that is not stable, which makes the space
+    invalid, is decided the same way.
     """
     top = _Topology(space)
     failures: list[str] = []
 
-    stable = top.stable
-    if not stable:
+    if not top.stable:
         failures.append("basis not intersection-stable")
 
     surjective = all(_fibres(space))
     if not surjective:
         failures.append("projection not surjective")
 
-    # images commute with unions, so a family generating the opens decides the map
-    generators = [u for u in top.least if u is not None] if stable else top.basis
-    open_map = all(top.is_open(top.saturate(u)) for u in generators)
+    open_map = all(top.is_open(top.saturate(u)) for u in top.neighbourhoods)
     if not open_map:
         failures.append("projection not an open map")
 
-    if stable:
-        local_homeo = open_map and top.covered == top.full and all(
-            top.injective_on(u) for u in top.least
-        )
-        zero_dimensional = all(u is None or top.is_open(top.full ^ u) for u in top.least)
-        hausdorff = space.n_points < 2 or all(u == 1 << x for x, u in enumerate(top.least))
-    else:
-        # N(x) need not be open here: quantify over the listed opens
-        x_opens = top.opens()
-        local_homeo = all(
-            any(u >> x & 1 and top.is_homeo_on(u) for u in x_opens)
-            for x in range(space.n_points)
-        )
-        clopens = [u for u in x_opens if top.full ^ u in x_opens]
-        zero_dimensional = all(
-            _union(k for k in clopens if k & u == k) == u for u in top.basis
-        )
-        # apart[u]: the points of the basis sets disjoint from u
-        apart = {u: _union(v for v in top.basis if not u & v) for u in top.basis}
-        hausdorff = all(
-            _union(apart[u] for u in top.basis if u >> x & 1) | 1 << x == top.full
-            for x in range(space.n_points)
-        )
+    local_homeo = open_map and top.covered == top.full and all(
+        top.injective_on(u) for u in top.neighbourhoods
+    )
     if not local_homeo:
         failures.append("projection not a local homeomorphism")
 
+    discrete = all(u == 1 << x for x, u in enumerate(top.least))
+    hausdorff = space.n_points < 2 or discrete
     if not hausdorff:
         failures.append("points not separated by disjoint opens")
 
+    zero_dimensional = all(top.is_open(top.full ^ u) for u in top.neighbourhoods)
     if not zero_dimensional:
         failures.append("no clopen neighbourhood basis")
 
@@ -259,7 +229,7 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     # every finite set is compact, so each open set is its own compact
     # neighbourhood
     return EtaleReport(
-        basis_intersection_stable=stable,
+        basis_intersection_stable=top.stable,
         surjective=surjective,
         projection_continuous=True,
         projection_open=open_map,
@@ -267,7 +237,7 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
         hausdorff=hausdorff,
         zero_dimensional=zero_dimensional,
         locally_compact=True,
-        discrete=all(1 << x in top.basis_set for x in range(space.n_points)),
+        discrete=discrete,
         failures=tuple(failures),
     )
 

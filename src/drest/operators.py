@@ -33,7 +33,7 @@ from .dra import (
     bits,
     bottom,
     from_concrete,
-    up_masks,
+    supports,
 )
 from .duality import (
     SECTION_CAP,
@@ -121,12 +121,15 @@ def check_additive(
 
     Pairs without a join are skipped; the premise only speaks of joins that
     exist.  The witness is the first failure with the varied coordinate i,
-    then the other coordinates, then x <= y in lexicographic order.
+    then the other coordinates, then x <= y in lexicographic order.  Each
+    join is the element whose support is the union of the two supports, as
+    :func:`drest.dra.join_if_exists` proves, so an algebra without a
+    representation raises ValueError.
     """
     _check_caps(algebra, table)
     n, k, f = algebra.n, table.arity, table.entries
-    up = up_masks(algebra)
-    join = [[_least(up, ux & uy) for uy in up] for ux in up]
+    hats, element = supports(algebra)
+    join = [[element.get(hx | hy) for hy in hats] for hx in hats]
     pairs = [
         (x, y, join[x][y]) for x in range(n) for y in range(x, n) if join[x][y] is not None
     ]
@@ -140,14 +143,6 @@ def check_additive(
                 if join[row[x]][row[y]] != row[j]:
                     return False, rest[:i] + (x, y) + rest[i:]
     return True, None
-
-
-def _least(up: Sequence[int], uppers: int) -> Optional[int]:
-    """The first member of the mask that lies below all of its members."""
-    for u in bits(uppers):
-        if uppers & ~up[u] == 0:
-            return u
-    return None
 
 
 def _compat_masks(algebra: FiniteAlgebra) -> list[int]:
@@ -300,23 +295,23 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     if not compat:
         failures.append("compatibility property fails")
 
-    # applying the relation commutes with unions in each argument, so the
-    # open-tuple quantifiers are decided by basis tuples
-    basis_images_open = all(
-        top.is_open(_image(rel, us)) for us in product(top.basis, repeat=rel.arity)
+    # applying the relation commutes with unions in each argument, and every
+    # open set is a union of least neighbourhoods, so those decide the
+    # open-tuple quantifiers
+    images_open = all(
+        top.is_open(_image(rel, us)) for us in product(top.neighbourhoods, repeat=rel.arity)
     )
-    continuous = basis_images_open
+    continuous = images_open
     if not continuous:
         failures.append("continuity fails")
     # finitely many points make every open compact, so the compact-open case
     # asks for nothing further
-    spectral = basis_images_open
+    spectral = images_open
     if not spectral:
         failures.append("spectrality fails")
 
     # the relation application is monotone in each argument, so the
-    # quantifier over compact open neighbourhoods is decided by minimal ones;
-    # the open sets around x meet exactly where the basis sets around x do
+    # quantifier over compact open neighbourhoods is decided by the least ones
     minimal_open = [u or 0 for u in top.least]
     tight = all(
         xs + (y,) in rel.tuples

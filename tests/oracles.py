@@ -1,10 +1,13 @@
 """Literal definitions, kept as test oracles.
 
 These are the finite-space checks exactly as the general definitions state
-them: every open set is listed, the base carries the quotient topology, and
-compactness, interiors and properness are tested by their quantifiers.  The
-library decides the same verdicts from least neighbourhoods on bitmasks; the
-differential tests compare the two on small spaces.  Joins and the
+them: every open set of the topology the basis generates (the unions of
+finite intersections of basis sets) is listed, stability asks that the
+intersections of basis sets be unions of the basis as given, the base
+carries the quotient topology, and compactness, interiors, separation,
+properness and relation continuity are tested by their quantifiers over
+open sets.  The library decides the same verdicts from least neighbourhoods
+on bitmasks; the differential tests compare the two on small spaces.  Joins and the
 shared-domain relation of filters are kept the same way, quantified over
 elements with ``leq``, and completeness as the pair scan over up-set masks;
 the library looks joins up by the union of supports, counts partial sections
@@ -50,7 +53,7 @@ from drest.duality import (
     SpaceMorphism,
 )
 from drest.filters import maximal_filters
-from drest.operators import RelationReport, SpaceRelation, _check_caps, _least
+from drest.operators import RelationReport, SpaceRelation, _check_caps
 from drest.pfun import (
     CLOSURE_SIZE_CAP,
     RAW_OPS,
@@ -75,16 +78,27 @@ def project_preimage(space: EtaleSpace, base_subset: Iterable[int]) -> frozenset
     return frozenset(x for x in range(space.n_points) if space.projection[x] in wanted)
 
 
-def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
-    """All unions of basis sets, including the empty union."""
-    result: set[frozenset[int]] = {frozenset()}
-    frontier = list(space.basis)
+def _closure(sets: Iterable[frozenset[int]], op) -> frozenset[frozenset[int]]:
+    """The least family holding the sets and closed under the binary op."""
+    result: set[frozenset[int]] = set()
+    frontier = list(sets)
     while frontier:
         u = frontier.pop()
-        new = [u | v for v in result if u | v not in result]
-        result.add(u)
-        frontier.extend(new)
+        if u not in result:
+            result.add(u)
+            frontier.extend(op(u, v) for v in result)
     return frozenset(result)
+
+
+def basis_unions(space: EtaleSpace) -> frozenset[frozenset[int]]:
+    """All unions of the basis sets as given, including the empty union."""
+    return _closure([frozenset(), *space.basis], frozenset.__or__)
+
+
+def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
+    """The topology the basis generates: the basis closed under pairwise
+    intersections, then all unions, including the empty union."""
+    return _closure([frozenset(), *_closure(space.basis, frozenset.__and__)], frozenset.__or__)
 
 
 def base_opens(space: EtaleSpace, x_opens: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
@@ -111,9 +125,8 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     x_opens = opens(space)
     failures: list[str] = []
 
-    stable = all(
-        (u & v) in x_opens for u in space.basis for v in space.basis
-    )
+    unions = basis_unions(space)
+    stable = all((u & v) in unions for u in space.basis for v in space.basis)
     if not stable:
         failures.append("basis not intersection-stable")
 
@@ -148,8 +161,8 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     hausdorff = all(
         any(
             x in u and y in v and not (u & v)
-            for u in space.basis
-            for v in space.basis
+            for u in x_opens
+            for v in x_opens
         )
         for x in range(space.n_points)
         for y in range(space.n_points)
@@ -327,18 +340,16 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     if not compat:
         failures.append("compatibility property fails")
 
-    # applying the relation commutes with unions in each argument, so the
-    # open-tuple quantifiers are decided by basis tuples
-    basis_images_open = all(
+    images_open = all(
         apply_relation(rel, us) in x_opens
-        for us in product(space.basis, repeat=rel.arity)
+        for us in product(x_opens, repeat=rel.arity)
     )
-    continuous = basis_images_open
+    continuous = images_open
     if not continuous:
         failures.append("continuity fails")
     # finitely many points make every open compact, so the compact-open case
     # asks for nothing further
-    spectral = basis_images_open
+    spectral = images_open
     if not spectral:
         failures.append("spectrality fails")
 
@@ -371,6 +382,14 @@ def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[i
     ]
     for u in uppers:
         if all(leq(algebra, u, v) for v in uppers):
+            return u
+    return None
+
+
+def _least(up: Sequence[int], uppers: int) -> Optional[int]:
+    """The first member of the mask that lies below all of its members."""
+    for u in dra.bits(uppers):
+        if uppers & ~up[u] == 0:
             return u
     return None
 

@@ -109,6 +109,18 @@ def test_bad_arity_is_positioned():
     assert "entries" in err.value.path
 
 
+@pytest.mark.parametrize("value", [
+    pytest.param(conflicting_pair().concrete, id="pfalgebra"),
+    pytest.param(F_object(disjoint_pair().algebra), id="space"),
+])
+def test_non_string_label_is_positioned(value):
+    doc = json.loads(emit_document(value))
+    doc["labels"] = ["a", 7]
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(doc))
+    assert err.value.path == "$.labels[1]"
+
+
 def test_huge_arity_is_refused_before_the_power_is_taken(tmp_path):
     # in a child process, so that taking the power fails by the timeout
     # instead of running for minutes
@@ -280,6 +292,21 @@ def test_pfalgebra_with_too_many_elements_is_a_usage_error(tmp_path):
     # the empty function is added to the listed graphs, and the cap counts those
     _, algebra = parse_document(json.dumps({**doc, "elements": elements[1:1025]}))
     assert len(algebra.elements) == 1025
+
+
+def test_non_stable_space_at_the_size_cap_is_decided_in_seconds(tmp_path):
+    # identity projection, every set of at least two of the 16 points as
+    # basis: 65,519 sets whose pairs meet in singletons, no basis set; in a
+    # child process, so that listing its opens fails by the timeout
+    basis = [[x for x in range(16) if m >> x & 1] for m in range(1 << 16) if m.bit_count() >= 2]
+    path = write(tmp_path, "space.json", space_doc(points=16, base=16, projection=list(range(16)), basis=basis))
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", "validate", path],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=30, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    report = json.loads(run.stdout)
+    assert report["failures"] == ["basis not intersection-stable"] and report["discrete"]
 
 
 def test_short_point_labels_are_a_usage_error(tmp_path, capsys):
@@ -519,6 +546,7 @@ LOAD_CASES = [
     (("--help",), 0, BASE),
     (("validate", "algebra"), 0, BASE),
     (("validate", "invalid"), 1, BASE),
+    (("validate", "pfalgebra"), 0, BASE + ("drest.pfun",)),
     (("check-hom", "morphism"), 0, BASE),
     *[((command, "malformed"), 2, BASE) for command in (
         "validate", "filters", "dualize", "complete", "roundtrip", "check-hom", "classify-op"

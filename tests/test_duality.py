@@ -148,7 +148,7 @@ def test_unseparated_pair_at_the_size_cap():
 
 
 def test_non_stable_basis_at_the_size_cap():
-    # {0, 1} and {1, 2} meet in {1}, which is not open
+    # {0, 1} and {1, 2} meet in {1}, which is no union of basis sets
     space = space_at_the_cap(range(SPACE_SIZE_CAP), [frozenset({0, 1}), frozenset({1, 2})])
     report = validate_etale(space)
     assert report.local_homeo and not report.discrete
@@ -185,7 +185,8 @@ PINNED = [
             "points not separated by disjoint opens",
         ),
     ),
-    # {0, 1} and {1, 2} meet in {1}, which is not open
+    # {0, 1} and {1, 2} meet in {1}, which is no union of basis sets; the
+    # generated topology has N(0) = {0, 1}, so 0 and 1 are not separated
     (
         EtaleSpace(3, 3, (0, 1, 2), (frozenset({0, 1}), frozenset({1, 2}))),
         False,
@@ -194,6 +195,13 @@ PINNED = [
             "points not separated by disjoint opens",
             "no clopen neighbourhood basis",
         ),
+    ),
+    # the pairs meet in singletons, which are no unions of basis sets, but
+    # they generate the discrete topology
+    (
+        EtaleSpace(3, 3, (0, 1, 2), (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))),
+        False,
+        ("basis not intersection-stable",),
     ),
 ]
 
@@ -206,31 +214,20 @@ def test_pinned_edge_cases(space, stable, failures):
     assert report.failures == failures
 
 
-def test_stable_bases_list_no_opens(monkeypatch):
-    calls = {"opens": 0, "is_homeo_on": 0}
-
-    def counted(name):
-        original = getattr(duality._Topology, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(duality._Topology, name, wrapper)
-
-    counted("opens")
-    counted("is_homeo_on")
-    stable = [space for space, is_stable, _ in PINNED if is_stable] + [
+def test_validation_lists_no_opens(monkeypatch):
+    calls = []
+    listed = duality.opens
+    monkeypatch.setattr(duality, "opens", lambda space: calls.append(space) or listed(space))
+    spaces = [space for space, _, _ in PINNED] + [
         two_fibre_space(),
         space_at_the_cap([x // 2 for x in range(SPACE_SIZE_CAP)], []),
-        space_at_the_cap([0, 0, *range(1, SPACE_SIZE_CAP - 1)], [frozenset({0, 1})]),
+        space_at_the_cap(range(SPACE_SIZE_CAP), [frozenset({0, 1}), frozenset({1, 2})]),
         *(F_object(get_fixture(name).algebra) for name in VALID),
     ]
-    for space in stable:
-        assert validate_etale(space).basis_intersection_stable
-    assert calls == {"opens": 0, "is_homeo_on": 0}
-    validate_etale(PINNED[-1][0])
-    assert calls["opens"] == 1 and calls["is_homeo_on"] > 0
+    assert {validate_etale(space).basis_intersection_stable for space in spaces} == {True, False}
+    assert calls == []
+    duality.opens(spaces[0])
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def test_every_space_of_at_most_three_points_agrees():
 def test_stability_and_openness_match_the_definitions():
     for space in small_spaces():
         top = _Topology(space)
-        literal_opens = oracles.opens(space)
-        assert top.stable == all(u & v in literal_opens for u in space.basis for v in space.basis)
+        unions, literal_opens = oracles.basis_unions(space), oracles.opens(space)
+        assert top.stable == all(u & v in unions for u in space.basis for v in space.basis)
         for s in range(1 << space.n_points):
             assert top.is_open(s) == (members(s, space.n_points) in literal_opens), (space, s)
 
@@ -128,8 +128,8 @@ def test_generated_spaces_agree(space):
 
 
 def test_seeded_non_stable_spaces_agree():
-    # only a non-stable basis takes the listed-opens branch; plain random
-    # bases of four and five points are mostly non-stable
+    # a non-stable basis is decided on the topology it generates; plain
+    # random bases of four and five points are mostly non-stable
     rng = random.Random(0)
     count = 0
     while count < 1000:
