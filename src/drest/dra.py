@@ -12,8 +12,9 @@ joins: x <= y is inclusion of supports, a join is the element whose support
 is the union of the members', and the algebra is finitely compatibly
 complete when every partial section is a support.  The up-set bitmask of
 each element is built on first use and stored too, for the representation
-itself; compatibility, homomorphisms and the isomorphism search read the
-two tables.
+itself; compatibility and homomorphisms read the two tables.  The
+isomorphism search reads the representations: it assigns points, not
+elements, and matches supports.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 if TYPE_CHECKING:
     from .pfun import ConcretePFAlgebra
 
-ISO_SEARCH_CAP = 12
+# points of a space, and of an algebra in the isomorphism search
+SPACE_SIZE_CAP = 16
 # sections of one space, prod(|fibre| + 1); the dual tables grow with its
 # square, and completing a 1,024-element algebra takes seconds
 SECTION_CAP = 1024
@@ -342,28 +344,6 @@ def _represent(algebra: FiniteAlgebra) -> Optional[Representation]:
     return tuple(atoms), tuple(classes), tuple(hats)
 
 
-def domain_preorder(algebra: FiniteAlgebra, x: int, y: int) -> bool:
-    """x has smaller domain than y: x <= y | x."""
-    return leq(algebra, x, algebra.r(y, x))
-
-
-def domain_equiv_classes(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    n = algebra.n
-    seen: set[int] = set()
-    classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if x in seen:
-            continue
-        cls = tuple(
-            y
-            for y in range(n)
-            if domain_preorder(algebra, x, y) and domain_preorder(algebra, y, x)
-        )
-        seen.update(cls)
-        classes.append(cls)
-    return tuple(classes)
-
-
 def compatible(algebra: FiniteAlgebra, x: int, y: int) -> bool:
     return algebra.r(x, y) == algebra.r(y, x)
 
@@ -534,79 +514,91 @@ def is_proper_hom(mapping: AlgebraMap) -> bool:
     )
 
 
-def _invariant(algebra: FiniteAlgebra, x: int) -> tuple[int, ...]:
-    n = algebra.n
-    downset = sum(leq(algebra, y, x) for y in range(n))
-    compat_degree = sum(compatible(algebra, x, y) for y in range(n))
-    cls = next(
-        len(c) for c in domain_equiv_classes(algebra) if x in c
-    )
-    return (downset, cls, compat_degree, int(x == bottom(algebra)))
-
-
 def isomorphism_search(
     a: FiniteAlgebra, b: FiniteAlgebra
 ) -> Optional[AlgebraMap]:
-    """First bijective homomorphism in deterministic search order, if any.
+    """An isomorphism a -> b preserving every operation the two share, if
+    any.  An algebra without a :func:`representation` raises ValueError, and
+    so does one with more than SPACE_SIZE_CAP points, before any search.
 
-    Prunes by element invariants (downset size, domain-class size,
-    compatibility degree); intended for small algebras only.
+    It is a bijection pi of points carrying classes onto classes and supports
+    onto supports, with h(x) = element_b[pi(hats_a[x])] commuting with the
+    shared operations.  Such an h is a bijection, and pi commutes with &, ~
+    and sat, so by (4), (5) and the injectivity of hats_b, h preserves
+    difference and restriction.  Conversely an isomorphism sends atoms onto
+    atoms, classes onto classes as it preserves r, and the atoms below x onto
+    those below h(x): it is such an h.
+
+    The points of a are assigned class by class, the first point of a class
+    choosing an unused class of b of its size, so a class cut to the assigned
+    points A maps onto its chosen class cut to their images B.  A branch is
+    kept while (i) the supports of a cut to A, carried by pi, are those of b
+    cut to B, with multiplicity; (ii) each x with hats_a[x] inside A has a
+    support pi(hats_a[x]), which gives h(x); and (iii) each shared operation
+    f, g at each tuple xs of such elements has pi(hats_a[f(xs)] & A) =
+    hats_b[g(h(xs))] & B.  An isomorphism extending the branch meets all
+    three, as pi(s & A) = pi(s) & B, so no branch leading to one is cut.  At
+    A = all points B is all points too, the class sizes agreeing; (ii) then
+    makes pi carry supports into, hence onto, supports, and (iii) makes h
+    commute with the shared operations.
     """
-    if a.n > ISO_SEARCH_CAP or b.n > ISO_SEARCH_CAP:
-        raise ValueError(f"isomorphism search capped at {ISO_SEARCH_CAP} elements")
-    if a.n != b.n:
+    atoms_a, classes_a, hats_a = _represented(a)
+    atoms_b, classes_b, hats_b = _represented(b)
+    if max(len(atoms_a), len(atoms_b)) > SPACE_SIZE_CAP:
+        raise ValueError(f"isomorphism search capped at {SPACE_SIZE_CAP} points")
+    if a.n != b.n or sorted(a.op_names()) != sorted(b.op_names()):
         return None
-    if sorted(a.op_names()) != sorted(b.op_names()):
+    ops = [(a.op(k), b.op(k)) for k in a.op_names()]
+    if any(f.arity != g.arity for f, g in ops):
         return None
-    inv_a = [_invariant(a, x) for x in range(a.n)]
-    inv_b = [_invariant(b, x) for x in range(b.n)]
-    if sorted(inv_a) != sorted(inv_b):
+    if sorted(map(len, classes_a)) != sorted(map(len, classes_b)):
         return None
+    element_b = supports(b)[1]
+    points = [p for cls in classes_a for p in cls]
+    class_a = {p: cls for cls in classes_a for p in cls}
+    class_b = {q: cls for cls in classes_b for q in cls}
+    pi: dict[int, int] = {}
 
-    # every shared operation is checked inside the search, so the first full
-    # assignment is the first bijective homomorphism in search order
-    ops = [(a.minus, b.minus), (a.rest, b.rest), *((a.op(k), b.op(k)) for k in a.op_names())]
-    if any(s_op.arity != t_op.arity for s_op, t_op in ops):
-        return None
-    n = a.n
-    assignment: list[int] = []
-    used = [False] * n
-
-    def consistent(x: int, y: int) -> bool:
-        def image(z: int) -> Optional[int]:
-            if z < len(assignment):
-                return assignment[z]
-            return y if z == x else None
-
-        known = (*range(len(assignment)), x)
-        return all(
-            image(s_op(*args)) in (None, t_op(*map(image, args)))
-            for s_op, t_op in ops
-            for args in product(known, repeat=s_op.arity)
-        )
-
-    def backtrack() -> Optional[tuple[int, ...]]:
-        x = len(assignment)
-        if x == n:
-            return tuple(assignment)
-        for y in range(n):
-            if used[y] or inv_a[x] != inv_b[y]:
-                continue
-            if not consistent(x, y):
-                continue
-            used[y] = True
-            assignment.append(y)
-            found = backtrack()
+    def search(A: int, B: int, image: list[int], cut: list[int]) -> Optional[list[int]]:
+        # image[x] = pi(hats_a[x] & A) and cut[y] = hats_b[y] & B
+        if sorted(image) != sorted(cut):
+            return None
+        inside = [x for x, s in enumerate(hats_a) if not s & ~A]
+        h = dict(zip(inside, map(element_b.get, map(image.__getitem__, inside))))
+        if None in h.values() or any(
+            image[f(*xs)] != cut[g(*map(h.__getitem__, xs))]
+            for f, g in ops
+            for xs in product(inside, repeat=f.arity)
+        ):
+            return None
+        if len(pi) == len(points):
+            return [h[x] for x in range(a.n)]
+        p = points[len(pi)]
+        cls = class_a[p]
+        if p == cls[0]:
+            targets = [
+                q for d in classes_b if len(d) == len(cls) and not any(B >> q & 1 for q in d)
+                for q in d
+            ]
+        else:
+            targets = [q for q in class_b[pi[cls[0]]] if not B >> q & 1]
+        for q in targets:
+            pi[p] = q
+            found = search(
+                A | 1 << p,
+                B | 1 << q,
+                [m | 1 << q if s >> p & 1 else m for s, m in zip(hats_a, image)],
+                [c | (s & 1 << q) for s, c in zip(hats_b, cut)],
+            )
             if found is not None:
                 return found
-            assignment.pop()
-            used[y] = False
+            del pi[p]
         return None
 
-    table = backtrack()
+    table = search(0, 0, [0] * a.n, [0] * b.n)
     if table is None:
         return None
-    candidate = AlgebraMap(a, b, table)
+    candidate = AlgebraMap(a, b, tuple(table))
     if not hom_check(candidate).is_embedding:
         raise AssertionError("internal error: search result not an isomorphism")
     return candidate

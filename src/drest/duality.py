@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from . import filters as flt
 from .dra import (
     SECTION_CAP,
+    SPACE_SIZE_CAP,
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
@@ -37,11 +38,9 @@ from .dra import (
     is_fin_compatibly_complete,
     is_subtraction_algebra,
     join_if_exists,
-    leq,
     representation,
+    supports,
 )
-
-SPACE_SIZE_CAP = 16
 
 NOWHERE = -1
 
@@ -712,10 +711,11 @@ def _factoring_embedding(
 ) -> Optional[AlgebraMap]:
     """Embedding t: via.target -> into.target with t o via = into, built by
     transporting joins of the common image; None when it does not exist."""
-    src = via.source
+    src, hats = via.source, supports(via.target)[0]
     table = []
     for c in range(via.target.n):
-        below = [a for a in range(src.n) if leq(via.target, via.table[a], c)]
+        # via(a) <= c is inclusion of supports
+        below = [a for a in range(src.n) if not hats[via.table[a]] & ~hats[c]]
         if join_if_exists(via.target, [via.table[a] for a in below]) != c:
             return None  # c not a join from the image; cannot transport
         image = join_if_exists(into.target, [into.table[a] for a in below])

@@ -4,12 +4,13 @@ Criterion-style tests quantify over all difference/restriction closures of at
 most two partial functions on carriers of size up to three; generating that
 corpus once keeps the suite fast.  Seeded three-seed closures on carrier 4
 reach the sizes the two-seed corpus does not.  The operator tests share one
-list of operation tables built from fixtures and corpus closures.
+list of operation tables built from fixtures and corpus closures, and the
+differential tests one way to shuffle an algebra's elements.
 """
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -34,6 +35,28 @@ def _closure_corpus(max_carrier: int = 3) -> list[ConcretePFAlgebra]:
             seen.add(key)
             algebras.append(closed)
     return algebras
+
+
+def relabelled(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
+    """The same algebra, operations included, with its elements in a random
+    order: the canonical order of a closure lists every least upper bound
+    before the other upper bounds, which would hide a join that skips the
+    leastness test."""
+    order = list(range(alg.n))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+
+    def table(op: OpTable) -> OpTable:
+        return OpTable(op.name, op.arity, alg.n, tuple(
+            new[op(*map(order.__getitem__, xs))] for xs in product(range(alg.n), repeat=op.arity)
+        ))
+
+    return FiniteAlgebra(
+        tuple(alg.elements[x] for x in order),
+        table(alg.minus),
+        table(alg.rest),
+        tuple(map(table, alg.extra_ops)),
+    )
 
 
 def three_seed_closures(rng: random.Random, count: int) -> list[ConcretePFAlgebra]:

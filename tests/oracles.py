@@ -24,7 +24,9 @@ preservation and additivity are kept as the double scans over argument
 tuples; the library decides them on mask and join tables.  The closure of
 partial functions, the difference and restriction tables and the closedness
 check are kept on value tuples, one point at a time; the library runs them on
-graph masks.
+graph masks.  The isomorphism search is kept as the backtracking over
+elements, pruned by table invariants and capped at 12 elements; the library
+searches bijections of points.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ from drest.dra import (
     ValidationReport,
     bottom,
     compatible,
+    hom_check,
     leq,
 )
 from drest.duality import (
@@ -405,6 +408,112 @@ def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:
         for y in range(x + 1, n)
         if compatible(algebra, x, y)
     )
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism search over elements, pruned by table invariants
+
+ISO_SEARCH_CAP = 12
+
+
+def domain_preorder(algebra: FiniteAlgebra, x: int, y: int) -> bool:
+    """x has smaller domain than y: x <= y | x."""
+    return leq(algebra, x, algebra.r(y, x))
+
+
+def domain_equiv_classes(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    n = algebra.n
+    seen: set[int] = set()
+    classes: list[tuple[int, ...]] = []
+    for x in range(n):
+        if x in seen:
+            continue
+        cls = tuple(
+            y
+            for y in range(n)
+            if domain_preorder(algebra, x, y) and domain_preorder(algebra, y, x)
+        )
+        seen.update(cls)
+        classes.append(cls)
+    return tuple(classes)
+
+
+def _invariant(algebra: FiniteAlgebra, x: int) -> tuple[int, ...]:
+    n = algebra.n
+    downset = sum(leq(algebra, y, x) for y in range(n))
+    compat_degree = sum(compatible(algebra, x, y) for y in range(n))
+    cls = next(
+        len(c) for c in domain_equiv_classes(algebra) if x in c
+    )
+    return (downset, cls, compat_degree, int(x == bottom(algebra)))
+
+
+def isomorphism_search(
+    a: FiniteAlgebra, b: FiniteAlgebra
+) -> Optional[AlgebraMap]:
+    """First bijective homomorphism in deterministic search order, if any.
+
+    Prunes by element invariants (downset size, domain-class size,
+    compatibility degree); intended for small algebras only.
+    """
+    if a.n > ISO_SEARCH_CAP or b.n > ISO_SEARCH_CAP:
+        raise ValueError(f"isomorphism search capped at {ISO_SEARCH_CAP} elements")
+    if a.n != b.n:
+        return None
+    if sorted(a.op_names()) != sorted(b.op_names()):
+        return None
+    inv_a = [_invariant(a, x) for x in range(a.n)]
+    inv_b = [_invariant(b, x) for x in range(b.n)]
+    if sorted(inv_a) != sorted(inv_b):
+        return None
+
+    # every shared operation is checked inside the search, so the first full
+    # assignment is the first bijective homomorphism in search order
+    ops = [(a.minus, b.minus), (a.rest, b.rest), *((a.op(k), b.op(k)) for k in a.op_names())]
+    if any(s_op.arity != t_op.arity for s_op, t_op in ops):
+        return None
+    n = a.n
+    assignment: list[int] = []
+    used = [False] * n
+
+    def consistent(x: int, y: int) -> bool:
+        def image(z: int) -> Optional[int]:
+            if z < len(assignment):
+                return assignment[z]
+            return y if z == x else None
+
+        known = (*range(len(assignment)), x)
+        return all(
+            image(s_op(*args)) in (None, t_op(*map(image, args)))
+            for s_op, t_op in ops
+            for args in product(known, repeat=s_op.arity)
+        )
+
+    def backtrack() -> Optional[tuple[int, ...]]:
+        x = len(assignment)
+        if x == n:
+            return tuple(assignment)
+        for y in range(n):
+            if used[y] or inv_a[x] != inv_b[y]:
+                continue
+            if not consistent(x, y):
+                continue
+            used[y] = True
+            assignment.append(y)
+            found = backtrack()
+            if found is not None:
+                return found
+            assignment.pop()
+            used[y] = False
+        return None
+
+    table = backtrack()
+    if table is None:
+        return None
+    candidate = AlgebraMap(a, b, table)
+    if not hom_check(candidate).is_embedding:
+        raise AssertionError("internal error: search result not an isomorphism")
+    return candidate
 
 
 def filter_equiv(

@@ -17,11 +17,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import three_seed_closures
+from conftest import relabelled, three_seed_closures
 from drest.dra import (
     FiniteAlgebra,
-    OpTable,
-    binary_table,
     compatible,
     from_concrete,
     is_fin_compatibly_complete,
@@ -59,20 +57,6 @@ def table_atoms(alg: FiniteAlgebra) -> list[int]:
         if a != bot
         and not any(m[y * n + m[y * n + a]] == y for y in range(n) if y not in (bot, a))
     ]
-
-
-def relabelled(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
-    """The same algebra with its elements in a random order: the canonical
-    order of a closure lists every least upper bound before the other upper
-    bounds, which would hide a join that skips the leastness test."""
-    order = list(range(alg.n))
-    rng.shuffle(order)
-    new = {old: i for i, old in enumerate(order)}
-
-    def table(op: OpTable) -> OpTable:
-        return binary_table(op.name, alg.n, lambda x, y: new[op(order[x], order[y])])
-
-    return FiniteAlgebra(tuple(alg.elements[x] for x in order), table(alg.minus), table(alg.rest))
 
 
 def assert_matches_scan(alg: FiniteAlgebra) -> None:
