@@ -369,7 +369,8 @@ def parse_document(text: str, expect_kind: Optional[str] = None):
     if version != FORMAT_VERSION:
         raise DocumentError("$.version", f"unsupported version {version}")
     if expect_kind is not None and kind != expect_kind:
-        raise DocumentError("$.kind", f"expected a {expect_kind} document, got {kind}")
+        article = "an" if expect_kind[0] in "aeiou" else "a"
+        raise DocumentError("$.kind", f"expected {article} {expect_kind} document, got {kind}")
     return kind, _PARSERS[kind](doc)
 
 

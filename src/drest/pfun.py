@@ -209,7 +209,6 @@ pf_restrict = _wrap(_restrict)
 pf_meet = _wrap(_meet)
 pf_override = _wrap(_override)
 pf_compose = _wrap(_compose)
-pf_range_restrict = _wrap(_range_restrict)
 
 
 def pf_domain(f: PartialFunction) -> PartialFunction:
@@ -220,21 +219,6 @@ def pf_domain(f: PartialFunction) -> PartialFunction:
 def pf_range(f: PartialFunction) -> PartialFunction:
     """Identity function restricted to the image of f."""
     return PartialFunction(f.carrier, _range(f.values))
-
-
-def pf_fixset(f: PartialFunction) -> PartialFunction:
-    """Identity function restricted to the fixed points of f."""
-    return PartialFunction(f.carrier, _fixset(f.values))
-
-
-def pf_antidomain(f: PartialFunction) -> PartialFunction:
-    """Identity function restricted to the complement of dom(f)."""
-    return PartialFunction(f.carrier, _antidomain(f.values))
-
-
-def pf_converse(f: PartialFunction) -> PartialFunction:
-    """Inverse of an injective partial function; errors on non-injective input."""
-    return PartialFunction(f.carrier, _converse(f.values))
 
 
 def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:

@@ -5,7 +5,8 @@ most two partial functions on carriers of size up to three; generating that
 corpus once keeps the suite fast.  Seeded three-seed closures on carrier 4
 reach the sizes the two-seed corpus does not.  The operator tests share one
 list of operation tables built from fixtures and corpus closures, and the
-differential tests one way to shuffle an algebra's elements.
+differential tests one way to shuffle an algebra's elements, one strategy for
+valid spaces and one closure whose completion is past the old filter cap.
 """
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import strategies as st
 
 from drest.dra import FiniteAlgebra, OpTable, binary_table, bottom, derived_meet, from_concrete
+from drest.duality import EtaleSpace
 from drest.filters import FILTER_SIZE_CAP
 from drest.fixtures import FIXTURES, get_fixture
 from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
-from drest.pfun import Carrier, ConcretePFAlgebra, closure_generate, enumerate_all_pfs
+from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate, enumerate_all_pfs
 
 
 def _closure_corpus(max_carrier: int = 3) -> list[ConcretePFAlgebra]:
@@ -114,3 +117,28 @@ def operator_cases(corpus, stride: int):
             if len(closed.elements) <= OPERATOR_ALGEBRA_CAP:
                 with_op = from_concrete(closed, extra_ops=(op,))
                 yield with_op.with_ops(()), with_op.op(op)
+
+
+@st.composite
+def valid_spaces(draw) -> EtaleSpace:
+    """Discrete spaces of 1-6 points, their basis the singletons plus a few
+    unions of them."""
+    n = draw(st.integers(1, 6))
+    n_base = draw(st.integers(1, n))
+    projection = list(range(n_base)) + draw(
+        st.lists(st.integers(0, n_base - 1), min_size=n - n_base, max_size=n - n_base)
+    )
+    singletons = [frozenset({x}) for x in range(n)]
+    unions = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    return EtaleSpace(n, n_base, tuple(projection), tuple(singletons) + tuple(map(frozenset, unions)))
+
+
+def eighteen_element_completion() -> FiniteAlgebra:
+    """A closure of eight elements whose completion has 18, over the old
+    16-element filter cap."""
+    carrier = Carrier(3)
+    seeds = [
+        PartialFunction.from_graph(carrier, graph)
+        for graph in ([(1, 0), (2, 0)], [(1, 2)], [(0, 2), (2, 1)])
+    ]
+    return from_concrete(closure_generate(carrier, seeds))

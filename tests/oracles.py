@@ -17,7 +17,9 @@ numpy array code, one n³ array per law; the library decides validity by
 its representation, walking table rows through ``itemgetter`` only to list
 the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
-sets as int masks and reads one support table per algebra; that applying a
+sets as int masks and reads one support table per algebra.  The triangle
+identities are kept as the composite maps, and density as the join of the
+image below each element; the library decides both on masks.  That applying a
 relation commutes with unions, which the library's image map does by
 construction, is kept as the literal check.  Compatibility
 preservation and additivity are kept as the double scans over argument
@@ -35,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from drest import dra
+from drest import dra, duality
 from drest.dra import (
     AlgebraMap,
     AxiomViolation,
@@ -54,6 +56,7 @@ from drest.duality import (
     EtaleSpace,
     MorphismReport,
     SpaceMorphism,
+    TriangleReport,
 )
 from drest.filters import maximal_filters
 from drest.operators import RelationReport, SpaceRelation, _check_caps
@@ -623,6 +626,41 @@ def F_morphism(h: AlgebraMap) -> tuple[int, ...]:
         if preimage != hat(src, h.table[a]):
             raise AssertionError("dual map misses the support identity")
     return tuple(mapping)
+
+
+def check_triangle_identities(obj) -> TriangleReport:
+    """Both composite identities, anchored at the given algebra or space:
+    F(unit) after the counit, and G(counit) after the unit, each built as a
+    validated map, with G(counit) checked to be a homomorphism."""
+    if isinstance(obj, FiniteAlgebra):
+        algebra, sections = obj, duality.dual_of(obj).sections
+    elif isinstance(obj, EtaleSpace):
+        # anchor the space-side identity at the given space's dual algebra
+        sections = duality.G_object(obj)
+        algebra = sections.algebra
+    else:
+        raise TypeError("expected an algebra or a space")
+
+    # anchored at an algebra, both identities run through the same counit
+    counit = duality._counit(sections)
+    left_counit = counit if obj is algebra else duality._counit(duality.dual_of(algebra).sections)
+    left = duality.compose_morphisms(duality.F_morphism(duality.unit_eta(algebra)), left_counit)
+    # G(counit) runs from G F G(space) back to G(space)
+    g_counit = duality._G_morphism(counit, sections, duality.dual_of(sections.algebra).sections)
+    if not hom_check(g_counit).is_hom:
+        raise AssertionError("dualised morphism not a homomorphism")
+    right = g_counit.compose(duality.unit_eta(sections.algebra))
+    return TriangleReport(left.is_identity(), right.is_identity())
+
+
+def image_dense(m: AlgebraMap) -> bool:
+    """Every target element is the join of the image elements below it."""
+    # t <= c is inclusion of supports
+    hats = dra.representation(m.target)[2]
+    return all(
+        dra.join_if_exists(m.target, [t for t in m.table if not hats[t] & ~hats[c]]) == c
+        for c in range(m.target.n)
+    )
 
 
 def apply_relation(rel: SpaceRelation, subsets) -> frozenset[int]:

@@ -268,6 +268,13 @@ def test_negative_space_counts_are_a_usage_error(tmp_path, capsys):
     assert "nonnegative" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_a_document_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys):
+    assert main(["filters", write(tmp_path, "space.json", space_doc())]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "$.kind: expected an algebra document, got space"
+    )
+
+
 def test_oversized_pfalgebra_carrier_is_a_usage_error(tmp_path, capsys):
     doc = {"kind": "pfalgebra", "version": 1, "carrier": 1_000_000, "elements": []}
     assert main(["validate", write(tmp_path, "pf.json", json.dumps(doc))]) == 2

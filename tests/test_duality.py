@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import oracles
+from conftest import eighteen_element_completion
 from drest import duality, filters
 from drest.dra import (
     AlgebraMap,
@@ -17,7 +18,6 @@ from drest.dra import (
     isomorphism_search,
     join_if_exists,
     leq,
-    from_concrete,
     validate_axioms,
 )
 from drest.duality import (
@@ -59,7 +59,6 @@ from drest.fixtures import (
     inclusion_disjoint_into_boolean,
     single_point,
 )
-from drest.pfun import Carrier, PartialFunction, closure_generate
 
 VALID = [n for n in FIXTURES if n != "broken_restriction"]
 
@@ -366,10 +365,25 @@ def test_triangle_identities_on_all_fixtures():
 def test_naturality_squares():
     incl = inclusion_disjoint_into_boolean()
     assert eta_naturality_square(incl)
+    # G builds no check of its own, so it is checked here on each square's input
+    assert hom_check(G_morphism(F_morphism(incl))).is_hom
     for name in VALID:
         space = F_object(get_fixture(name).algebra)
-        assert lambda_naturality_square(identity_morphism(space))
-        assert lambda_naturality_square(counit_lambda(space))
+        for m in (identity_morphism(space), counit_lambda(space)):
+            assert hom_check(G_morphism(m)).is_hom
+            assert lambda_naturality_square(m)
+
+
+def test_g_morphism_refuses_an_invalid_morphism():
+    # two points over one base point sent to the two separate fibres of the
+    # target: no fibre kept, so the preimages of sections are not sections
+    source = EtaleSpace(2, 1, (0, 0), (frozenset({0}), frozenset({1})))
+    target = EtaleSpace(2, 2, (0, 1), (frozenset({0}), frozenset({1})))
+    m = SpaceMorphism(source, target, (0, 1))
+    with pytest.raises(InvalidMorphism, match="does not preserve equivalence"):
+        G_morphism(m)
+    with pytest.raises(InvalidMorphism):
+        lambda_naturality_square(m)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +491,6 @@ def test_completion_satisfies_gba_laws_for_subtraction_fixtures():
 # ---------------------------------------------------------------------------
 # one dual record per algebra
 
-def eighteen_element_completion():
-    """A closure of eight elements whose completion has 18, over the old
-    16-element filter cap."""
-    carrier = Carrier(3)
-    seeds = [
-        PartialFunction.from_graph(carrier, graph)
-        for graph in ([(1, 0), (2, 0)], [(1, 2)], [(0, 2), (2, 1)])
-    ]
-    return from_concrete(closure_generate(carrier, seeds))
-
-
 def test_triangle_identities_beyond_the_old_filter_cap():
     alg = eighteen_element_completion()
     completed, _ = complete(alg)
@@ -518,8 +521,10 @@ def test_each_dual_is_built_and_validated_once(monkeypatch):
     completed, _ = complete(alg)
     complete(completed)
     # one dual for the algebra and one for its completion, each valid by
-    # construction with an embedding for its unit; one check for G of the counit
-    assert calls == {"maximal_filters": 2, "validate_etale": 0, "hom_check": 1}
+    # construction with an embedding for its unit; the triangle identities
+    # are decided on masks, and G of a valid morphism is a homomorphism by
+    # construction, so no map is checked (G of the counit was, once)
+    assert calls == {"maximal_filters": 2, "validate_etale": 0, "hom_check": 0}
     assert dual_of(alg) is dual_of(alg)
     fresh = eighteen_element_completion()
     assert alg == fresh and hash(alg) == hash(fresh)
@@ -537,10 +542,19 @@ def test_one_triangle_check_builds_each_counit_once(monkeypatch):
         monkeypatch.setattr(duality, name, counted)
     alg = boolean_four().algebra
     assert check_triangle_identities(alg).ok
-    # anchored at an algebra both identities share the counit of its sections;
-    # the other two validations are of F(unit) and of the composite
-    assert calls == {"_counit": 1, "validate_morphism": 3}
+    # the identities are decided on masks, so the counit of the sections is
+    # the one morphism built and validated; F(unit) and the composite, two
+    # more validations, are no longer built
+    assert calls == {"_counit": 1, "validate_morphism": 1}
     calls.update(_counit=0, validate_morphism=0)
-    # anchored at a space, the left identity needs the counit of the dual's sections
+    # anchored at a space, the left identity reads the support table alone,
+    # so the counit of the dual's sections (one more counit and validation)
+    # and the composites (two more validations) are no longer built either
     assert check_triangle_identities(F_object(alg)).ok
-    assert calls == {"_counit": 2, "validate_morphism": 4}
+    assert calls == {"_counit": 1, "validate_morphism": 1}
+
+
+def test_triangle_check_builds_no_completion_of_the_completion():
+    alg = eighteen_element_completion()
+    assert check_triangle_identities(alg).ok
+    assert dual_of(dual_of(alg).sections.algebra)._sections is None

@@ -11,10 +11,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract, operator_cases
+from conftest import abstract, operator_cases, valid_spaces
+from drest.dra import hom_check
 from drest.duality import (
     NOWHERE,
-    EtaleSpace,
     F_morphism,
     G_morphism,
     G_object,
@@ -51,20 +51,6 @@ def test_corpus_dual_maps_agree(closure_corpus):
     assert len(closure_corpus) == 1944
 
 
-@st.composite
-def valid_spaces(draw) -> EtaleSpace:
-    """Discrete spaces of 1-6 points, their basis the singletons plus a few
-    unions of them."""
-    n = draw(st.integers(1, 6))
-    n_base = draw(st.integers(1, n))
-    projection = list(range(n_base)) + draw(
-        st.lists(st.integers(0, n_base - 1), min_size=n - n_base, max_size=n - n_base)
-    )
-    singletons = [frozenset({x}) for x in range(n)]
-    unions = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
-    return EtaleSpace(n, n_base, tuple(projection), tuple(singletons) + tuple(map(frozenset, unions)))
-
-
 @settings(max_examples=100, deadline=None)
 @given(valid_spaces(), st.data())
 def test_generated_space_dual_maps_agree(space, data):
@@ -73,6 +59,7 @@ def test_generated_space_dual_maps_agree(space, data):
     assert_dual_maps_agree(sections.algebra)
     # F of a map between two different algebras
     back = G_morphism(counit_lambda(space))
+    assert hom_check(back).is_hom
     assert F_morphism(back).mapping == oracles.F_morphism(back)
     # the identity on some whole fibres is a partial morphism; F of its dual
     # is undefined on the points whose filter misses the image
@@ -81,6 +68,7 @@ def test_generated_space_dual_maps_agree(space, data):
         space, space, [x if b in kept else NOWHERE for x, b in enumerate(space.projection)]
     )
     restricted = G_morphism(partial)
+    assert hom_check(restricted).is_hom
     assert F_morphism(restricted).mapping == oracles.F_morphism(restricted)
 
 
