@@ -22,7 +22,7 @@ from .documents import (
     pfalgebra_to_dict,
     space_to_dict,
 )
-from .dra import hom_check, is_proper_hom, validate_axioms
+from .dra import hom_check, is_fin_compatibly_complete, is_proper_hom, validate_axioms
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -189,13 +189,12 @@ def cmd_roundtrip(args) -> int:
         triangles = check_triangle_identities(algebra)
         results["triangle_space_side"] = triangles.space_side
         results["triangle_algebra_side"] = triangles.algebra_side
-        _, iota = complete(algebra)
-        completed, iota2 = complete(iota.target)
-        # a complete algebra is its own completion, so the second embedding
-        # must be a bijection
-        results["completion_idempotent"] = (
-            completed.n == iota.target.n and len(set(iota2.table)) == completed.n
-        )
+        completed, _ = complete(algebra)
+        # a complete algebra is its own completion: the completion's unit is
+        # an embedding into its prod(|class| + 1) partial sections, so it is a
+        # bijection exactly when the completion has that many elements, which
+        # is how dra decides finitary compatible completeness
+        results["completion_idempotent"] = is_fin_compatibly_complete(completed)
     else:
         try:
             triangles = check_triangle_identities(value)

@@ -313,8 +313,12 @@ def relation_from_dict(doc: dict, path: str = "$") -> SpaceRelation:
     space = space_from_dict(_field(doc, "space", dict, path), f"{path}.space")
     name = _field(doc, "name", str, path)
     arity = _field(doc, "arity", int, path)
+    from .operators import OPERATOR_ARITY_CAP, SpaceRelation
+
     if arity < 0:
         raise DocumentError(f"{path}.arity", "arity must be nonnegative")
+    if arity > OPERATOR_ARITY_CAP:
+        raise DocumentError(f"{path}.arity", f"relation arity capped at {OPERATOR_ARITY_CAP}")
     tuples_doc = _field(doc, "tuples", list, path)
     tuples = []
     for i, t in enumerate(tuples_doc):
@@ -324,8 +328,6 @@ def relation_from_dict(doc: dict, path: str = "$") -> SpaceRelation:
                 _expect(x, int, f"{path}.tuples[{i}][{j}]") for j, x in enumerate(t)
             )
         )
-    from .operators import SpaceRelation
-
     try:
         return SpaceRelation(name, space, arity, frozenset(tuples))
     except ValueError as exc:

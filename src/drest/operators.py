@@ -7,23 +7,24 @@ coordinate at a time (O(k n^(k+1)) int ORs at arity k); additivity compares
 table rows against a join table; normality scans the bottom slices.  The
 tables live only inside each call, and a failure names the first witness in
 lexicographic order, as the literal double scans kept as test oracles do.
-Relations on dual spaces are classified by scans and translated back and
-forth against operation tables.  Point sets are int masks: the relation of
-an operator is read off the support table, and one mask image function
-applies a relation for every check and table.  The completion carries an
-operator as the image map of its relation, which is a compatibility-preserving
-operator by construction (proved at ``complete_with_operators``), so the
-operator cap bounds the inputs only; the carried table's size is bounded by
-the sections cap squared.
+Point sets are int masks, and a relation holds the output mask of each input
+tuple.  The same coordinate-at-a-time fold, :func:`_fold`, is the only walk
+over argument tuples: the relation of an operator is an AND-fold of the
+support table, and applying a relation, its induced table, every relation
+check and the back-and-forth check are OR-folds of the output masks.  The
+completion carries an operator as the image map of its relation, which is a
+compatibility-preserving operator by construction (proved at
+``complete_with_operators``), so the operator cap bounds the inputs only;
+the carried table's size is bounded by the sections cap squared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import prod
-from operator import or_
-from typing import Iterable, Optional, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
@@ -41,6 +42,7 @@ from .duality import (
     EtaleSpace,
     G_object,
     SpaceMorphism,
+    _preimage,
     _Topology,
     complete,
     dual_of,
@@ -79,15 +81,8 @@ def check_compat_preserving(
     n, k, f = algebra.n, table.arity, table.entries
     compat = _compat_masks(algebra)
     members = [list(bits(c)) for c in compat]
-    # reach[xs]: the outputs of every ys compatible with xs, as a mask.  Each
-    # pass ORs over the last coordinate and moves it to the front, so after
-    # k passes the coordinates are back in order.
-    reach = [1 << e for e in f]
-    for _ in range(k):
-        rows = [reach[i : i + n] for i in range(0, len(reach), n)]
-        reach = [
-            reduce(or_, map(row.__getitem__, members[x])) for x in range(n) for row in rows
-        ]
+    # reach[xs]: the outputs of every ys compatible with xs, as a mask
+    reach = _fold([1 << e for e in f], n, members, k, or_, 0)
     for xs, outputs, out in zip(product(range(n), repeat=k), reach, f):
         if outputs & ~compat[out]:
             ys = next(
@@ -161,6 +156,28 @@ def _flatten(args: Sequence[int], n: int) -> int:
     return idx
 
 
+def _fold(
+    values: Sequence[int], size: int, near: Sequence[Sequence[int]], arity: int,
+    combine: Callable[[int, int], int], start: int,
+) -> list[int]:
+    """For every tuple xs over range(len(near)), in row-major order, start
+    combined with values[ys] for every ys with ys[i] in near[xs[i]]; values
+    holds one entry per tuple over range(size), in row-major order.
+
+    Each pass combines over the last coordinate and moves the new coordinate
+    to the front, so after arity passes the coordinates are back in order.
+    The passes nest, so each entry combines every such ys exactly once, and
+    or_ and and_ give the same result in any order.  With size 0 and arity
+    at least 1 no ys exists, and every entry is start.
+    """
+    if arity and not size:
+        return [start] * len(near) ** arity
+    for _ in range(arity):
+        rows = [values[i : i + size] for i in range(0, len(values), size)]
+        values = [reduce(combine, map(row.__getitem__, ys), start) for ys in near for row in rows]
+    return list(values)
+
+
 @dataclass(frozen=True)
 class OperatorReport:
     name: str
@@ -211,58 +228,65 @@ def classify_operator(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
 @dataclass(frozen=True)
 class SpaceRelation:
     """A set of (arity + 1)-tuples of points; the last coordinate is the
-    output position."""
+    output position.  ``image`` holds the output mask of each input tuple in
+    row-major order, built once here; every check reads it through
+    :func:`_fold`."""
 
     name: str
     space: EtaleSpace
     arity: int
     tuples: frozenset[tuple[int, ...]]
+    image: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ValueError(f"relation {self.name}: arity must be nonnegative")
+        if self.arity > OPERATOR_ARITY_CAP:
+            raise ValueError(f"relation {self.name}: arity capped at {OPERATOR_ARITY_CAP}")
+        k = self.space.n_points
+        if any(len(t) != self.arity + 1 for t in self.tuples):
+            raise ValueError(f"relation {self.name}: tuple of wrong length")
+        if not set().union(*self.tuples) <= set(range(k)):
+            raise ValueError(f"relation {self.name}: foreign point")
+        image = [0] * k**self.arity
         for t in self.tuples:
-            if len(t) != self.arity + 1:
-                raise ValueError(f"relation {self.name}: tuple of wrong length")
-            if any(not 0 <= x < self.space.n_points for x in t):
-                raise ValueError(f"relation {self.name}: foreign point")
+            image[_flatten(t[:-1], k)] |= 1 << t[-1]
+        object.__setattr__(self, "image", tuple(image))
 
 
-def apply_relation(
-    rel: SpaceRelation, subsets: Sequence[frozenset[int]]
-) -> frozenset[int]:
-    """Outputs reachable from inputs drawn one per subset."""
+def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> frozenset[int]:
+    """Outputs reachable from inputs drawn one per subset: the OR-fold of the
+    image with near[i] the points of subset i, read at (0, ..., arity - 1)."""
     if len(subsets) != rel.arity:
         raise ValueError("argument count does not match the relation arity")
-    return flt.from_mask(_image(rel, [flt.to_mask(u) for u in subsets]), rel.space.n_points)
+    k = rel.space.n_points
+    full = (1 << k) - 1
+    near = [list(bits(flt.to_mask(u) & full)) for u in subsets]
+    out = _fold(rel.image, k, near, rel.arity, or_, 0)[_flatten(range(rel.arity), rel.arity)]
+    return flt.from_mask(out, k)
 
 
-def _image(rel: SpaceRelation, masks: Sequence[int]) -> int:
-    """apply_relation on point masks."""
-    out = 0
-    for t in rel.tuples:
-        if all(mask >> x & 1 for mask, x in zip(masks, t)):
-            out |= 1 << t[-1]
-    return out
-
-
-def relation_from_operator(
-    algebra: FiniteAlgebra, table: OpTable
-) -> SpaceRelation:
+def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     """The point relation on the maximal-filter space: inputs drawn from the
     first filters must always land the operation in the last, so the last
-    point ranges over the common support of every image."""
+    point ranges over the common support of every image.
+
+    So the image of mus is the AND-fold of the supports hats[f(args)] over
+    the member lists of the points: nu is in it exactly when nu is in
+    hats[f(args)] for every args with args[i] in the filter mus[i].
+    """
     _check_caps(algebra, table)
     dual = dual_of(algebra)
-    points, hats = dual.mfs.points, dual.mfs.hats
-    full = (1 << len(points)) - 1
-    tuples = set()
-    for mus in product(range(len(points)), repeat=table.arity):
-        outputs = full
-        for args in product(*(points[m] for m in mus)):
-            outputs &= hats[table(*args)]
-        tuples.update(mus + (nu,) for nu in bits(outputs))
-    return SpaceRelation(table.name, dual.space, table.arity, frozenset(tuples))
+    k, hats = len(dual.mfs.points), dual.mfs.hats
+    members = [list(p) for p in dual.mfs.points]
+    outputs = [hats[e] for e in table.entries]
+    image = _fold(outputs, algebra.n, members, table.arity, and_, (1 << k) - 1)
+    tuples = frozenset(
+        mus + (nu,)
+        for mus, out in zip(product(range(k), repeat=table.arity), image)
+        for nu in bits(out)
+    )
+    return SpaceRelation(table.name, dual.space, table.arity, tuples)
 
 
 @dataclass(frozen=True)
@@ -279,49 +303,41 @@ class RelationReport:
 
 
 def check_relation_properties(rel: SpaceRelation) -> RelationReport:
-    space = rel.space
-    top = _Topology(space)
-    failures: list[str] = []
+    """Each property is one OR-fold of the image and a comparison.
 
-    def point_compat(x: int, y: int) -> bool:
-        return x == y or space.projection[x] != space.projection[y]
+    Compatibility asks that tuples (xs, y) and (ys, z) of the relation with
+    every ys[i] compatible with xs[i] (equal to it, or in another fibre) have
+    compatible outputs.  For a fixed (xs, y), the outputs z of those tuples
+    are the fold over the lists of points compatible with each point, read
+    at xs; so the property holds when no output y of xs has a fibre-mate
+    (another point of its fibre) in the fold at xs.
 
-    compat = all(
-        point_compat(s[-1], t[-1])
-        for s in rel.tuples
-        for t in rel.tuples
-        if all(point_compat(s[i], t[i]) for i in range(rel.arity))
+    Continuity and spectrality: applying the relation commutes with unions in
+    each argument, and every open set is a union of least neighbourhoods, so
+    the images of tuples of N(x), the fold over the N(x) lists, decide the
+    open-tuple quantifiers.  A point with no N(x) gets the empty list, whose
+    entries are empty and open.  Finitely many points make every open
+    compact, so the compact-open case asks for nothing further.
+
+    Tightness asks that every output of the relation applied to compact open
+    neighbourhoods of xs be an output of xs.  Applying the relation is
+    monotone in each argument, so the least neighbourhoods decide it: the
+    same fold at xs lies inside the image of xs.
+    """
+    k = rel.space.n_points
+    top = _Topology(rel.space)
+    compatible = [list(bits(top.full & ~fibre | 1 << x)) for x, fibre in enumerate(top.fibre)]
+    reach = _fold(rel.image, k, compatible, rel.arity, or_, 0)
+    compat = not any(
+        r & top.fibre[y] & ~(1 << y) for r, out in zip(reach, rel.image) for y in bits(out)
     )
-    if not compat:
-        failures.append("compatibility property fails")
-
-    # applying the relation commutes with unions in each argument, and every
-    # open set is a union of least neighbourhoods, so those decide the
-    # open-tuple quantifiers
-    images_open = all(
-        top.is_open(_image(rel, us)) for us in product(top.neighbourhoods, repeat=rel.arity)
-    )
-    continuous = images_open
-    if not continuous:
-        failures.append("continuity fails")
-    # finitely many points make every open compact, so the compact-open case
-    # asks for nothing further
-    spectral = images_open
-    if not spectral:
-        failures.append("spectrality fails")
-
-    # the relation application is monotone in each argument, so the
-    # quantifier over compact open neighbourhoods is decided by the least ones
-    minimal_open = [u or 0 for u in top.least]
-    tight = all(
-        xs + (y,) in rel.tuples
-        for xs in product(range(space.n_points), repeat=rel.arity)
-        for y in bits(_image(rel, [minimal_open[x] for x in xs]))
-    )
-    if not tight:
-        failures.append("tightness fails")
-
-    return RelationReport(compat, continuous, spectral, tight, tuple(failures))
+    spread = _fold(rel.image, k, [list(bits(u or 0)) for u in top.least], rel.arity, or_, 0)
+    continuous = spectral = all(map(top.is_open, spread))
+    tight = not any(s & ~out for s, out in zip(spread, rel.image))
+    verdicts = (compat, continuous, spectral, tight)
+    names = ("compatibility property", "continuity", "spectrality", "tightness")
+    failures = tuple(f"{name} fails" for name, holds in zip(names, verdicts) if not holds)
+    return RelationReport(*verdicts, failures)
 
 
 def operation_from_relation(
@@ -357,18 +373,11 @@ def _require_operation(rel: SpaceRelation) -> None:
 
 def _relation_table(rel: SpaceRelation, dual: DualAlgebra) -> OpTable:
     """The operation the relation induces on the sections: each entry is the
-    union of the images of the point tuples drawn from its sections."""
-    image: dict[tuple[int, ...], int] = {}
-    for t in rel.tuples:
-        image[t[:-1]] = image.get(t[:-1], 0) | 1 << t[-1]
-    points = [tuple(bits(m)) for m in dual.masks]
-    entries = []
-    for args in product(range(len(points)), repeat=rel.arity):
-        out = 0
-        for xs in product(*(points[i] for i in args)):
-            out |= image.get(xs, 0)
-        entries.append(dual.index[out])
-    return OpTable(rel.name, rel.arity, len(points), tuple(entries))
+    union of the images of the point tuples drawn from its sections, the
+    OR-fold of the image over the point lists of the sections."""
+    points = [list(bits(m)) for m in dual.masks]
+    entries = _fold(rel.image, rel.space.n_points, points, rel.arity, or_, 0)
+    return OpTable(rel.name, rel.arity, len(points), tuple(map(dual.index.__getitem__, entries)))
 
 
 def _require_operator(algebra: FiniteAlgebra, table: OpTable) -> None:
@@ -380,18 +389,16 @@ def _require_operator(algebra: FiniteAlgebra, table: OpTable) -> None:
         )
 
 
-def check_eta_preserves_operator(
-    algebra: FiniteAlgebra, table: OpTable
-) -> bool:
+def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable) -> bool:
     """The support of an output equals the relation applied to the supports
-    of the inputs, for every argument tuple."""
+    of the inputs, for every argument tuple: the OR-fold of the relation's
+    image over the point lists of the supports is hats[f(.)]."""
     _require_operator(algebra, table)
     hats = dual_of(algebra).mfs.hats
     rel = relation_from_operator(algebra, table)
-    return all(
-        hats[table(*args)] == _image(rel, [hats[a] for a in args])
-        for args in product(range(algebra.n), repeat=table.arity)
-    )
+    points = [list(bits(h)) for h in hats]
+    applied = _fold(rel.image, rel.space.n_points, points, table.arity, or_, 0)
+    return applied == [hats[e] for e in table.entries]
 
 
 @dataclass(frozen=True)
@@ -407,32 +414,31 @@ class BackForthReport:
 def check_morphism_back_forth(
     morphism: SpaceMorphism, rel_src: SpaceRelation, rel_tgt: SpaceRelation
 ) -> BackForthReport:
+    """Reverse-forth: a source tuple with its inputs in the domain of phi has
+    its output there too, and phi carries it into the target relation.
+    Back: for x in the domain and a target tuple (zs, phi(x)), some source
+    tuple (xs, x) has its inputs in the domain and phi(xs) = zs.
+
+    Both read reach[zs], the OR-fold of the source image over the lists of
+    domain points that phi sends onto each target point: the outputs of the
+    source tuples with inputs in the domain that phi maps onto zs.  So
+    reverse-forth holds iff every reach[zs] lies in the domain and phi
+    carries it into the target image of zs, and back holds iff the preimage
+    of the target image of zs lies in reach[zs].
+    """
     if rel_src.space != morphism.source or rel_tgt.space != morphism.target:
         raise OperatorCheckError("relations do not live on the morphism's spaces")
     if rel_src.arity != rel_tgt.arity:
         raise OperatorCheckError("relations have different arities")
-    phi = morphism.mapping
-    dom = morphism.defined_on
-    k = rel_src.arity
-
-    reverse_forth = True
-    for t in rel_src.tuples:
-        if all(x in dom for x in t[:k]):
-            if t[-1] not in dom or tuple(phi[x] for x in t) not in rel_tgt.tuples:
-                reverse_forth = False
-
-    back = True
-    for x_last in dom:
-        for s in rel_tgt.tuples:
-            if s[-1] != phi[x_last]:
-                continue
-            hit = any(
-                all(x in dom and phi[x] == s[i] for i, x in enumerate(xs))
-                and xs + (x_last,) in rel_src.tuples
-                for xs in product(range(morphism.source.n_points), repeat=k)
-            )
-            if not hit:
-                back = False
+    phi, points = morphism.mapping, range(morphism.target.n_points)
+    onto = [list(bits(_preimage(morphism, 1 << z))) for z in points]
+    dom = _preimage(morphism, (1 << len(points)) - 1)
+    reach = _fold(rel_src.image, morphism.source.n_points, onto, rel_src.arity, or_, 0)
+    pairs = list(zip(reach, rel_tgt.image))
+    reverse_forth = all(
+        not r & ~dom and all(out >> phi[x] & 1 for x in bits(r)) for r, out in pairs
+    )
+    back = all(not _preimage(morphism, out) & ~r for r, out in pairs)
     return BackForthReport(reverse_forth, back)
 
 

@@ -208,17 +208,6 @@ pf_difference = _wrap(_difference)
 pf_restrict = _wrap(_restrict)
 pf_meet = _wrap(_meet)
 pf_override = _wrap(_override)
-pf_compose = _wrap(_compose)
-
-
-def pf_domain(f: PartialFunction) -> PartialFunction:
-    """Identity function restricted to dom(f)."""
-    return PartialFunction(f.carrier, _domain(f.values))
-
-
-def pf_range(f: PartialFunction) -> PartialFunction:
-    """Identity function restricted to the image of f."""
-    return PartialFunction(f.carrier, _range(f.values))
 
 
 def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:

@@ -21,9 +21,11 @@ sets as int masks and reads one support table per algebra.  The triangle
 identities are kept as the composite maps, and density as the join of the
 image below each element; the library decides both on masks.  That applying a
 relation commutes with unions, which the library's image map does by
-construction, is kept as the literal check.  Compatibility
-preservation and additivity are kept as the double scans over argument
-tuples; the library decides them on mask and join tables.  The closure of
+construction, is kept as the literal check, and the back-and-forth check of
+a morphism against two relations as its scan over relation tuples; the
+library folds output masks.  Compatibility preservation and additivity are
+kept as the double scans over argument tuples; the library decides them on
+mask and join tables.  The closure of
 partial functions, the difference and restriction tables and the closedness
 check are kept on value tuples, one point at a time; the library runs them on
 graph masks.  The isomorphism search is kept as the backtracking over
@@ -59,7 +61,7 @@ from drest.duality import (
     TriangleReport,
 )
 from drest.filters import maximal_filters
-from drest.operators import RelationReport, SpaceRelation, _check_caps
+from drest.operators import BackForthReport, RelationReport, SpaceRelation, _check_caps
 from drest.pfun import (
     CLOSURE_SIZE_CAP,
     RAW_OPS,
@@ -717,6 +719,36 @@ def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable, rel: Sp
         hat(points, table(*args)) == apply_relation(rel, [hat(points, a) for a in args])
         for args in product(range(algebra.n), repeat=table.arity)
     )
+
+
+def check_morphism_back_forth(
+    morphism: SpaceMorphism, rel_src: SpaceRelation, rel_tgt: SpaceRelation
+) -> BackForthReport:
+    """Reverse-forth over the source tuples with inputs in the domain, and
+    back over every domain point, target tuple and source input tuple."""
+    phi = morphism.mapping
+    dom = morphism.defined_on
+    k = rel_src.arity
+
+    reverse_forth = True
+    for t in rel_src.tuples:
+        if all(x in dom for x in t[:k]):
+            if t[-1] not in dom or tuple(phi[x] for x in t) not in rel_tgt.tuples:
+                reverse_forth = False
+
+    back = True
+    for x_last in dom:
+        for s in rel_tgt.tuples:
+            if s[-1] != phi[x_last]:
+                continue
+            hit = any(
+                all(x in dom and phi[x] == s[i] for i, x in enumerate(xs))
+                and xs + (x_last,) in rel_src.tuples
+                for xs in product(range(morphism.source.n_points), repeat=k)
+            )
+            if not hit:
+                back = False
+    return BackForthReport(reverse_forth, back)
 
 
 def check_compat_preserving(

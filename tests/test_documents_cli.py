@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from drest import dra
+from drest import dra, duality
 from drest.cli import main
 from drest.documents import (
     DocumentError,
@@ -21,6 +21,7 @@ from drest.documents import (
 from drest.dra import OpTable, bottom, from_concrete
 from drest.duality import F_object
 from drest.fixtures import (
+    FIXTURES,
     boolean_four,
     broken_restriction,
     conflicting_pair,
@@ -107,6 +108,15 @@ def test_bad_arity_is_positioned():
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(doc))
     assert "entries" in err.value.path
+
+
+def test_relation_arity_over_the_cap_is_positioned():
+    alg = from_concrete(disjoint_pair().concrete, extra_ops=("domain",))
+    doc = json.loads(emit_document(relation_from_operator(alg.with_ops(()), alg.op("domain"))))
+    doc["arity"], doc["tuples"] = 8, [[0] * 9]
+    with pytest.raises(DocumentError, match="capped at") as err:
+        parse_document(json.dumps(doc))
+    assert err.value.path == "$.arity"
 
 
 @pytest.mark.parametrize("value", [
@@ -438,6 +448,30 @@ def test_roundtrip_command(tmp_path, capsys):
         assert main(["roundtrip", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert all(out.values())
+
+
+def test_roundtrip_completes_once_with_the_same_output(tmp_path, capsys, monkeypatch):
+    original = duality.complete
+    calls = []
+    monkeypatch.setattr(duality, "complete", lambda alg: calls.append(alg) or original(alg))
+    for name in FIXTURES:
+        if name == "broken_restriction":
+            continue
+        calls.clear()
+        assert main(["roundtrip", fixture_file(tmp_path, name)]) == 0
+        assert len(calls) == 1
+        # the output that completing the completion gives: its unit is a
+        # bijection
+        algebra = get_fixture(name).algebra
+        triangles = duality.check_triangle_identities(algebra)
+        completed, _ = original(algebra)
+        twice, iota = original(completed)
+        expected = {
+            "completion_idempotent": twice.n == completed.n and len(set(iota.table)) == twice.n,
+            "triangle_algebra_side": triangles.algebra_side,
+            "triangle_space_side": triangles.space_side,
+        }
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
 
 
 def test_check_hom_command(tmp_path, capsys):

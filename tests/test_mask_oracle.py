@@ -4,9 +4,15 @@ frozenset definitions in ``oracles``.
 Supports, the counit, F on maps, the operator relation, the lifted table and
 the support equation are compared on every corpus algebra (through its unit
 map), on generated valid spaces (through their counit) and on operator
-algebras closed under each catalogue operation.
+algebras closed under each catalogue operation.  The back-and-forth check is
+compared on generated partial maps between small spaces and relations of
+arity 0-2.
 """
 from __future__ import annotations
+
+import random
+from collections import Counter
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +21,11 @@ from conftest import abstract, operator_cases, valid_spaces
 from drest.dra import hom_check
 from drest.duality import (
     NOWHERE,
+    EtaleSpace,
     F_morphism,
     G_morphism,
     G_object,
+    SpaceMorphism,
     _counit,
     counit_lambda,
     dual_of,
@@ -29,6 +37,7 @@ from drest.operators import (
     SpaceRelation,
     _relation_table,
     check_eta_preserves_operator,
+    check_morphism_back_forth,
     check_relation_properties,
     classify_operator,
     relation_from_operator,
@@ -90,3 +99,47 @@ def test_operator_relation_layer_agrees(closure_corpus):
             )
             seen["eta"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def back_forth_case(rng: random.Random):
+    """A partial map between discrete spaces of 1-4 points and two relations
+    of one arity in 0-2: the source one pulled back from the target one
+    through the map, and either one changed in a tuple or two, so that each
+    of the four verdict pairs occurs."""
+    spaces = []
+    for _ in range(2):
+        n = rng.randint(1, 4)
+        base = rng.randint(1, n)
+        projection = tuple(rng.randrange(base) if x >= base else x for x in range(n))
+        spaces.append(EtaleSpace(n, base, projection, tuple(frozenset({x}) for x in range(n))))
+    source, target = spaces
+    arity = rng.randint(0, 2)
+    phi = tuple(rng.choice([NOWHERE, *range(target.n_points)]) for _ in range(source.n_points))
+    density = rng.random()
+    tgt = {t for t in product(range(target.n_points), repeat=arity + 1) if rng.random() < density}
+    src = {
+        t
+        for t in product(range(source.n_points), repeat=arity + 1)
+        if NOWHERE not in (phi[x] for x in t) and tuple(phi[x] for x in t) in tgt
+    }
+    for tuples, space in ((src, source), (tgt, target)):
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            tuples.symmetric_difference_update(
+                {tuple(rng.randrange(space.n_points) for _ in range(arity + 1))}
+            )
+    return (
+        SpaceMorphism(source, target, phi),
+        SpaceRelation("s", source, arity, frozenset(src)),
+        SpaceRelation("t", target, arity, frozenset(tgt)),
+    )
+
+
+def test_back_and_forth_agrees():
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(2000):
+        case = back_forth_case(rng)
+        report = check_morphism_back_forth(*case)
+        assert report == oracles.check_morphism_back_forth(*case), case
+        seen[report.reverse_forth, report.back] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen

@@ -1,7 +1,10 @@
 """Operator checks, dual relations, and the concrete catalogue."""
 from __future__ import annotations
 
+import random
+import time
 from collections import Counter
+from itertools import product
 from math import prod
 from unittest.mock import patch
 
@@ -11,7 +14,7 @@ import oracles
 from conftest import operator_cases
 from drest import operators
 from drest.dra import OpTable, binary_table, bottom, from_concrete, derived_meet
-from drest.duality import F_object, counit_lambda, identity_morphism
+from drest.duality import SPACE_SIZE_CAP, EtaleSpace, F_object, counit_lambda, identity_morphism
 from drest.filters import hat, maximal_filters
 from drest.fixtures import (
     boolean_four,
@@ -21,6 +24,7 @@ from drest.fixtures import (
 )
 from drest.operators import (
     OPERATOR_ALGEBRA_CAP,
+    OPERATOR_ARITY_CAP,
     OperatorCheckError,
     SpaceRelation,
     apply_relation,
@@ -183,6 +187,29 @@ def test_negative_relation_arity_is_rejected():
         SpaceRelation("r", space, -1, frozenset({()}))
 
 
+def test_relation_arity_is_capped_before_the_image_is_built():
+    space = F_object(disjoint_pair().algebra)
+    arity = OPERATOR_ARITY_CAP + 1
+    with pytest.raises(ValueError, match="capped at"):
+        SpaceRelation("r", space, arity, frozenset({(0,) * (arity + 1)}))
+
+
+def test_relation_checks_at_the_space_cap_are_fast():
+    # two points per fibre, every singleton open, about 30 % of the tuples
+    k = SPACE_SIZE_CAP
+    singletons = tuple(frozenset({x}) for x in range(k))
+    space = EtaleSpace(k, k // 2, tuple(x // 2 for x in range(k)), singletons)
+    rng = random.Random(0)
+    tuples = frozenset(t for t in product(range(k), repeat=4) if rng.random() < 0.3)
+    rel = SpaceRelation("r", space, 3, tuples)
+    start = time.perf_counter()
+    report = check_relation_properties(rel)
+    assert time.perf_counter() - start < 1.0
+    # on a discrete space every image is open and N(x) = {x}; two tuples
+    # whose inputs agree and whose outputs share a fibre are incompatible
+    assert report.failures == ("compatibility property fails",)
+
+
 def test_hat_equality_for_operators():
     for fixture in (disjoint_pair(), conflicting_pair(), boolean_four()):
         alg, d = domain_algebra(fixture)
@@ -204,8 +231,6 @@ def test_tightness_recovery_is_unique_on_two_point_spaces():
     space = rel.space
     points = range(space.n_points)
     matches = []
-    from itertools import product
-
     all_pairs = list(product(points, repeat=2))
     for mask in range(1 << len(all_pairs)):
         tuples = frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drest.pfun import (
+    RAW_OPS,
     UNDEF,
     Carrier,
     CarrierMismatch,
@@ -12,12 +13,9 @@ from drest.pfun import (
     closure_generate,
     enumerate_all_pfs,
     pf_compatible,
-    pf_compose,
     pf_difference,
-    pf_domain,
     pf_meet,
     pf_override,
-    pf_range,
     pf_restrict,
     pf_union_if_compatible,
 )
@@ -106,19 +104,20 @@ def test_override_prefers_the_left_argument(pair):
 
 @given(sized_triples)
 def test_compose_associative(triple):
-    f, g, h = triple
-    assert pf_compose(pf_compose(f, g), h) == pf_compose(f, pf_compose(g, h))
+    compose = RAW_OPS["compose"][1]
+    f, g, h = (p.values for p in triple)
+    assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 
 @given(sized_pairs)
 def test_domain_and_range_are_subidentities(pair):
     f, _ = pair
-    d = pf_domain(f)
-    r = pf_range(f)
+    d = PartialFunction(f.carrier, RAW_OPS["domain"][1](f.values))
+    r = PartialFunction(f.carrier, RAW_OPS["range"][1](f.values))
     assert all(y == x for x, y in d.graph)
     assert d.domain == f.domain
     assert r.domain == f.image
-    assert pf_compose(f, d) == f
+    assert RAW_OPS["compose"][1](f.values, d.values) == f.values
 
 
 def test_closure_contains_seeds_and_empty():

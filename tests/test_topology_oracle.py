@@ -1,12 +1,12 @@
 """The bitmask topology against the literal definitions in ``oracles``.
 
 Every report field, the failure messages in their order, morphism checks,
-isomorphism checks, relation checks, sections and the dual's tables must
-agree: exhaustively on spaces of at most three points, on generated spaces
-of four to six points whose bases may be non-stable or leave points
-uncovered, and on the traffic the library itself makes: the dual spaces of
-corpus algebras and of three-seed closures, of their completions, and the
-F(unit) and counit morphisms between them.
+isomorphism checks, relation checks and applications, sections and the
+dual's tables must agree: exhaustively on spaces of at most three points, on
+generated spaces of four to six points whose bases may be non-stable or leave
+points uncovered, and on the traffic the library itself makes: the dual
+spaces of corpus algebras and of three-seed closures, of their completions,
+and the F(unit) and counit morphisms between them.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from drest.duality import (
     validate_etale,
     validate_morphism,
 )
-from drest.operators import SpaceRelation, check_relation_properties
+from drest.operators import SpaceRelation, apply_relation, check_relation_properties
 
 
 def members(mask: int, n: int) -> frozenset[int]:
@@ -199,3 +199,11 @@ def relations(draw) -> SpaceRelation:
 @given(relations())
 def test_relation_checks_agree(rel):
     assert check_relation_properties(rel) == oracles.check_relation_properties(rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations(), st.data())
+def test_applying_a_relation_agrees(rel, data):
+    subset = st.frozensets(st.integers(0, rel.space.n_points - 1))
+    subsets = data.draw(st.lists(subset, min_size=rel.arity, max_size=rel.arity))
+    assert apply_relation(rel, subsets) == oracles.apply_relation(rel, subsets)
