@@ -22,7 +22,8 @@ from .documents import (
     pfalgebra_to_dict,
     space_to_dict,
 )
-from .dra import hom_check, is_fin_compatibly_complete, is_proper_hom, validate_axioms
+from .dra import hom_check, is_fin_compatibly_complete, is_proper_hom
+from .dra import representation, validate_axioms
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -48,10 +49,20 @@ class _Invalid(Exception):
 
 
 def _valid(algebra, side: str = "input"):
-    """The algebra itself, once it satisfies the defining laws."""
-    if not validate_axioms(algebra).ok:
+    """The algebra itself, once its representation shows the laws hold."""
+    if representation(algebra) is None:
         raise _Invalid(f"{side} algebra fails validation")
     return algebra
+
+
+def _bare(path: str, names: Sequence[str]):
+    """The document's algebra without operations, once valid, and those named."""
+    algebra = _load(path, "algebra")[1]
+    bare = _valid(algebra.with_ops(()))
+    try:
+        return bare, [algebra.op(name) for name in names]
+    except KeyError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +149,23 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    algebra = _valid(_load(args.file, "algebra")[1])
-    from .duality import canonical_completion, complete
-
-    bare = algebra.with_ops(())
-    if args.with_op:
-        try:
-            tables = [algebra.op(name) for name in args.with_op]
-        except KeyError as exc:
-            return _fail(str(exc))
+    bare, tables = _bare(args.file, args.with_op)
+    if tables:  # an operator is refused before the completion is built
         from .operators import complete_with_operators
 
-        # completes the bare algebra, so its report is kept below
         _, embedding, _ = complete_with_operators(bare, tables)
-    else:
-        _, embedding = complete(bare)
-    sys.stdout.write(emit_document(embedding))
-    _, report = canonical_completion(bare)
+    from .duality import canonical_completion
+
+    iota, report = canonical_completion(bare)
+    sys.stdout.write(emit_document(embedding if tables else iota))
     print(
         json.dumps(
             {
                 "embedding": report.embedding,
                 "target_complete": report.target_complete,
                 "image_dense": report.image_dense,
-                "source_size": embedding.source.n,
-                "target_size": embedding.target.n,
+                "source_size": iota.source.n,
+                "target_size": iota.target.n,
             }
         ),
         file=sys.stderr,
@@ -173,7 +176,7 @@ def cmd_complete(args) -> int:
 def cmd_roundtrip(args) -> int:
     kind, value = _load(args.file)
     if kind == "algebra":
-        algebra = _valid(value).with_ops(())
+        value = _valid(value.with_ops(()))
     elif kind != "space":
         return _fail(f"roundtrip does not handle {kind} documents")
     from .duality import (
@@ -184,24 +187,22 @@ def cmd_roundtrip(args) -> int:
         lambda_naturality_square,
     )
 
-    results = {}
+    try:  # only a space can be invalid: an algebra's dual space is valid
+        triangles = check_triangle_identities(value)
+    except InvalidSpace as exc:
+        raise _Invalid(str(exc)) from None
+    results = {
+        "triangle_space_side": triangles.space_side,
+        "triangle_algebra_side": triangles.algebra_side,
+    }
     if kind == "algebra":
-        triangles = check_triangle_identities(algebra)
-        results["triangle_space_side"] = triangles.space_side
-        results["triangle_algebra_side"] = triangles.algebra_side
-        completed, _ = complete(algebra)
+        completed, _ = complete(value)
         # a complete algebra is its own completion: the completion's unit is
         # an embedding into its prod(|class| + 1) partial sections, so it is a
         # bijection exactly when the completion has that many elements, which
         # is how dra decides finitary compatible completeness
         results["completion_idempotent"] = is_fin_compatibly_complete(completed)
     else:
-        try:
-            triangles = check_triangle_identities(value)
-        except InvalidSpace as exc:
-            raise _Invalid(str(exc)) from None
-        results["triangle_space_side"] = triangles.space_side
-        results["triangle_algebra_side"] = triangles.algebra_side
         results["counit_naturality"] = lambda_naturality_square(counit_lambda(value))
     print(json.dumps(results, sort_keys=True))
     return OK if all(results.values()) else FAIL
@@ -240,14 +241,10 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_check_op(args) -> int:
-    algebra = _valid(_load(args.file, "algebra")[1])
-    try:
-        table = algebra.op(args.op)
-    except KeyError as exc:
-        return _fail(str(exc))
+    bare, (table,) = _bare(args.file, [args.op])
     from .operators import classify_operator, relation_from_operator
 
-    report = classify_operator(algebra.with_ops(()), table)
+    report = classify_operator(bare, table)
     out = {
         "name": report.name,
         "arity": report.arity,
@@ -260,7 +257,7 @@ def cmd_check_op(args) -> int:
     }
     print(json.dumps(out, sort_keys=True))
     if args.relation:
-        rel = relation_from_operator(algebra.with_ops(()), table)
+        rel = relation_from_operator(bare, table)
         sys.stdout.write(emit_document(rel))
     return OK if report.is_compat_preserving_operator else FAIL
 

@@ -6,16 +6,15 @@ the intersection of the basis sets around it, so the validator decides every
 basis on int bitmasks in O(k·B + k²) for k points and B basis sets, after one
 pass over the basis, and lists no open set.  A valid space is discrete, so
 its sections are the choices of at most one point per fibre, capped at
-SECTION_CAP.  The literal definitions are kept as test oracles.  Each
-algebra keeps one dual record (:func:`dual_of`), which the functors, unit,
-counit and completion read instead of rebuilding it; a space passed in by a
-caller gets none.  Read off the algebra's representation, its space is valid
-and its unit an embedding with no check run.  Point and section sets are int
+SECTION_CAP.  Each algebra keeps one dual record (:func:`dual_of`), which the
+functors, unit, counit and completion read; a space passed in by a caller
+gets none.  Read off the algebra's representation, its space is valid and
+its unit an embedding with no check run.  Point and section sets are int
 masks: the unit reads the support table, the counit sends a point x to the
-up-set of the singleton section {x}, and F and G on maps pull masks back;
-frozensets appear only in public fields.  Both triangle identities and the
-density of a completion are decided on these masks, with no composite map
-built and no table read; the composites are kept as test oracles.
+up-set of the singleton section {x}, and F and G on maps pull masks back.
+Both triangle identities, the η square and the density of a completion are
+decided on these masks, with no composite map built and no table read; the
+composites and the literal definitions are kept as test oracles.
 """
 from __future__ import annotations
 
@@ -446,8 +445,6 @@ class DualRecord:
     mfs: flt.MaxFilterSpace
     space: EtaleSpace
     _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
-    # the completion report of the unit, checked once
-    _report: Optional[CompletionReport] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sections(self) -> DualAlgebra:
@@ -546,34 +543,44 @@ def _counit(sections: DualAlgebra) -> SpaceMorphism:
     # the point of that atom
     space, target = sections.space, dual_of(sections.algebra)
     point_of = {a: i for i, a in enumerate(target.mfs.atoms)}
-    mapping = []
-    for x in range(space.n_points):
-        point = point_of.get(sections.index.get(1 << x))
-        if point is None:
-            raise AssertionError("internal error: point filter not maximal")
-        mapping.append(point)
+    mapping = tuple(point_of.get(sections.index.get(1 << x)) for x in range(space.n_points))
+    if None in mapping:
+        raise AssertionError("internal error: point filter not maximal")
     return space_morphism(space, target.space, mapping)
 
 
 def F_morphism(h: AlgebraMap) -> SpaceMorphism:
-    """Dualise an algebra map to a partial map of spaces, by preimage of
-    filters; defined on the filters meeting the image."""
+    """Dualise a homomorphism h: A -> B to the partial map φ sending a point ξ
+    of B to the point with members h⁻¹(ξ), undefined where that is empty.
+    ValueError exactly when h is not a homomorphism, with no ``hom_check``
+    (InvalidMorphism when φ is defined but no morphism).  A homomorphism keeps
+    a - (a - b), so meets and order, and h(0) = h(0) - h(0): h⁻¹(ξ) is ∅ or a
+    proper filter, the up-set of a least m.  With ξ the up-set of an atom p, a
+    c with 0 < c < m would put c or m - c in h⁻¹(ξ), p lying below h(c) or its
+    complement h(m - c) in the Boolean algebra below h(m); so m is an atom, φ
+    is defined, and by the duality a morphism.  Conversely, a defined φ pulls
+    hats_A[a] back to hats_B[h(a)] (ξ is in either iff h(a) is in ξ);
+    preimages under a valid φ commute with a & ~b and sat(a) & b (see
+    :func:`_G_morphism`) and hats_B is injective, so h commutes with both."""
+    morphism, natural = _F_morphism(h)
+    if not natural:
+        raise AssertionError("internal error: dual map misses the support identity")
+    return morphism
+
+
+def _F_morphism(h: AlgebraMap) -> tuple[SpaceMorphism, bool]:
+    """F(h), and whether F(h)⁻¹(hats_A[a]) = hats_B[h(a)] for every a."""
     src, tgt = dual_of(h.target), dual_of(h.source)  # src: points of the target algebra
     # pullback[xi]: the source elements whose image lies in the filter xi
     pullback = [0] * src.space.n_points
     for a, b in enumerate(h.table):
         for xi in bits(src.mfs.hats[b]):
             pullback[xi] |= 1 << a
-    mapping = []
-    for members in pullback:
-        point = tgt.mfs.point_index(members) if members else NOWHERE
-        if point is None:
-            raise AssertionError("internal error: filter preimage not maximal")
-        mapping.append(point)
-    morphism = space_morphism(src.space, tgt.space, mapping)
-    if any(_preimage(morphism, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
-        raise AssertionError("internal error: dual map misses the support identity")
-    return morphism
+    mapping = tuple(tgt.mfs.point_index(m) if m else NOWHERE for m in pullback)
+    if None in mapping:
+        raise ValueError("not a homomorphism: a filter preimage is not maximal")
+    phi = space_morphism(src.space, tgt.space, mapping)
+    return phi, all(_preimage(phi, u) == src.mfs.hats[b] for u, b in zip(tgt.mfs.hats, h.table))
 
 
 def G_morphism(m: SpaceMorphism) -> AlgebraMap:
@@ -660,10 +667,10 @@ def check_triangle_identities(obj) -> TriangleReport:
 
 
 def eta_naturality_square(h: AlgebraMap) -> bool:
-    gfh = _G_morphism(F_morphism(h), dual_of(h.target).sections, dual_of(h.source).sections)
-    lhs = gfh.compose(unit_eta(h.source))
-    rhs = unit_eta(h.target).compose(h)
-    return lhs.table == rhs.table
+    """G(F(h)) ∘ η_A = η_B ∘ h for h: A -> B, building no completion.  G sends a
+    section to its preimage and η an element to its support, so the two sides
+    send a to F(h)⁻¹(hats_A[a]) and hats_B[h(a)]: F's support identity."""
+    return _F_morphism(h)[1]
 
 
 def lambda_naturality_square(m: SpaceMorphism) -> bool:
@@ -711,21 +718,18 @@ def _completion_report(m: AlgebraMap, embedding: bool) -> CompletionReport:
 
 def complete(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, AlgebraMap]:
     """The closure of the algebra under finite compatible joins, with its
-    canonical embedding."""
-    iota, _ = canonical_completion(algebra)
+    canonical embedding; :func:`canonical_completion` reports on it."""
+    iota = unit_eta(algebra)
     return iota.target, iota
 
 
 def canonical_completion(algebra: FiniteAlgebra) -> tuple[AlgebraMap, CompletionReport]:
-    """The canonical embedding and its completion report, checked once per
-    algebra and kept on the dual record."""
-    dual, iota = dual_of(algebra), unit_eta(algebra)
-    if dual._report is None:
-        report = _completion_report(iota, embedding=True)  # an embedding by construction
-        if not report.ok:
-            raise AssertionError("internal error: canonical embedding is not a completion")
-        object.__setattr__(dual, "_report", report)
-    return iota, dual._report
+    """The canonical embedding and its completion report, O(n + k)."""
+    iota = unit_eta(algebra)
+    report = _completion_report(iota, embedding=True)  # an embedding by construction
+    if not report.ok:
+        raise AssertionError("internal error: canonical embedding is not a completion")
+    return iota, report
 
 
 def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:

@@ -4,8 +4,8 @@ An operator here is a total operation table on a finite algebra.  Of the
 three defining properties, compatibility preservation ORs the outputs of all
 coordinatewise compatible argument tuples into one mask per tuple, one
 coordinate at a time (O(k n^(k+1)) int ORs at arity k); additivity compares
-table rows against a join table; normality scans the bottom slices.  The
-tables live only inside each call, and a failure names the first witness in
+the supports along table rows; normality scans the bottom slices.  The
+masks live only inside each call, and a failure names the first witness in
 lexicographic order, as the literal double scans kept as test oracles do.
 Point sets are int masks, and a relation holds the output mask of each input
 tuple.  The same coordinate-at-a-time fold, :func:`_fold`, is the only walk
@@ -116,26 +116,24 @@ def check_additive(
 
     Pairs without a join are skipped; the premise only speaks of joins that
     exist.  The witness is the first failure with the varied coordinate i,
-    then the other coordinates, then x <= y in lexicographic order.  Each
-    join is the element whose support is the union of the two supports, as
-    :func:`drest.dra.join_if_exists` proves, so an algebra without a
-    representation raises ValueError.
+    then the other coordinates, then x <= y in lexicographic order.  A join
+    is the element whose support is the union of the two supports
+    (:func:`drest.dra.join_if_exists`), and no two elements share a support,
+    so rows are compared on supports.  Without a representation, ValueError.
     """
     _check_caps(algebra, table)
     n, k, f = algebra.n, table.arity, table.entries
     hats, element = supports(algebra)
-    join = [[element.get(hx | hy) for hy in hats] for hx in hats]
-    pairs = [
-        (x, y, join[x][y]) for x in range(n) for y in range(x, n) if join[x][y] is not None
-    ]
+    joins = ((x, y, element.get(hats[x] | hats[y])) for x in range(n) for y in range(x, n))
+    pairs = [(x, y, j) for x, y, j in joins if j is not None]
     for i in range(k):
         stride = n ** (k - 1 - i)
         for rest in product(range(n), repeat=k - 1):
-            # the entries with every coordinate but the i-th fixed to rest
+            # the supports of the entries with every coordinate but the i-th fixed to rest
             start = _flatten(rest[:i] + (0,) + rest[i:], n)
-            row = f[start : start + (n - 1) * stride + 1 : stride]
+            row = list(map(hats.__getitem__, f[start : start + (n - 1) * stride + 1 : stride]))
             for x, y, j in pairs:
-                if join[row[x]][row[y]] != row[j]:
+                if row[x] | row[y] != row[j]:
                     return False, rest[:i] + (x, y) + rest[i:]
     return True, None
 

@@ -18,14 +18,15 @@ its representation, walking table rows through ``itemgetter`` only to list
 the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
 sets as int masks and reads one support table per algebra.  The triangle
-identities are kept as the composite maps, and density as the join of the
-image below each element; the library decides both on masks.  That applying a
+identities and the naturality square of the unit are kept as the composite
+maps, and density as the join of the image below each element; the library
+decides all three on masks, the square as the support identity of F.  That applying a
 relation commutes with unions, which the library's image map does by
 construction, is kept as the literal check, and the back-and-forth check of
 a morphism against two relations as its scan over relation tuples; the
 library folds output masks.  Compatibility preservation and additivity are
 kept as the double scans over argument tuples; the library decides them on
-mask and join tables.  The closure of
+compatibility masks and supports.  The closure of
 partial functions, the difference and restriction tables and the closedness
 check are kept on value tuples, one point at a time; the library runs them on
 graph masks.  The isomorphism search is kept as the backtracking over
@@ -628,6 +629,17 @@ def F_morphism(h: AlgebraMap) -> tuple[int, ...]:
         if preimage != hat(src, h.table[a]):
             raise AssertionError("dual map misses the support identity")
     return tuple(mapping)
+
+
+def eta_naturality_square(h: AlgebraMap) -> bool:
+    """G(F(h)) after the unit of the source against the unit of the target
+    after h, each built as a map through the completions' section tables."""
+    gfh = duality._G_morphism(
+        duality.F_morphism(h), duality.dual_of(h.target).sections, duality.dual_of(h.source).sections
+    )
+    lhs = gfh.compose(duality.unit_eta(h.source))
+    rhs = duality.unit_eta(h.target).compose(h)
+    return lhs.table == rhs.table
 
 
 def check_triangle_identities(obj) -> TriangleReport:

@@ -1,5 +1,7 @@
-"""The triangle identities and the density of a completion, decided on masks,
-against the composite maps and the join scan in ``oracles``.
+"""The triangle identities, the naturality square of the unit and the density
+of a completion, decided on masks, against the composite maps and the join
+scan in ``oracles``; and F on maps, which refuses a map exactly when
+``hom_check`` finds it no homomorphism.
 
 Both triangle verdicts are compared on every corpus algebra, on seeded
 three-seed closures on carrier 4 and their completions, on the
@@ -8,25 +10,35 @@ space side.  The oracle checks G of each counit with ``hom_check`` on the
 way.  Density is compared on the canonical embeddings of the same algebras,
 on their identity maps, whose targets are often incomplete, and on
 inclusions of subalgebras, which are often not dense; both verdicts occur.
+The square is compared on every corpus identity map, on one subalgebra
+inclusion per corpus size and on every homomorphism among seeded maps
+between corpus algebras of at most 9 elements; the maps that are not
+homomorphisms are refused at the pullback or as morphisms.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from conftest import abstract, eighteen_element_completion, three_seed_closures, valid_spaces
-from drest.dra import AlgebraMap, FiniteAlgebra, OpTable, identity_map
+from drest.dra import AlgebraMap, FiniteAlgebra, OpTable, bottom, hom_check, identity_map
 from drest.duality import (
+    F_morphism,
     F_object,
     G_object,
+    InvalidMorphism,
     check_triangle_identities,
     complete,
     completion_report,
+    dual_of,
+    eta_naturality_square,
     unit_eta,
 )
+from drest.fixtures import inclusion_disjoint_into_boolean
 
 
 def assert_triangles_agree(obj) -> None:
@@ -110,3 +122,73 @@ def test_eighteen_element_completion_agrees():
 def test_generated_spaces_agree(space):
     assert_triangles_agree(space)
     assert_triangles_agree(G_object(space).algebra)
+
+
+def assert_eta_squares_agree(h: AlgebraMap) -> None:
+    assert eta_naturality_square(h) == oracles.eta_naturality_square(h)
+
+
+def test_eta_square_agrees_with_the_composite(closure_corpus):
+    rng = random.Random(17)
+    by_size: dict[int, list[FiniteAlgebra]] = {}
+    for concrete in closure_corpus:
+        alg = abstract(concrete)
+        assert_eta_squares_agree(identity_map(alg))
+        by_size.setdefault(alg.n, []).append(alg)
+    assert_eta_squares_agree(inclusion_disjoint_into_boolean())
+    proper = 0
+    for n, algebras in sorted(by_size.items()):
+        incl = subalgebra_inclusion(rng.choice(algebras), rng.sample(range(n), min(n, 2)))
+        assert_eta_squares_agree(incl)
+        proper += incl.source.n < n
+    assert len(by_size) == 8 and proper > 3, (len(by_size), proper)
+
+
+def test_eta_square_builds_no_completion():
+    alg = eighteen_element_completion()
+    assert eta_naturality_square(identity_map(alg))
+    assert dual_of(alg)._sections is None
+
+
+def seeded_maps(algebras: list[FiniteAlgebra], rng: random.Random, count: int):
+    """Homomorphisms (identities, bottom maps, units, subalgebra inclusions)
+    and maps that are not (random tables, and half of all maps with one
+    entry moved)."""
+    for _ in range(count):
+        a, b = rng.choice(algebras), rng.choice(algebras)
+        kind = rng.randrange(5)
+        if kind == 0:
+            h = identity_map(a)
+        elif kind == 1:
+            h = AlgebraMap(a, b, (bottom(b),) * a.n)
+        elif kind == 2:
+            h = unit_eta(a)
+        elif kind == 3:
+            h = subalgebra_inclusion(a, rng.sample(range(a.n), min(a.n, rng.randint(1, 3))))
+        else:
+            h = AlgebraMap(a, b, tuple(rng.randrange(b.n) for _ in range(a.n)))
+        if rng.random() < 0.5:
+            table = list(h.table)
+            table[rng.randrange(a.n if kind != 3 else h.source.n)] = rng.randrange(h.target.n)
+            h = AlgebraMap(h.source, h.target, tuple(table))
+        yield h
+
+
+def test_F_refuses_exactly_the_maps_that_are_no_homomorphisms(closure_corpus):
+    small = [abstract(c) for c in closure_corpus if len(c.elements) <= 9]
+    seen = Counter()
+    for h in seeded_maps(small, random.Random(29), 3000):
+        hom = hom_check(h).is_hom
+        try:
+            dual = F_morphism(h)
+        except InvalidMorphism:
+            seen["no morphism"] += 1
+            assert not hom
+        except ValueError as exc:
+            seen["pullback"] += 1
+            assert not hom and str(exc) == "not a homomorphism: a filter preimage is not maximal"
+        else:
+            seen["homomorphism"] += 1
+            assert hom and dual.mapping == oracles.F_morphism(h)
+            assert_eta_squares_agree(h)
+    assert min(seen["homomorphism"], seen["pullback"]) > 500 and seen["no morphism"] > 5, seen
