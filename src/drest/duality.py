@@ -543,9 +543,12 @@ def _counit(sections: DualAlgebra) -> SpaceMorphism:
     # the point of that atom
     space, target = sections.space, dual_of(sections.algebra)
     point_of = {a: i for i, a in enumerate(target.mfs.atoms)}
-    mapping = tuple(point_of.get(sections.index.get(1 << x)) for x in range(space.n_points))
-    if None in mapping:
-        raise AssertionError("internal error: point filter not maximal")
+    mapping = []
+    for x in range(space.n_points):
+        point = point_of.get(sections.index.get(1 << x))
+        if point is None:
+            raise AssertionError("internal error: point filter not maximal")
+        mapping.append(point)
     return space_morphism(space, target.space, mapping)
 
 
@@ -562,25 +565,22 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
     hats_A[a] back to hats_B[h(a)] (ξ is in either iff h(a) is in ξ);
     preimages under a valid φ commute with a & ~b and sat(a) & b (see
     :func:`_G_morphism`) and hats_B is injective, so h commutes with both."""
-    morphism, natural = _F_morphism(h)
-    if not natural:
-        raise AssertionError("internal error: dual map misses the support identity")
-    return morphism
-
-
-def _F_morphism(h: AlgebraMap) -> tuple[SpaceMorphism, bool]:
-    """F(h), and whether F(h)⁻¹(hats_A[a]) = hats_B[h(a)] for every a."""
     src, tgt = dual_of(h.target), dual_of(h.source)  # src: points of the target algebra
     # pullback[xi]: the source elements whose image lies in the filter xi
     pullback = [0] * src.space.n_points
     for a, b in enumerate(h.table):
         for xi in bits(src.mfs.hats[b]):
             pullback[xi] |= 1 << a
-    mapping = tuple(tgt.mfs.point_index(m) if m else NOWHERE for m in pullback)
-    if None in mapping:
-        raise ValueError("not a homomorphism: a filter preimage is not maximal")
-    phi = space_morphism(src.space, tgt.space, mapping)
-    return phi, all(_preimage(phi, u) == src.mfs.hats[b] for u, b in zip(tgt.mfs.hats, h.table))
+    mapping = []
+    for members in pullback:
+        point = tgt.mfs.point_index(members) if members else NOWHERE
+        if point is None:
+            raise ValueError("not a homomorphism: a filter preimage is not maximal")
+        mapping.append(point)
+    morphism = space_morphism(src.space, tgt.space, mapping)
+    if any(_preimage(morphism, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
+        raise AssertionError("internal error: dual map misses the support identity")
+    return morphism
 
 
 def G_morphism(m: SpaceMorphism) -> AlgebraMap:
@@ -667,10 +667,13 @@ def check_triangle_identities(obj) -> TriangleReport:
 
 
 def eta_naturality_square(h: AlgebraMap) -> bool:
-    """G(F(h)) ∘ η_A = η_B ∘ h for h: A -> B, building no completion.  G sends a
-    section to its preimage and η an element to its support, so the two sides
-    send a to F(h)⁻¹(hats_A[a]) and hats_B[h(a)]: F's support identity."""
-    return _F_morphism(h)[1]
+    """G(F(h)) ∘ η_A = η_B ∘ h for a homomorphism h: A -> B, building no
+    completion.  G sends a section to its preimage and η an element to its
+    support, so the two sides send a to F(h)⁻¹(hats_A[a]) and hats_B[h(a)]:
+    the support identity :func:`F_morphism` asserts, so the square holds once
+    F(h) is built."""
+    F_morphism(h)
+    return True
 
 
 def lambda_naturality_square(m: SpaceMorphism) -> bool:
@@ -718,8 +721,8 @@ def _completion_report(m: AlgebraMap, embedding: bool) -> CompletionReport:
 
 def complete(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, AlgebraMap]:
     """The closure of the algebra under finite compatible joins, with its
-    canonical embedding; :func:`canonical_completion` reports on it."""
-    iota = unit_eta(algebra)
+    canonical embedding, checked to be a completion."""
+    iota, _ = canonical_completion(algebra)
     return iota.target, iota
 
 
