@@ -413,12 +413,9 @@ def derived_override(algebra: FiniteAlgebra, x: int, y: int) -> int:
 
 
 def is_subtraction_algebra(algebra: FiniteAlgebra) -> bool:
-    n = algebra.n
-    return all(
-        algebra.r(x, y) == derived_meet(algebra, x, y)
-        for x in range(n)
-        for y in range(n)
-    )
+    """Restriction is the meet x - (x - y): each rest row equals the minus
+    row composed with itself, as in :func:`validate_axioms`."""
+    return all(picker(m)(m) == r for m, r in zip(algebra.minus.rows(), algebra.rest.rows()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ corpus once keeps the suite fast.  Seeded three-seed closures on carrier 4
 reach the sizes the two-seed corpus does not.  The operator tests share one
 list of operation tables built from fixtures and corpus closures, and the
 differential tests one way to shuffle an algebra's elements, one strategy for
-valid spaces and one closure whose completion is past the old filter cap.
+valid spaces, one way to compare outcomes, refusals included, and one
+closure whose completion is past the old filter cap.
 """
 from __future__ import annotations
 
@@ -60,6 +61,15 @@ def relabelled(alg: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
         table(alg.rest),
         tuple(map(table, alg.extra_ops)),
     )
+
+
+def outcome(fn, *args):
+    """What the call returns, or the type and message of the ValueError it
+    raises (InvalidSpace and InvalidMorphism included)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def three_seed_closures(rng: random.Random, count: int) -> list[ConcretePFAlgebra]:

@@ -18,9 +18,15 @@ its representation, walking table rows through ``itemgetter`` only to list
 the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
 sets as int masks and reads one support table per algebra.  The triangle
-identities and the naturality square of the unit are kept as the composite
-maps, and density as the join of the image below each element; the library
-decides all three on masks, the square as the support identity of F.  That applying a
+identities and both naturality squares are kept as the composite maps,
+density as the join of the image below each element, the transport between
+completions as the join scan checked with ``hom_check``, and the
+subtraction-algebra checks as the pair scans over a built completion or
+section algebra; the library decides the triangles and density on masks, the
+η square as the support identity of F, and the λ square, the transport and
+the subtraction-algebra checks by the proofs in their docstrings.  That
+restriction is the meet is kept as the pair loop; the library compares table
+rows.  That applying a
 relation commutes with unions, which the library's image map does by
 construction, is kept as the literal check, and the back-and-forth check of
 a morphism against two relations as its scan over relation tuples; the
@@ -59,6 +65,7 @@ from drest.duality import (
     EtaleSpace,
     MorphismReport,
     SpaceMorphism,
+    StoneReport,
     TriangleReport,
 )
 from drest.filters import maximal_filters
@@ -576,6 +583,16 @@ def validate_axioms(algebra: FiniteAlgebra) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def is_subtraction_algebra(algebra: FiniteAlgebra) -> bool:
+    """Restriction equals the derived meet at every pair."""
+    n = algebra.n
+    return all(
+        algebra.r(x, y) == dra.derived_meet(algebra, x, y)
+        for x in range(n)
+        for y in range(n)
+    )
+
+
 def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool:
     # a proper filter is maximal iff for every member a and every b, exactly
     # one of a.b = a - (a - b) and a - b belongs to it
@@ -675,6 +692,80 @@ def image_dense(m: AlgebraMap) -> bool:
         dra.join_if_exists(m.target, [t for t in m.table if not hats[t] & ~hats[c]]) == c
         for c in range(m.target.n)
     )
+
+
+def lambda_naturality_square(m: SpaceMorphism) -> bool:
+    """F(G(m)) after the counit of the source against the counit of the
+    target after m, each built as a validated composite through the
+    section algebras of both spaces."""
+    duality._validated(m)
+    src, tgt = duality.G_object(m.source), duality.G_object(m.target)
+    fgm = duality.F_morphism(duality._G_morphism(m, src, tgt))
+    lhs = duality.compose_morphisms(fgm, duality._counit(src))
+    rhs = duality.compose_morphisms(duality._counit(tgt), m)
+    return lhs.mapping == rhs.mapping
+
+
+def _factoring_embedding(via: AlgebraMap, into: AlgebraMap) -> Optional[AlgebraMap]:
+    """Embedding t: via.target -> into.target with t o via = into, built by
+    transporting joins of the common image and checked with ``hom_check``;
+    None when it does not exist."""
+    src, hats = via.source, dra.supports(via.target)[0]
+    table = []
+    for c in range(via.target.n):
+        # via(a) <= c is inclusion of supports
+        below = [a for a in range(src.n) if not hats[via.table[a]] & ~hats[c]]
+        if dra.join_if_exists(via.target, [via.table[a] for a in below]) != c:
+            return None  # c not a join from the image; cannot transport
+        image = dra.join_if_exists(into.target, [into.table[a] for a in below])
+        if image is None:
+            return None
+        table.append(image)
+    candidate = AlgebraMap(via.target, into.target, tuple(table))
+    if not hom_check(candidate).is_embedding:
+        return None
+    if tuple(candidate.table[via.table[a]] for a in range(src.n)) != into.table:
+        return None
+    return candidate
+
+
+def stone_restriction_checks(obj) -> StoneReport:
+    """Trivial point grouping and the two relative-complement laws scanned
+    over every pair of the built completion; the dual of an
+    identity-projection space built and its restriction compared with the
+    meet."""
+    if isinstance(obj, FiniteAlgebra):
+        if not is_subtraction_algebra(obj):
+            return StoneReport(applicable=False)
+        equiv_trivial = all(len(cls) == 1 for cls in duality.dual_of(obj).mfs.classes)
+        completed, _ = duality.complete(obj)
+        laws = True
+        for a in range(completed.n):
+            for b in range(completed.n):
+                rel = completed.m(b, a)
+                if dra.derived_meet(completed, a, rel) != bottom(completed):
+                    laws = False
+                if dra.join_if_exists(completed, (a, rel)) != dra.join_if_exists(
+                    completed, (a, b)
+                ):
+                    laws = False
+        return StoneReport(
+            applicable=True,
+            equiv_is_equality=equiv_trivial,
+            completion_gba_laws=laws,
+        )
+    if isinstance(obj, EtaleSpace):
+        identity_projection = obj.n_points == obj.n_base and obj.projection == tuple(
+            range(obj.n_points)
+        )
+        if not identity_projection:
+            return StoneReport(applicable=False)
+        dual = duality.G_object(obj)
+        return StoneReport(
+            applicable=True,
+            dual_is_subtraction=is_subtraction_algebra(dual.algebra),
+        )
+    raise TypeError("expected an algebra or a space")
 
 
 def apply_relation(rel: SpaceRelation, subsets) -> frozenset[int]:

@@ -3,7 +3,9 @@ numpy array versions kept in ``oracles``.
 
 Whole ``ValidationReport``s are compared, so the witnesses must agree in
 number and in order (law by law, then row-major), and an algebra must have a
-representation exactly when its report is ok.
+representation exactly when its report is ok.  Every algebra compared is
+also asked whether it is a subtraction algebra, row by row against the
+oracle's pair loop, and so are the section algebras of generated spaces.
 """
 from __future__ import annotations
 
@@ -13,10 +15,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract
+from conftest import abstract, valid_spaces
 from drest import dra
-from drest.dra import FiniteAlgebra, OpTable, bottom, representation, up_masks, validate_axioms
-from drest.duality import dual_of
+from drest.dra import (
+    FiniteAlgebra,
+    OpTable,
+    bottom,
+    is_subtraction_algebra,
+    representation,
+    up_masks,
+    validate_axioms,
+)
+from drest.duality import G_object, dual_of
 from drest.filters import from_mask, maximal_filters
 from drest.fixtures import FIXTURES, get_fixture
 
@@ -27,6 +37,7 @@ def checked_report(alg: FiniteAlgebra) -> dra.ValidationReport:
     report = validate_axioms(alg)
     assert report == oracles.validate_axioms(alg)
     assert (representation(alg) is not None) == report.ok
+    assert is_subtraction_algebra(alg) == oracles.is_subtraction_algebra(alg)
     return report
 
 
@@ -82,6 +93,15 @@ def random_tables(draw) -> FiniteAlgebra:
 @given(random_tables())
 def test_random_tables_match_the_oracle(alg):
     checked_report(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_spaces())
+def test_subtraction_verdicts_of_generated_section_algebras_match_the_oracle(space):
+    # restriction is the meet exactly when each fibre is one point
+    alg = G_object(space).algebra
+    assert is_subtraction_algebra(alg) == oracles.is_subtraction_algebra(alg)
+    assert is_subtraction_algebra(alg) == (space.n_points == space.n_base)
 
 
 def unsound_first_draft() -> FiniteAlgebra:

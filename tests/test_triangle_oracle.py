@@ -10,10 +10,14 @@ space side.  The oracle checks G of each counit with ``hom_check`` on the
 way.  Density is compared on the canonical embeddings of the same algebras,
 on their identity maps, whose targets are often incomplete, and on
 inclusions of subalgebras, which are often not dense; both verdicts occur.
-The square is compared on every corpus identity map, on one subalgebra
+The η square is compared on every corpus identity map, on one subalgebra
 inclusion per corpus size and on every homomorphism among seeded maps
 between corpus algebras of at most 9 elements; the maps that are not
-homomorphisms are refused at the pullback or as morphisms.
+homomorphisms are refused at the pullback or as morphisms.  The λ square,
+which holds by proof, is compared with its composites on the identity and
+counit of every fixture's dual space and of generated valid spaces, on F of
+the seeded homomorphisms, and on refused morphisms and spaces, where the
+refusal and its order must agree.
 """
 from __future__ import annotations
 
@@ -24,21 +28,28 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import abstract, eighteen_element_completion, three_seed_closures, valid_spaces
+from conftest import abstract, eighteen_element_completion, outcome, three_seed_closures, valid_spaces
 from drest.dra import AlgebraMap, FiniteAlgebra, OpTable, bottom, hom_check, identity_map
 from drest.duality import (
+    NOWHERE,
+    EtaleSpace,
     F_morphism,
     F_object,
     G_object,
     InvalidMorphism,
+    InvalidSpace,
+    SpaceMorphism,
     check_triangle_identities,
     complete,
     completion_report,
+    counit_lambda,
     dual_of,
     eta_naturality_square,
+    identity_morphism,
+    lambda_naturality_square,
     unit_eta,
 )
-from drest.fixtures import inclusion_disjoint_into_boolean
+from drest.fixtures import FIXTURES, get_fixture, inclusion_disjoint_into_boolean
 
 
 def assert_triangles_agree(obj) -> None:
@@ -192,3 +203,54 @@ def test_F_refuses_exactly_the_maps_that_are_no_homomorphisms(closure_corpus):
             assert hom and dual.mapping == oracles.F_morphism(h)
             assert_eta_squares_agree(h)
     assert min(seen["homomorphism"], seen["pullback"]) > 500 and seen["no morphism"] > 5, seen
+
+
+def assert_lambda_squares_agree(m: SpaceMorphism) -> None:
+    assert lambda_naturality_square(m) is oracles.lambda_naturality_square(m) is True
+
+
+def test_lambda_square_agrees_on_fixture_duals():
+    for name in FIXTURES:
+        if name != "broken_restriction":
+            space = F_object(get_fixture(name).algebra)
+            assert_lambda_squares_agree(identity_morphism(space))
+            assert_lambda_squares_agree(counit_lambda(space))
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_spaces())
+def test_lambda_square_agrees_on_generated_spaces(space):
+    assert_lambda_squares_agree(identity_morphism(space))
+    assert_lambda_squares_agree(counit_lambda(space))
+
+
+def test_lambda_square_agrees_on_duals_of_homomorphisms(closure_corpus):
+    small = [abstract(c) for c in closure_corpus if len(c.elements) <= 9]
+    squares = 0
+    for h in seeded_maps(small, random.Random(31), 1500):
+        if hom_check(h).is_hom:
+            assert_lambda_squares_agree(F_morphism(h))
+            squares += 1
+    assert squares > 300, squares
+
+
+def test_lambda_square_refuses_as_the_composite_does():
+    one = EtaleSpace(1, 1, (0,), (frozenset({0}),))
+    split = EtaleSpace(2, 2, (0, 1), (frozenset({0}), frozenset({1})))
+    pair = EtaleSpace(2, 1, (0, 0), (frozenset({0}), frozenset({1})))
+    lumped = EtaleSpace(2, 1, (0, 0), (frozenset({0, 1}),))  # not Hausdorff
+    uncovered = EtaleSpace(1, 1, (0,), ())  # no open set around the point
+    lumped_fails = "projection not a local homeomorphism; points not separated by disjoint opens"
+    cases = [
+        # one fibre sent into two: no morphism, whatever the spaces
+        (SpaceMorphism(pair, split, (0, 1)), InvalidMorphism, "does not preserve equivalence"),
+        (SpaceMorphism(lumped, split, (0, 1)), InvalidMorphism,
+         "not continuous; does not preserve equivalence"),
+        # a morphism with an invalid space, the source checked first
+        (SpaceMorphism(lumped, lumped, (0, 1)), InvalidSpace, lumped_fails),
+        (SpaceMorphism(lumped, uncovered, (NOWHERE, NOWHERE)), InvalidSpace, lumped_fails),
+        (SpaceMorphism(one, uncovered, (0,)), InvalidSpace, "projection not a local homeomorphism"),
+    ]
+    for m, kind, message in cases:
+        got = outcome(lambda_naturality_square, m)
+        assert got == outcome(oracles.lambda_naturality_square, m) == (kind, message)
