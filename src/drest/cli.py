@@ -7,6 +7,8 @@ other exception escapes (a bug in drest, reported as JSON on stderr).
 
 Each subcommand imports the library modules it runs, after its input has
 been parsed and validated, so a process loads only what its command needs.
+Every command that reads an algebra also reads a ``pfalgebra`` document,
+its tables and representation read off the partial functions.
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from .documents import (
     pfalgebra_to_dict,
     space_to_dict,
 )
-from .dra import hom_check, is_proper_hom, representation, validate_axioms
+from .dra import from_concrete, hom_check, is_proper_hom, representation, validate_axioms
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+# an algebra comes as tables or as its partial functions
+ALGEBRA_KINDS = ("algebra", "pfalgebra")
 
 
 def _read(path: str) -> str:
@@ -54,11 +58,18 @@ def _valid(algebra, side: str = "input"):
     return algebra
 
 
+def _algebra(kind: str, value, names: Sequence[str] = ()):
+    """An algebra document's value; a pfalgebra's tables, and those of the
+    named operations, read off its partial functions."""
+    return from_concrete(value, names) if kind == "pfalgebra" else value
+
+
 def _bare(path: str, names: Sequence[str]):
     """The document's algebra without operations, once valid, and those named."""
-    algebra = _load(path, "algebra")[1]
-    bare = _valid(algebra.with_ops(()))
+    kind, value = _load(path, ALGEBRA_KINDS)
     try:
+        algebra = _algebra(kind, value, names)
+        bare = _valid(algebra.with_ops(()))
         return bare, [algebra.op(name) for name in names]
     except KeyError as exc:
         raise ValueError(str(exc)) from None
@@ -109,7 +120,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_filters(args) -> int:
-    algebra = _valid(_load(args.file, "algebra")[1])
+    algebra = _valid(_algebra(*_load(args.file, ALGEBRA_KINDS)))
     from .duality import dual_of
     from .filters import hat
 
@@ -129,8 +140,8 @@ def cmd_filters(args) -> int:
 
 def cmd_dualize(args) -> int:
     kind, value = _load(args.file)
-    if kind == "algebra":
-        algebra = _valid(value)
+    if kind in ALGEBRA_KINDS:
+        algebra = _valid(_algebra(kind, value))
         from .duality import F_object
 
         sys.stdout.write(emit_document(F_object(algebra)))
@@ -150,13 +161,13 @@ def cmd_dualize(args) -> int:
 def cmd_complete(args) -> int:
     bare, tables = _bare(args.file, args.with_op)
     if tables:  # an operator is refused before the completion is built
-        from .operators import complete_with_operators
+        from .operators import _carry, _require_carriable
 
-        _, embedding, _ = complete_with_operators(bare, tables)
+        _require_carriable(bare, tables)
     from .duality import canonical_completion
 
     iota, report = canonical_completion(bare)
-    sys.stdout.write(emit_document(embedding if tables else iota))
+    sys.stdout.write(emit_document(_carry(bare, tables, iota)[1] if tables else iota))
     print(
         json.dumps(
             {
@@ -174,8 +185,8 @@ def cmd_complete(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     kind, value = _load(args.file)
-    if kind == "algebra":
-        value = _valid(value.with_ops(()))
+    if kind in ALGEBRA_KINDS:
+        value, kind = _valid(_algebra(kind, value).with_ops(())), "algebra"
     elif kind != "space":
         return _fail(f"roundtrip does not handle {kind} documents")
     from .duality import (

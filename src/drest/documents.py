@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .dra import SECTION_CAP, AlgebraMap, FiniteAlgebra, OpTable
 
@@ -357,8 +357,10 @@ _EMITTERS = (
 )
 
 
-def parse_document(text: str, expect_kind: Optional[str] = None):
-    """Parse a JSON document into its value; returns (kind, value)."""
+def parse_document(text: str, expect_kind: Union[str, tuple[str, ...], None] = None):
+    """Parse a JSON document into its value; returns (kind, value).  The
+    kind may be required to be one kind or one of a tuple of them, a
+    refusal naming the first."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -370,9 +372,12 @@ def parse_document(text: str, expect_kind: Optional[str] = None):
     version = _field(doc, "version", int, "$")
     if version != FORMAT_VERSION:
         raise DocumentError("$.version", f"unsupported version {version}")
-    if expect_kind is not None and kind != expect_kind:
-        article = "an" if expect_kind[0] in "aeiou" else "a"
-        raise DocumentError("$.kind", f"expected {article} {expect_kind} document, got {kind}")
+    if isinstance(expect_kind, str):
+        expect_kind = (expect_kind,)
+    if expect_kind is not None and kind not in expect_kind:
+        expected = expect_kind[0]
+        article = "an" if expected[0] in "aeiou" else "a"
+        raise DocumentError("$.kind", f"expected {article} {expected} document, got {kind}")
     return kind, _PARSERS[kind](doc)
 
 

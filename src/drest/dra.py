@@ -14,7 +14,8 @@ complete when every partial section is a support.  The up-set bitmask of
 each element is built on first use and stored too, for the representation
 itself; compatibility and homomorphisms read the two tables.  The
 isomorphism search reads the representations: it assigns points, not
-elements, and matches supports.
+elements, and matches supports.  A concrete algebra's representation is
+read off its graphs instead (:func:`from_concrete`).
 """
 from __future__ import annotations
 
@@ -81,12 +82,15 @@ class FiniteAlgebra:
     rest: OpTable
     extra_ops: tuple[OpTable, ...] = ()
     # built on first use, not compared, and dropped with the algebra: up_masks,
-    # representation (() for none), the element of each support, and the dual
-    # record (drest.duality.dual_of)
+    # representation (() for none), the element of each support, the dual
+    # record (drest.duality.dual_of), and the operator facts, keyed by what
+    # built them and the table (drest.operators); each depends on the
+    # elements and the two tables alone, so with_ops keeps them
     _up: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
     _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _support_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _dual: object = field(default=None, init=False, repr=False, compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -121,7 +125,15 @@ class FiniteAlgebra:
         return self.elements.index(name)
 
     def with_ops(self, ops: Iterable[OpTable]) -> "FiniteAlgebra":
-        return FiniteAlgebra(self.elements, self.minus, self.rest, tuple(ops))
+        """The same elements and tables with other operations, sharing the
+        facts built so far."""
+        other = FiniteAlgebra(self.elements, self.minus, self.rest, tuple(ops))
+        for name in _KEPT:
+            object.__setattr__(other, name, getattr(self, name))
+        return other
+
+
+_KEPT = ("_up", "_rep", "_support_index", "_dual", "_operators")
 
 
 def binary_table(name: str, n: int, fn) -> OpTable:
@@ -131,10 +143,14 @@ def binary_table(name: str, n: int, fn) -> OpTable:
 def from_concrete(
     algebra: ConcretePFAlgebra, extra_ops: Iterable[str] = ()
 ) -> FiniteAlgebra:
-    """Extract operation tables from a concrete partial-function algebra.
+    """Extract operation tables from a concrete partial-function algebra,
+    with the representation read off its graphs
+    (:meth:`drest.pfun.ConcretePFAlgebra.dr_structure`), so none is searched
+    for in the tables.
 
     The algebra must be closed under every requested operation; "identity"
-    requires the identity function to be a member.
+    requires the identity function to be a member, and a name with no
+    concrete operation raises KeyError.
     """
     from .pfun import RAW_OPS
 
@@ -148,21 +164,25 @@ def from_concrete(
             raise ValueError("algebra not closed under requested operation")
         return index[values]
 
-    minus, rest = algebra.dr_tables()
+    minus, rest, rep = algebra.dr_structure()
     extras = []
     for name in extra_ops:
         if name == "identity":
             extras.append(OpTable("identity", 0, n, (lookup(tuple(range(algebra.carrier.size))),)))
             continue
+        if name not in RAW_OPS:
+            raise KeyError(f"no operation named {name!r}")
         arity, raw = RAW_OPS[name]
         entries = tuple(
             lookup(raw(*(elems[i].values for i in args)))
             for args in product(range(n), repeat=arity)
         )
         extras.append(OpTable(name, arity, n, entries))
-    return FiniteAlgebra(
+    abstract = FiniteAlgebra(
         names, OpTable("minus", 2, n, minus), OpTable("rest", 2, n, rest), tuple(extras)
     )
+    object.__setattr__(abstract, "_rep", rep)
+    return abstract
 
 
 # ---------------------------------------------------------------------------

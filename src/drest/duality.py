@@ -350,16 +350,6 @@ def _validated(m: SpaceMorphism) -> SpaceMorphism:
     return m
 
 
-def compose_morphisms(outer: SpaceMorphism, inner: SpaceMorphism) -> SpaceMorphism:
-    """outer after inner, defined where the chain is."""
-    if inner.target != outer.source:
-        raise ValueError("morphisms do not compose")
-    mapping = tuple(
-        outer.mapping[v] if v != NOWHERE else NOWHERE for v in inner.mapping
-    )
-    return space_morphism(inner.source, outer.target, mapping)
-
-
 def identity_morphism(space: EtaleSpace) -> SpaceMorphism:
     return space_morphism(space, space, tuple(range(space.n_points)))
 
@@ -749,15 +739,18 @@ def canonical_completion(algebra: FiniteAlgebra) -> tuple[AlgebraMap, Completion
 
 def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:
     """The unique isomorphism between two completions commuting with the
-    embeddings."""
+    embeddings; ValueError when they share no source, either is no
+    completion, or it does not keep an operation both targets name."""
     if iota.source != iota2.source:
         raise ValueError("completions must share a source")
     for m in (iota, iota2):
         if not completion_report(m).ok:
             raise ValueError("input is not a completion")
+    # two completions of one algebra are isomorphic over it, so only an
+    # operation both targets name can stop the transport
     theta = _factoring_embedding(iota, iota2)
     if theta is None:
-        raise AssertionError("internal error: atoms do not transport to a commuting embedding")
+        raise ValueError("the completions differ on a shared operation")
     if len(set(theta.table)) != iota2.target.n:
         raise AssertionError("internal error: transport is not an isomorphism")
     return theta

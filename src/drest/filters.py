@@ -86,13 +86,15 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
 
 @dataclass(frozen=True)
 class MaxFilterSpace:
-    """The points of the dual space: maximal filters plus their grouping by
-    the shared-domain equivalence.  Point i is the up-set of atoms[i];
-    hats[e] is the support of element e, the mask of the points holding it.
-    The points are read off the supports: the up-set of atoms[i] holds e
-    exactly when hats[e] holds i."""
+    """The points of the dual space of an n-element algebra: maximal filters
+    plus their grouping by the shared-domain equivalence.  Point i is the
+    up-set of atoms[i]; hats[e] is the support of element e, the mask of the
+    points holding it.  The points are read off the supports: the up-set of
+    atoms[i] holds e exactly when hats[e] holds i.  It holds no reference to
+    the algebra, which keeps it, so that neither waits for the cyclic
+    collector."""
 
-    algebra: FiniteAlgebra
+    n: int
     atoms: tuple[int, ...]
     points: tuple[frozenset[int], ...] = field(init=False)
     classes: tuple[tuple[int, ...], ...]
@@ -105,8 +107,7 @@ class MaxFilterSpace:
         for e, h in enumerate(self.hats):
             for i in bits(h):
                 members[i] |= 1 << e
-        n = self.algebra.n
-        object.__setattr__(self, "points", tuple(from_mask(m, n) for m in members))
+        object.__setattr__(self, "points", tuple(from_mask(m, self.n) for m in members))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(members)})
         object.__setattr__(
             self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
@@ -165,7 +166,7 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
     if rep is None:
         raise ValueError("algebra is not represented by partial functions, so it has no dual space")
     atoms, classes, hats = rep
-    return MaxFilterSpace(algebra, atoms, classes, hats)
+    return MaxFilterSpace(algebra.n, atoms, classes, hats)
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:

@@ -15,7 +15,9 @@ check and the back-and-forth check are OR-folds of the output masks.  The
 completion carries an operator as the image map of its relation, which is a
 compatibility-preserving operator by construction (proved at
 ``complete_with_operators``), so the operator cap bounds the inputs only;
-the carried table's size is bounded by the sections cap squared.
+the carried table's size is bounded by the sections cap squared.  An
+operator's classification and relation are made once per (algebra, table)
+and kept in the algebra's operator store, which the completion reads.
 """
 from __future__ import annotations
 
@@ -195,7 +197,23 @@ class OperatorReport:
         return self.is_operator and self.compat_preserving
 
 
+def _kept(algebra: FiniteAlgebra, table: OpTable, build: Callable):
+    """build(algebra, table), made once per table and kept in the algebra's
+    operator store, which :meth:`FiniteAlgebra.with_ops` shares: it reads
+    only the elements, the two tables and the table."""
+    facts = algebra._operators
+    if (build, table) not in facts:
+        facts[build, table] = build(algebra, table)
+    return facts[build, table]
+
+
 def classify_operator(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
+    """The three properties, with the first witness of each that fails; kept
+    on the algebra."""
+    return _kept(algebra, table, _classify)
+
+
+def _classify(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
     witnesses: list[str] = []
 
     def render(args: Iterable[int]) -> str:
@@ -267,12 +285,17 @@ def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> fro
 def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     """The point relation on the maximal-filter space: inputs drawn from the
     first filters must always land the operation in the last, so the last
-    point ranges over the common support of every image.
+    point ranges over the common support of every image; kept on the
+    algebra.
 
     So the image of mus is the AND-fold of the supports hats[f(args)] over
     the member lists of the points: nu is in it exactly when nu is in
     hats[f(args)] for every args with args[i] in the filter mus[i].
     """
+    return _kept(algebra, table, _relation)
+
+
+def _relation(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     _check_caps(algebra, table)
     dual = dual_of(algebra)
     k, hats = len(dual.mfs.points), dual.mfs.hats
@@ -379,7 +402,7 @@ def _relation_table(rel: SpaceRelation, dual: DualAlgebra) -> OpTable:
 
 
 def _require_operator(algebra: FiniteAlgebra, table: OpTable) -> None:
-    report = classify_operator(algebra, table)
+    report = _kept(algebra, table, _classify)
     if not report.is_compat_preserving_operator:
         raise OperatorCheckError(
             f"{table.name} is not a compatibility-preserving operator: "
@@ -393,7 +416,7 @@ def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable) -> bool
     image over the point lists of the supports is hats[f(.)]."""
     _require_operator(algebra, table)
     hats = dual_of(algebra).mfs.hats
-    rel = relation_from_operator(algebra, table)
+    rel = _kept(algebra, table, _relation)
     points = [list(bits(h)) for h in hats]
     applied = _fold(rel.image, rel.space.n_points, points, table.arity, or_, 0)
     return applied == [hats[e] for e in table.entries]
@@ -466,8 +489,16 @@ def complete_with_operators(
     A carried table has one entry per tuple of sections, so it is refused
     before the completion is built when it would exceed ``SECTION_CAP**2``
     entries: every unary and binary table fits, a ternary one fits on up to
-    101 sections.
+    101 sections.  Each input's classification and relation are those kept
+    on the algebra (:func:`classify_operator`, :func:`relation_from_operator`).
     """
+    _require_carriable(algebra, tables)
+    return _carry(algebra, tables, complete(algebra)[1])
+
+
+def _require_carriable(algebra: FiniteAlgebra, tables: Sequence[OpTable]) -> None:
+    """Refuse what :func:`complete_with_operators` refuses, building no
+    completion."""
     # a section picks one point or none from each fibre
     count = prod(len(cls) + 1 for cls in dual_of(algebra).mfs.classes)
     for table in tables:
@@ -477,18 +508,23 @@ def complete_with_operators(
                 f"carried tables capped at {SECTION_CAP**2} entries; "
                 f"{table.name} would have {count**table.arity}"
             )
-    completed, iota = complete(algebra)
+
+
+def _carry(
+    algebra: FiniteAlgebra, tables: Sequence[OpTable], iota: AlgebraMap
+) -> tuple[FiniteAlgebra, AlgebraMap, tuple[OpTable, ...]]:
+    """Carry operators that :func:`_require_carriable` accepts along the
+    canonical completion iota of the algebra."""
     sections = dual_of(algebra).sections
     lifted = tuple(
-        _relation_table(relation_from_operator(algebra, table), sections)
-        for table in tables
+        _relation_table(_kept(algebra, table, _relation), sections) for table in tables
     )
     h = iota.table
     for table, carried in zip(tables, lifted):
         arguments = product(range(algebra.n), repeat=table.arity)
         if [carried(*map(h.__getitem__, xs)) for xs in arguments] != [h[e] for e in table.entries]:
             raise AssertionError(f"internal error: carried {table.name} does not extend its input")
-    embedding = AlgebraMap(algebra.with_ops(tables), completed.with_ops(lifted), h)
+    embedding = AlgebraMap(algebra.with_ops(tables), iota.target.with_ops(lifted), h)
     return embedding.target, embedding, lifted
 
 

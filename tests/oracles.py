@@ -659,6 +659,16 @@ def eta_naturality_square(h: AlgebraMap) -> bool:
     return lhs.table == rhs.table
 
 
+def compose_morphisms(outer: SpaceMorphism, inner: SpaceMorphism) -> SpaceMorphism:
+    """outer after inner, defined where the chain is, validated."""
+    if inner.target != outer.source:
+        raise ValueError("morphisms do not compose")
+    mapping = tuple(
+        outer.mapping[v] if v != NOWHERE else NOWHERE for v in inner.mapping
+    )
+    return duality.space_morphism(inner.source, outer.target, mapping)
+
+
 def check_triangle_identities(obj) -> TriangleReport:
     """Both composite identities, anchored at the given algebra or space:
     F(unit) after the counit, and G(counit) after the unit, each built as a
@@ -675,7 +685,7 @@ def check_triangle_identities(obj) -> TriangleReport:
     # anchored at an algebra, both identities run through the same counit
     counit = duality._counit(sections)
     left_counit = counit if obj is algebra else duality._counit(duality.dual_of(algebra).sections)
-    left = duality.compose_morphisms(duality.F_morphism(duality.unit_eta(algebra)), left_counit)
+    left = compose_morphisms(duality.F_morphism(duality.unit_eta(algebra)), left_counit)
     # G(counit) runs from G F G(space) back to G(space)
     g_counit = duality._G_morphism(counit, sections, duality.dual_of(sections.algebra).sections)
     if not hom_check(g_counit).is_hom:
@@ -701,8 +711,8 @@ def lambda_naturality_square(m: SpaceMorphism) -> bool:
     duality._validated(m)
     src, tgt = duality.G_object(m.source), duality.G_object(m.target)
     fgm = duality.F_morphism(duality._G_morphism(m, src, tgt))
-    lhs = duality.compose_morphisms(fgm, duality._counit(src))
-    rhs = duality.compose_morphisms(duality._counit(tgt), m)
+    lhs = compose_morphisms(fgm, duality._counit(src))
+    rhs = compose_morphisms(duality._counit(tgt), m)
     return lhs.mapping == rhs.mapping
 
 

@@ -491,6 +491,75 @@ def test_oversized_carried_table_is_refused_before_the_completion(tmp_path):
     assert "capped at" in json.loads(run.stderr)["error"]
 
 
+def test_complete_with_operator_builds_one_unit_and_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("unit_eta", "_completion_report", "complete"):
+        original = getattr(duality, name)
+        monkeypatch.setattr(
+            duality, name,
+            lambda *a, name=name, original=original, **k: calls.append(name) or original(*a, **k),
+        )
+    alg = from_concrete(disjoint_pair().concrete, extra_ops=("domain",))
+    assert main(["complete", write(tmp_path, "with_d.json", emit_document(alg)), "--with-op", "domain"]) == 0
+    assert calls == ["unit_eta", "_completion_report"]
+    out, err = capsys.readouterr()
+    assert "domain" in parse_document(out)[1].target.op_names()
+    assert json.loads(err) == {
+        "embedding": True, "target_complete": True, "image_dense": True, "source_size": 3, "target_size": 4,
+    }
+
+
+def child(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``drest`` run as a child process."""
+    run = subprocess.run(
+        [sys.executable, "-m", "drest.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60, capture_output=True, text=True,
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+NOT_CLOSED = (2, "", json.dumps({"error": "algebra not closed under requested operation"}) + "\n")
+# each command, and the exit codes its table documents give on the fixtures
+PF_COMMANDS = [
+    (("filters",), {0}),
+    (("dualize",), {0}),
+    (("complete",), {0}),
+    (("roundtrip",), {0}),
+    (("complete", "--with-op", "domain", "--with-op", "compose"), {0}),
+    (("check-op", "range", "--relation"), {0, 2}),
+    (("check-op", "override"), {1, 2}),
+    (("check-op", "no-such-op"), {2}),
+]
+
+
+@pytest.mark.parametrize("command,codes", PF_COMMANDS, ids=[" ".join(c) for c, _ in PF_COMMANDS])
+def test_a_pfalgebra_document_answers_as_its_tables_do(tmp_path, command, codes):
+    ops = [a for a in command[1:] if a in ("domain", "compose", "range", "override")]
+    answers = set()
+    for name in FIXTURES:
+        concrete = get_fixture(name).concrete
+        if concrete is None:
+            continue
+        pf = write(tmp_path, f"{name}-pf.json", emit_document(concrete))
+        try:
+            tables = write(tmp_path, f"{name}.json", emit_document(from_concrete(concrete, ops)))
+        except ValueError:
+            expected = NOT_CLOSED
+        else:
+            expected = child(command[0], tables, *command[1:])
+        assert child(command[0], pf, *command[1:]) == expected, name
+        answers.add(expected[0])
+    assert answers == codes
+
+
+def test_a_pfalgebra_not_closed_under_the_named_operation_is_a_usage_error(tmp_path, capsys):
+    # {0:0} overriding {1:1} is {0:0,1:1}, not a member
+    path = write(tmp_path, "pf.json", emit_document(disjoint_pair().concrete))
+    for argv in (["check-op", path, "override"], ["complete", path, "--with-op", "override"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == NOT_CLOSED[1:]
+
+
 def test_roundtrip_command(tmp_path, capsys):
     for name in ("disjoint_pair", "conflicting_pair", "boolean_four", "single_point"):
         path = fixture_file(tmp_path, name)
@@ -655,6 +724,10 @@ LOAD_CASES = [
     (("check-op", "with-op", "domain"), 0, OPS),
     (("complete", "with-op", "--with-op", "domain"), 0, OPS),
     (("classify-op", "pfalgebra"), 0, OPS),
+    *[((command, "pfalgebra"), 0, DUAL + ("drest.pfun",)) for command in (
+        "filters", "dualize", "complete", "roundtrip"
+    )],
+    (("check-op", "pfalgebra", "domain"), 0, OPS),
     (("catalog",), 0, BASE + ("drest.fixtures", "drest.pfun")),
 ]
 

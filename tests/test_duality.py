@@ -11,6 +11,7 @@ from conftest import eighteen_element_completion
 from drest import duality, filters
 from drest.dra import (
     AlgebraMap,
+    binary_table,
     bottom,
     derived_meet,
     hom_check,
@@ -35,7 +36,6 @@ from drest.duality import (
     complete,
     completion_characterizations,
     completion_report,
-    compose_morphisms,
     counit_lambda,
     eta_naturality_square,
     identity_morphism,
@@ -283,7 +283,7 @@ def test_identity_and_composition():
     space = two_fibre_space()
     ident = identity_morphism(space)
     assert ident.is_identity()
-    assert compose_morphisms(ident, ident).is_identity()
+    assert oracles.compose_morphisms(ident, ident).is_identity()
 
 
 def test_fibre_collapse_is_rejected():
@@ -438,6 +438,18 @@ def test_unique_completion_iso_rejects_non_completions():
     identity = AlgebraMap(alg, alg, tuple(range(alg.n)))
     with pytest.raises(ValueError):  # the identity target is not complete
         unique_completion_iso(iota, identity)
+
+
+def test_unique_completion_iso_refuses_targets_that_differ_on_an_operation():
+    alg = single_point().algebra
+    target, iota = complete(alg)
+    first = binary_table("f", target.n, lambda x, y: x)
+    zero = binary_table("f", target.n, lambda x, y: bottom(target))
+    iota1 = AlgebraMap(alg, target.with_ops([first]), iota.table)
+    iota2 = AlgebraMap(alg, target.with_ops([zero]), iota.table)
+    with pytest.raises(ValueError, match="differ on a shared operation"):
+        unique_completion_iso(iota1, iota2)
+    assert unique_completion_iso(iota1, iota1).is_identity()
 
 
 def test_completion_characterizations(monkeypatch):

@@ -1,0 +1,247 @@
+"""Facts decided once and kept: the representation a concrete algebra reads
+off its graphs, the facts ``with_ops`` shares, the operator store, and dual
+records that hold no reference cycle.
+
+The representation ``from_concrete`` stores must be the one ``_represent``
+finds from the tables alone, on the corpus, seeded three-seed closures,
+catalogue-operation closures, the fixtures and hypothesis seed sets; and no
+concrete input has one searched for in its tables.  An operator is
+classified, and its relation built, once per (algebra, table), with the
+reports a fresh algebra gives.  A roundtrip and an operator completion,
+dropped, leave nothing for the cyclic collector.
+"""
+from __future__ import annotations
+
+import gc
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import operator_cases, three_seed_closures
+from drest import dra, duality, filters, operators
+from drest.documents import emit_document, parse_document
+from drest.dra import FiniteAlgebra, from_concrete
+from drest.fixtures import FIXTURES, get_fixture
+from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
+from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate, enumerate_all_pfs
+
+
+def tables_alone(alg: FiniteAlgebra) -> FiniteAlgebra:
+    return FiniteAlgebra(alg.elements, alg.minus, alg.rest)
+
+
+def assert_read_off_the_graphs(concrete, extra_ops=()) -> None:
+    alg = from_concrete(concrete, extra_ops)
+    assert alg._rep is not None and alg._up is None
+    assert alg._rep == dra._represent(tables_alone(alg))
+
+
+def catalogue_closures(concretes):
+    for concrete in concretes:
+        for op in CATALOGUE:
+            if op in NOT_IMPLEMENTED:
+                continue
+            try:
+                closed = closure_generate(
+                    concrete.carrier, concrete.elements, ops=("difference", "restrict", op)
+                )
+            except ValueError:
+                continue
+            if len(closed) <= 2 * OPERATOR_ALGEBRA_CAP:
+                yield closed, op
+
+
+def test_the_corpus_reads_its_representation_off_the_graphs(closure_corpus):
+    assert len(closure_corpus) == 1944
+    for concrete in closure_corpus:
+        assert_read_off_the_graphs(concrete)
+
+
+def test_three_seed_closures_read_their_representation_off_the_graphs():
+    for concrete in three_seed_closures(random.Random(20), 60):
+        assert_read_off_the_graphs(concrete)
+
+
+def test_catalogue_closures_read_their_representation_off_the_graphs(closure_corpus):
+    fixtures = [get_fixture(name).concrete for name in FIXTURES]
+    concretes = [c for c in fixtures if c is not None] + closure_corpus[::25]
+    ops = set()
+    for closed, op in catalogue_closures(concretes):
+        assert_read_off_the_graphs(closed, (op,))
+        ops.add(op)
+    assert ops == set(CATALOGUE) - set(NOT_IMPLEMENTED)
+
+
+def test_pfalgebra_fixtures_read_their_representation_off_the_graphs():
+    for name in FIXTURES:
+        concrete = get_fixture(name).concrete
+        if concrete is not None:
+            kind, parsed = parse_document(emit_document(concrete))
+            assert kind == "pfalgebra" and parsed == concrete
+            assert_read_off_the_graphs(parsed)
+
+
+def test_one_atom_may_hold_several_pairs():
+    # the points are the atoms, not the graph pairs: {(0,0),(1,1)} is one
+    # atom with two pairs, so the closure has one point
+    carrier = Carrier(2)
+    closed = closure_generate(carrier, [PartialFunction.from_graph(carrier, [(0, 0), (1, 1)])])
+    assert_read_off_the_graphs(closed)
+    assert from_concrete(closed)._rep == ((1,), ((0,),), (0, 1))
+
+
+def test_the_restrictions_of_a_function_on_seven_points():
+    # 128 elements and 7 points, past the closure cap
+    carrier = Carrier(7)
+    total = (3, 0, 6, 3, 1, 1, 5)
+    elements = sorted(
+        (PartialFunction(carrier, tuple(v if s >> x & 1 else -1 for x, v in enumerate(total)))
+         for s in range(1 << 7)),
+        key=lambda f: f.sort_key,
+    )
+    family = ConcretePFAlgebra(carrier, tuple(elements))
+    assert_read_off_the_graphs(family)
+    assert len(from_concrete(family)._rep[0]) == 7
+
+
+@st.composite
+def seed_sets(draw):
+    size = draw(st.integers(1, 3))
+    carrier = Carrier(size)
+    pool = enumerate_all_pfs(carrier)
+    seeds = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=4))
+    return carrier, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed_sets())
+def test_seed_sets_read_their_representation_off_the_graphs(drawn):
+    carrier, seeds = drawn
+    assert_read_off_the_graphs(closure_generate(carrier, seeds))
+
+
+@pytest.fixture
+def represent_calls(monkeypatch):
+    """The algebras _represent and up_masks run on."""
+    found = []
+    for name in ("_represent", "up_masks"):
+        original = getattr(dra, name)
+        monkeypatch.setattr(
+            dra, name, lambda alg, original=original: found.append(alg) or original(alg)
+        )
+    return found
+
+
+def test_concrete_input_has_no_representation_searched_for(represent_calls):
+    for name in FIXTURES:
+        concrete = get_fixture(name).concrete
+        if concrete is None:
+            continue
+        alg = from_concrete(concrete)
+        assert dra.validate_axioms(alg).ok
+        completed, _ = duality.complete(alg)
+        duality.complete(completed)
+        assert duality.check_triangle_identities(alg).ok
+        operators.classify_concrete_ops(concrete)
+    assert represent_calls == []
+
+
+def test_with_ops_keeps_every_fact():
+    concrete = get_fixture("boolean_four").concrete
+    alg = from_concrete(concrete, extra_ops=("domain",))
+    duality.complete(alg)
+    dra.supports(alg)
+    dra.up_masks(alg)
+    bare = alg.with_ops(())
+    assert bare.extra_ops == () and bare == tables_alone(alg)
+    for name in dra._KEPT:
+        assert getattr(bare, name) is getattr(alg, name) is not None
+    # the operator store is shared, so a fact found on either serves both
+    operators.classify_operator(bare, alg.op("domain"))
+    assert alg._operators is bare._operators and len(alg._operators) == 1
+
+
+def test_max_filter_space_holds_the_element_count():
+    alg = get_fixture("disjoint_pair").algebra
+    mfs = filters.maximal_filters(alg)
+    assert mfs.n == alg.n and not hasattr(mfs, "algebra")
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """(check, store, table) for every operator check and relation built:
+    the algebra's operator store, kept alive so that its id is not reused."""
+    calls = []
+    for name in ("check_compat_preserving", "check_normal", "check_additive", "_relation"):
+        original = getattr(operators, name)
+
+        def counted(alg, table, name=name, original=original):
+            calls.append((name, alg._operators, table))
+            return original(alg, table)
+
+        monkeypatch.setattr(operators, name, counted)
+    return calls
+
+
+def test_each_operator_is_classified_once(closure_corpus, check_calls):
+    cases = list(operator_cases(closure_corpus, 40))
+    carried = 0
+    for alg, table in cases:
+        fresh = tables_alone(alg)
+        report = operators.classify_operator(alg, table)
+        assert operators.classify_operator(alg, table) is report
+        assert report == operators._classify(fresh, table)
+        if not report.is_compat_preserving_operator:
+            continue
+        rel = operators.relation_from_operator(alg, table)
+        assert operators.relation_from_operator(alg.with_ops([table]), table) is rel
+        fresh_rel = operators._relation(fresh, table)
+        assert rel == fresh_rel and rel.image == fresh_rel.image
+        assert operators.check_eta_preserves_operator(alg, table)
+        try:
+            operators.complete_with_operators(alg, [table])
+            carried += 1
+        except ValueError:
+            pass
+    assert carried > 50
+    # each fresh algebra above is checked once too, so every (check, store,
+    # table) appears once, and two stores per case
+    keys = [(name, id(store), table) for name, store, table in check_calls]
+    assert len(keys) == len(set(keys))
+    assert len({key[1:] for key in keys}) == 2 * len(cases)
+
+
+def drest_garbage() -> list:
+    """The types of the drest objects only the cyclic collector would free;
+    they are freed afterwards."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [type(o) for o in gc.garbage if type(o).__module__.startswith("drest")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+
+
+def test_dropped_results_leave_no_cyclic_garbage(closure_corpus):
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees a cycle first
+    try:
+        for concrete in closure_corpus[::50]:
+            alg = from_concrete(concrete)
+            completed, _ = duality.complete(alg)
+            duality.check_triangle_identities(alg)
+            duality.complete(completed)
+        for alg, table in operator_cases(closure_corpus, 80):
+            if operators.classify_operator(alg, table).is_compat_preserving_operator:
+                operators.check_relation_properties(operators.relation_from_operator(alg, table))
+                try:
+                    operators.complete_with_operators(alg, [table])
+                except ValueError:
+                    pass
+        del alg, completed, table
+        assert drest_garbage() == []
+    finally:
+        gc.enable()

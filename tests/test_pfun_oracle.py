@@ -166,7 +166,7 @@ def test_tables_of_an_unclosed_family_are_refused():
     closed = closure_generate(carrier, [PartialFunction(carrier, (0, 1))])
     broken = dropped(closed, 0)
     with pytest.raises(ValueError, match="not closed") as mask_err:
-        broken.dr_tables()
+        broken.dr_structure()
     with pytest.raises(ValueError) as tuple_err:
         oracles.dr_tables(broken)
     assert str(mask_err.value) == str(tuple_err.value)
@@ -183,7 +183,7 @@ def test_restrictions_of_one_function_beyond_the_closure_cap():
     )
     family = ConcretePFAlgebra(carrier, tuple(sorted(elements, key=lambda f: f.sort_key)))
     assert family.is_closed_under(OPS)
-    assert family.dr_tables() == oracles.dr_tables(family)
+    assert family.dr_structure()[:2] == oracles.dr_tables(family)
     for i in (0, 1, 64, 127):
         smaller = dropped(family, i)
         assert smaller.is_closed_under(OPS) == oracles.is_closed_under(smaller, OPS)
