@@ -43,11 +43,8 @@ _EXPORTS = {
     "filters": (
         "MaxFilterSpace",
         "all_proper_filters",
-        "filter_domain_rel",
         "filter_equiv",
         "hat",
-        "is_filter",
-        "is_proper_filter",
         "maximal_filters",
     ),
     "duality": (

@@ -8,7 +8,8 @@ other exception escapes (a bug in drest, reported as JSON on stderr).
 Each subcommand imports the library modules it runs, after its input has
 been parsed and validated, so a process loads only what its command needs.
 Every command that reads an algebra also reads a ``pfalgebra`` document,
-its tables and representation read off the partial functions.
+its tables and representation read off the partial functions; one not
+closed under difference and restriction fails validation.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .documents import (
     pfalgebra_to_dict,
     space_to_dict,
 )
-from .dra import from_concrete, hom_check, is_proper_hom, representation, validate_axioms
+from .dra import NotClosed, from_concrete, hom_check, is_proper_hom, representation, validate_axioms
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 # an algebra comes as tables or as its partial functions
@@ -60,8 +61,14 @@ def _valid(algebra, side: str = "input"):
 
 def _algebra(kind: str, value, names: Sequence[str] = ()):
     """An algebra document's value; a pfalgebra's tables, and those of the
-    named operations, read off its partial functions."""
-    return from_concrete(value, names) if kind == "pfalgebra" else value
+    named operations, read off its partial functions, which fail validation
+    when they are not closed under difference and restriction."""
+    if kind != "pfalgebra":
+        return value
+    try:
+        return from_concrete(value, names)
+    except NotClosed:
+        raise _Invalid("input algebra fails validation") from None
 
 
 def _bare(path: str, names: Sequence[str]):

@@ -10,12 +10,14 @@ The representation, built on first use and stored on the algebra with an
 index from each support back to its element, carries the order and the
 joins: x <= y is inclusion of supports, a join is the element whose support
 is the union of the members', and the algebra is finitely compatibly
-complete when every partial section is a support.  The up-set bitmask of
-each element is built on first use and stored too, for the representation
-itself; compatibility and homomorphisms read the two tables.  The
-isomorphism search reads the representations: it assigns points, not
-elements, and matches supports.  A concrete algebra's representation is
-read off its graphs instead (:func:`from_concrete`).
+complete when every partial section is a support.  Compatibility and
+homomorphisms read the two tables.  The isomorphism search reads the
+representations: it assigns points, not elements, and matches supports.
+
+An algebra built from a family of masks (:func:`from_masks`: the graphs of
+partial functions, or the sections of a space) keeps them, and its
+representation is read off them on first use instead of searched for in its
+tables (:func:`_mask_representation`).
 """
 from __future__ import annotations
 
@@ -81,12 +83,13 @@ class FiniteAlgebra:
     minus: OpTable
     rest: OpTable
     extra_ops: tuple[OpTable, ...] = ()
-    # built on first use, not compared, and dropped with the algebra: up_masks,
-    # representation (() for none), the element of each support, the dual
+    # not compared, and dropped with the algebra: the masks and domain masks
+    # the algebra was built from (from_masks), and, built on first use,
+    # the representation (() for none), the element of each support, the dual
     # record (drest.duality.dual_of), and the operator facts, keyed by what
     # built them and the table (drest.operators); each depends on the
     # elements and the two tables alone, so with_ops keeps them
-    _up: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _masks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _support_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
     _dual: object = field(default=None, init=False, repr=False, compare=False)
@@ -133,43 +136,77 @@ class FiniteAlgebra:
         return other
 
 
-_KEPT = ("_up", "_rep", "_support_index", "_dual", "_operators")
+_KEPT = ("_masks", "_rep", "_support_index", "_dual", "_operators")
 
 
 def binary_table(name: str, n: int, fn) -> OpTable:
     return OpTable(name, 2, n, tuple(fn(x, y) for x in range(n) for y in range(n)))
 
 
+class NotClosed(ValueError):
+    """A family of masks not closed under difference and restriction."""
+
+
+def from_masks(
+    names: Iterable[str],
+    masks: Sequence[int],
+    doms: Sequence[int],
+    extra_ops: Iterable[OpTable] = (),
+) -> tuple[FiniteAlgebra, dict[int, int]]:
+    """The algebra of a family of distinct masks under difference a & ~b and
+    restriction b & doms[a], with the index of each mask; NotClosed when a
+    result is no member.  The names and extra operations are read only after
+    both tables are built, so an unclosed family is refused before any
+    operation is evaluated.
+
+    The masks must be partial sections of a partition of the bit positions
+    into blocks, each meeting a block at most once, with doms[a] the union
+    of the blocks a meets: graphs of partial functions, their blocks the
+    rows, or sections of a discrete space, their blocks the fibres.  They
+    are kept on the algebra, and :func:`representation` reads them
+    (:func:`_mask_representation`).
+    """
+    index = {m: i for i, m in enumerate(masks)}
+    complements = [~b for b in masks]
+    try:
+        minus = tuple([index[a & c] for a in masks for c in complements])
+        rest = tuple([index[b & d] for d in doms for b in masks])
+    except KeyError:
+        raise NotClosed("family not closed under difference and restriction") from None
+    n = len(masks)
+    algebra = FiniteAlgebra(
+        tuple(names), OpTable("minus", 2, n, minus), OpTable("rest", 2, n, rest), tuple(extra_ops)
+    )
+    object.__setattr__(algebra, "_masks", (masks, doms))
+    return algebra, index
+
+
 def from_concrete(
     algebra: ConcretePFAlgebra, extra_ops: Iterable[str] = ()
 ) -> FiniteAlgebra:
-    """Extract operation tables from a concrete partial-function algebra,
-    with the representation read off its graphs
-    (:meth:`drest.pfun.ConcretePFAlgebra.dr_structure`), so none is searched
-    for in the tables.
+    """The algebra of a concrete partial-function algebra, built from its
+    graph masks (:func:`from_masks`), with the tables of the named
+    operations.
 
-    The algebra must be closed under every requested operation; "identity"
-    requires the identity function to be a member, and a name with no
-    concrete operation raises KeyError.
+    NotClosed when the family is not closed under difference and restriction,
+    decided first; ValueError when it is not closed under a named operation;
+    "identity" requires the identity function to be a member, and a name
+    with no concrete operation raises KeyError.
     """
     from .pfun import RAW_OPS
 
     elems = algebra.elements
     n = len(elems)
     index = {f.values: i for i, f in enumerate(elems)}
-    names = tuple(f.render() for f in elems)
 
     def lookup(values: tuple[int, ...]) -> int:
         if values not in index:
             raise ValueError("algebra not closed under requested operation")
         return index[values]
 
-    minus, rest, rep = algebra.dr_structure()
-    extras = []
-    for name in extra_ops:
+    def table(name: str) -> OpTable:
         if name == "identity":
-            extras.append(OpTable("identity", 0, n, (lookup(tuple(range(algebra.carrier.size))),)))
-            continue
+            return OpTable("identity", 0, n, (lookup(tuple(range(algebra.carrier.size))),))
         if name not in RAW_OPS:
             raise KeyError(f"no operation named {name!r}")
         arity, raw = RAW_OPS[name]
@@ -177,12 +214,10 @@ def from_concrete(
             lookup(raw(*(elems[i].values for i in args)))
             for args in product(range(n), repeat=arity)
         )
-        extras.append(OpTable(name, arity, n, entries))
-    abstract = FiniteAlgebra(
-        names, OpTable("minus", 2, n, minus), OpTable("rest", 2, n, rest), tuple(extras)
-    )
-    object.__setattr__(abstract, "_rep", rep)
-    return abstract
+        return OpTable(name, arity, n, entries)
+
+    masks, doms = algebra.graph_masks()
+    return from_masks((f.render() for f in elems), masks, doms, map(table, extra_ops))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +325,15 @@ def bits(mask: int) -> Iterator[int]:
 
 def up_masks(algebra: FiniteAlgebra) -> tuple[int, ...]:
     """up[x]: the elements y with x <= y, as a bitmask."""
-    up = algebra._up
-    if up is None:
-        # x <= y iff x - (x - y) = x, so row x of the meet is the minus row
-        # composed with itself; each row is compared and summed in C.  One
-        # position more keeps itemgetter returning a tuple at n = 1, and
-        # compress stops at the end of powers.
-        powers = [1 << y for y in range(algebra.n)]
-        up = tuple(
-            sum(compress(powers, map(x.__eq__, itemgetter(*row, 0)(row))))
-            for x, row in enumerate(algebra.minus.rows())
-        )
-        object.__setattr__(algebra, "_up", up)
-    return up
+    # x <= y iff x - (x - y) = x, so row x of the meet is the minus row
+    # composed with itself; each row is compared and summed in C.  One
+    # position more keeps itemgetter returning a tuple at n = 1, and
+    # compress stops at the end of powers.
+    powers = [1 << y for y in range(algebra.n)]
+    return tuple(
+        sum(compress(powers, map(x.__eq__, itemgetter(*row, 0)(row))))
+        for x, row in enumerate(algebra.minus.rows())
+    )
 
 
 Representation = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
@@ -311,13 +342,15 @@ Representation = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, 
 def representation(algebra: FiniteAlgebra) -> Optional[Representation]:
     """``(atoms, classes, hats)`` when the support table is an isomorphism
     onto partial functions from classes to points, else None; kept on the
-    algebra.  Point i is atoms[i], which has only the bottom strictly below;
-    hats[e] is the mask of the points below e, and the classes group points
-    p, q with r(p, q) = q and r(q, p) = p.  It is a representation when
-    (1) the classes partition the points, each in its own class, (2) each
-    hats[x] meets each class at most once, (3) hats is injective, and for
-    all x, y (4) hats[x - y] = hats[x] & ~hats[y] and (5) hats[r(x, y)] =
-    hats[y] & sat(hats[x]), sat(h) being the union of the classes h meets.
+    algebra, and read off its masks when it was built from some
+    (:func:`_mask_representation`).  Point i is atoms[i], which has only the
+    bottom strictly below; hats[e] is the mask of the points below e, and
+    the classes group points p, q with r(p, q) = q and r(q, p) = p.  It is a
+    representation when (1) the classes partition the points, each in its
+    own class, (2) each hats[x] meets each class at most once, (3) hats is
+    injective, and for all x, y (4) hats[x - y] = hats[x] & ~hats[y] and
+    (5) hats[r(x, y)] = hats[y] & sat(hats[x]), sat(h) being the union of
+    the classes h meets.
 
     Soundness: by (1) and (2), hats[x] is the graph of a partial function
     f_x from classes to points, as a point names its class.  Graph difference
@@ -329,7 +362,9 @@ def representation(algebra: FiniteAlgebra) -> Optional[Representation]:
     their classes, represents every valid algebra.
     """
     if algebra._rep is None:
-        object.__setattr__(algebra, "_rep", _represent(algebra) or ())
+        masks = algebra._masks
+        rep = _mask_representation(*masks) if masks else _represent(algebra)
+        object.__setattr__(algebra, "_rep", rep or ())
     return algebra._rep or None
 
 
@@ -362,6 +397,56 @@ def _represent(algebra: FiniteAlgebra) -> Optional[Representation]:
         if list(map(at, r_row)) != list(map(and_, hats, repeat(sat[x]))):
             return None
     return tuple(atoms), tuple(classes), tuple(hats)
+
+
+def _mask_representation(masks: Sequence[int], doms: Sequence[int]) -> Representation:
+    """``(atoms, classes, hats)`` of a family built by :func:`from_masks`, in
+    the order :func:`_represent` lists them.
+
+    The order is inclusion (x - (x - y) is x & y).  Let c be an element,
+    minimal under inclusion, below an element e and holding a bit of e: a
+    nonempty d below c without the bit would leave c - d, below e with the
+    bit, smaller than c.  So c is an atom, a minimal nonempty mask; an atom a
+    meets e only when a & e, itself an element, is a; and two atoms are
+    disjoint.  Every mask is therefore the disjoint union of the atoms inside
+    it, the atoms it meets, and hats[e], the mask of those atoms, is
+    injective and satisfies conditions (4) and (5).  Scanned by popcount, a
+    nonempty mask is an atom iff it is disjoint from every atom found before
+    it: a non-atom holds a smaller atom, and atoms are disjoint.
+
+    The up-set of an atom is the elements that meet it, and the atoms are
+    sorted by that mask, as :func:`_represent` sorts them.  Two atoms p, q
+    have r(p, q) = q and r(q, p) = p exactly when each lies in the other's
+    doms, the blocks they meet being the same: the classes group atoms by
+    doms, each listed in point order and ordered by its first point, as
+    :func:`_represent` builds them.  Two atoms of one class meet the same
+    blocks, and a mask meets each block at most once, so no mask holds both:
+    condition (2).  An atom a lies in doms[x] iff x holds an atom b of a's
+    class: then x & doms[a] is a nonempty element, holding an atom b that
+    meets only blocks of a, and a & doms[b], nonempty, is a.  That is
+    condition (5).  When atom i is the bit i, as for the sections of a
+    space whose points keep their order, the supports are the masks.
+    """
+    count = list(map(int.bit_count, masks))
+    atoms, covered = [], 0
+    for e in sorted(range(len(masks)), key=count.__getitem__):
+        if masks[e] and not masks[e] & covered:
+            atoms.append(e)
+            covered |= masks[e]
+    # the set bits picked by nonzero meets, summed in C; there are no more
+    # atoms than elements, so powers covers both
+    powers = [1 << e for e in range(len(masks))]
+    up = {a: sum(compress(powers, map(masks[a].__and__, masks))) for a in atoms}
+    atoms.sort(key=up.__getitem__)
+    classes: dict[int, list[int]] = {}  # doms -> its points
+    for i, a in enumerate(atoms):
+        classes.setdefault(doms[a], []).append(i)
+    graphs = [masks[a] for a in atoms]
+    if graphs == powers[:len(atoms)]:
+        hats = tuple(masks)
+    else:
+        hats = tuple(sum(compress(powers, map(m.__and__, graphs))) for m in masks)
+    return tuple(atoms), tuple(map(tuple, classes.values())), hats
 
 
 def compatible(algebra: FiniteAlgebra, x: int, y: int) -> bool:

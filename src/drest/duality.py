@@ -6,12 +6,14 @@ the intersection of the basis sets around it, so the validator decides every
 basis on int bitmasks in O(k·B + k²) for k points and B basis sets, after one
 pass over the basis, and lists no open set.  A valid space is discrete, so
 its sections are the choices of at most one point per fibre, capped at
-SECTION_CAP.  Each algebra keeps one dual record (:func:`dual_of`), which the
-functors, unit, counit and completion read; a space passed in by a caller
-gets none.  Read off the algebra's representation, its space is valid and
-its unit an embedding with no check run.  Point and section sets are int
-masks: the unit reads the support table, the counit sends a point x to the
-up-set of the singleton section {x}, and F and G on maps pull masks back.
+SECTION_CAP; their algebra is built from the section masks
+(:func:`drest.dra.from_masks`), which give its representation on first use.
+Each algebra keeps one dual record (:func:`dual_of`), which the functors,
+unit, counit and completion read; a space passed in by a caller gets none.
+Read off the algebra's representation, its space is valid and its unit an
+embedding with no check run.  Point and section sets are int masks: the
+unit reads the support table, the counit sends a point x to the up-set of
+the singleton section {x}, and F and G on maps pull masks back.
 Both triangle identities, the η square and the density of a completion are
 decided on these masks, with no composite map built and no table read; the
 λ square, the subtraction-algebra checks and the transport between
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, product
+from itertools import product
 from math import prod
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -33,8 +35,8 @@ from .dra import (
     SPACE_SIZE_CAP,
     AlgebraMap,
     FiniteAlgebra,
-    OpTable,
     bits,
+    from_masks,
     hom_check,
     is_fin_compatibly_complete,
     is_subtraction_algebra,
@@ -379,14 +381,15 @@ class DualAlgebra:
     space: EtaleSpace
     sections: tuple[frozenset[int], ...]
     algebra: FiniteAlgebra
-    # the sections as point masks, and the position of each mask
+    # the sections as point masks, and the index of each mask
     masks: tuple[int, ...] = field(repr=False, compare=False)
     index: dict[int, int] = field(repr=False, compare=False)
 
 
 def _section_algebra(space: EtaleSpace) -> DualAlgebra:
-    """The sections of a valid space and their difference and restriction
-    tables; refuses before any table is built when there are too many."""
+    """The sections of a valid space as an algebra built from their masks,
+    restricted by their saturations (:func:`drest.dra.from_masks`); refuses
+    before any table is built when there are too many."""
     # a section picks one point or none from each fibre
     fibres = _fibres(space)
     count = prod(f.bit_count() + 1 for f in fibres)
@@ -398,26 +401,10 @@ def _section_algebra(space: EtaleSpace) -> DualAlgebra:
         (sum(pick) for pick in product(*choices)),
         key=lambda m: (m.bit_count(), list(bits(m))),
     )
-    # position[m]: the index of the section with mask m, or NOWHERE
-    position = [NOWHERE] * (1 << space.n_points)
-    for i, m in enumerate(masks):
-        position[m] = i
     saturated = [_union(f for f in fibres if f & m) for m in masks]
-    minus = tuple(position[m & ~v] for m in masks for v in masks)
-    if NOWHERE in minus:
-        raise AssertionError("internal error: sections not closed under difference")
-    rest = tuple(position[s & v] for s in saturated for v in masks)
-    if NOWHERE in rest:
-        raise AssertionError("internal error: sections not closed under restriction")
-
     sections = tuple(flt.from_mask(m, space.n_points) for m in masks)
-    n = len(sections)
-    algebra = FiniteAlgebra(
-        elements=tuple(section_name(u) for u in sections),
-        minus=OpTable("minus", 2, n, minus),
-        rest=OpTable("rest", 2, n, rest),
-    )
-    return DualAlgebra(space, sections, algebra, tuple(masks), {m: i for i, m in enumerate(masks)})
+    algebra, index = from_masks(map(section_name, sections), masks, saturated)
+    return DualAlgebra(space, sections, algebra, tuple(masks), index)
 
 
 def G_object(space: EtaleSpace) -> DualAlgebra:
@@ -441,46 +428,10 @@ class DualRecord:
 
     @property
     def sections(self) -> DualAlgebra:
-        """G of the dual space: the completion of the algebra, built with its
-        representation."""
+        """G of the dual space: the completion of the algebra."""
         if self._sections is None:
-            sections = _section_algebra(self.space)
-            _seed_representation(sections)
-            object.__setattr__(self, "_sections", sections)
+            object.__setattr__(self, "_sections", _section_algebra(self.space))
         return self._sections
-
-
-def _seed_representation(sections: DualAlgebra) -> None:
-    """Store on the section algebra of a dual space the representation that
-    :func:`drest.dra.representation` would find, reading no table.
-
-    The space is discrete and every section a partial section, and the tables
-    are m & ~v and sat(m) & v on section masks, so the masks themselves
-    satisfy the representation's conditions (1)-(5) over the fibres.  The
-    order is inclusion, so the atoms are the singleton sections; they are put
-    in the order the representation sorts them, by up-set mask, the up-set
-    of {x} being the sections that hold x.  The support of a section is then
-    its mask relabelled to that order, and the classes, the points p, q with
-    r(p, q) = q, are the fibres, each listed in the new order and the
-    classes ordered by their first point.  Only the space of a dual record
-    is known to be valid, so only :attr:`DualRecord.sections` seeds.
-    """
-    masks, space = sections.masks, sections.space
-    # up[x]: the positions of the sections holding x
-    powers = [1 << i for i in range(len(masks))]
-    up = [sum(compress(powers, map((1 << x).__and__, masks))) for x in range(space.n_points)]
-    order = sorted(range(space.n_points), key=up.__getitem__)
-    atoms = tuple(sections.index[1 << x] for x in order)
-    classes: dict[int, list[int]] = {}  # fibre -> its points in the new order
-    for j, x in enumerate(order):
-        classes.setdefault(space.projection[x], []).append(j)
-    hats = masks
-    if order != sorted(order):
-        relabel = [0] * len(order)
-        for j, x in enumerate(order):
-            relabel[x] = 1 << j
-        hats = tuple(_union(map(relabel.__getitem__, bits(m))) for m in masks)
-    object.__setattr__(sections.algebra, "_rep", (atoms, tuple(map(tuple, classes.values())), hats))
 
 
 def dual_of(algebra: FiniteAlgebra) -> DualRecord:

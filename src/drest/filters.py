@@ -7,7 +7,8 @@ the atoms.  A point is the position of its atom, and the support of an
 element is the mask of the points holding it; the support table is the
 algebra's :func:`drest.dra.representation`, and an algebra without one has
 no dual space.  The subset scan ``all_proper_filters`` is kept, capped, as
-the oracle the tests compare against.
+the oracle the tests compare against; the literal filter predicates are in
+the tests' oracles.
 """
 from __future__ import annotations
 
@@ -28,27 +29,6 @@ def to_mask(members: Iterable[int]) -> int:
 
 def from_mask(mask: int, n: int) -> frozenset[int]:
     return frozenset(x for x in range(n) if mask >> x & 1)
-
-
-def is_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
-    """Nonempty, upward closed, and closed under binary meets."""
-    s = set(members)
-    if not s:
-        return False
-    n = algebra.n
-    for x in s:
-        for y in range(n):
-            if leq(algebra, x, y) and y not in s:
-                return False
-        for y in s:
-            if derived_meet(algebra, x, y) not in s:
-                return False
-    return True
-
-
-def is_proper_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
-    s = set(members)
-    return is_filter(algebra, s) and bottom(algebra) not in s
 
 
 def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
@@ -144,16 +124,6 @@ def filter_equiv(
     """
     q = _generator(algebra, nu)
     return algebra.r(_generator(algebra, mu), q) == q
-
-
-def filter_domain_rel(
-    algebra: FiniteAlgebra, f: frozenset[int], g: frozenset[int]
-) -> bool:
-    """Domain-inclusion preorder on filters: restricting members of g by
-    members of f never escapes f."""
-    # the element-wise restriction set, upward closed, is contained in the
-    # upward-closed f iff each generator already is
-    return all(algebra.r(b, a) in f for b in g for a in f)
 
 
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:

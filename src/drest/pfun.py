@@ -5,17 +5,18 @@ fixed-length tuple with ``-1`` marking "undefined".  All operations are pure;
 closures of seed sets under the named operations provide genuine algebras of
 partial functions that the abstract layer is tested against.
 
-The ``values`` tuples are the public form.  The closure, the difference and
-restriction tables of an algebra, their representation and the closedness
+The ``values`` tuples are the public form.  The closure and the closedness
 check run on graph masks instead (bit ``x*size + y`` set iff f(x) = y),
-where difference is ``a & ~b`` and restriction is ``b & dom(a)``; the
-further operations run on tuples through one decode/encode adapter.  The
-tuple versions are kept as test oracles.
+where difference is ``a & ~b`` and restriction is ``b & dom(a)``, and an
+algebra's tables and representation are built from the same masks
+(:func:`drest.dra.from_concrete`); the further operations run on tuples
+through one decode/encode adapter.  The tuple versions are kept as test
+oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 UNDEF = -1
@@ -307,28 +308,15 @@ class ConcretePFAlgebra:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _graph_masks(self) -> tuple[list[int], list[int]]:
-        """The graph mask of every element and its domain cylinder."""
+    def graph_masks(self) -> tuple[list[int], list[int]]:
+        """The graph mask of every element and its domain cylinder, the
+        union of the rows it meets (:func:`drest.dra.from_masks`)."""
         encode, _, dom = _graph_codec(self.carrier.size)
         masks = [encode(f.values) for f in self.elements]
         return masks, [dom(m) for m in masks]
 
-    def dr_structure(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-        """Row-major difference and restriction tables on element indices,
-        and the representation :func:`drest.dra.representation` would find
-        from them, read off the same graph masks
-        (:func:`_graph_representation`)."""
-        masks, doms = self._graph_masks()
-        index = {m: i for i, m in enumerate(masks)}
-        try:
-            minus = tuple([index[a & ~b] for a in masks for b in masks])
-            rest = tuple([index[b & d] for d in doms for b in masks])
-        except KeyError:
-            raise ValueError("algebra not closed under requested operation") from None
-        return minus, rest, _graph_representation(masks, doms)
-
     def is_closed_under(self, op_names: Iterable[str]) -> bool:
-        masks, doms = self._graph_masks()
+        masks, doms = self.graph_masks()
         present = set(masks)
         members = {f.values for f in self.elements}
         for name in op_names:
@@ -354,46 +342,6 @@ class ConcretePFAlgebra:
                 if result not in members:
                     return False
         return True
-
-
-def _graph_representation(masks: list[int], doms: list[int]) -> tuple:
-    """``(atoms, classes, hats)`` of a family closed under difference and
-    restriction, given its graph masks and domain cylinders, in the order
-    :func:`drest.dra.representation` lists them.
-
-    The order is graph inclusion (x - (x - y) is x & y).  Let c be an
-    element, minimal under inclusion, below an element e and holding a pair
-    of e: a nonempty d below c without the pair would leave c - d, below e
-    with the pair, smaller than c.  So c is an atom, a minimal nonempty
-    graph; an atom a meets e only when a & e, itself an element, is a; and
-    two atoms are disjoint.  Every graph is therefore the disjoint union of
-    the atoms inside it, the atoms it meets.  Scanned by popcount, a
-    nonempty graph is an atom iff it is disjoint from every atom found
-    before it: a non-atom holds a smaller atom, and atoms are disjoint.
-
-    hats[e] is the mask of the atoms e meets.  The up-set of an atom is the
-    elements that meet it, and the atoms are sorted by that mask, as the
-    representation sorts them by their up-set masks.  Two atoms p, q have
-    r(p, q) = q and r(q, p) = p exactly when their domains are equal, so the
-    classes group atoms by domain cylinder, each listed in point order and
-    ordered by its first point, as the representation builds them.
-    """
-    atoms, covered = [], 0
-    for e in sorted(range(len(masks)), key=list(map(int.bit_count, masks)).__getitem__):
-        if masks[e] and not masks[e] & covered:
-            atoms.append(e)
-            covered |= masks[e]
-    # the set bits picked by nonzero meets, summed in C; there are no more
-    # atoms than elements, so powers covers both
-    powers = [1 << e for e in range(len(masks))]
-    up = {a: sum(compress(powers, map(masks[a].__and__, masks))) for a in atoms}
-    atoms.sort(key=up.__getitem__)
-    classes: dict[int, list[int]] = {}  # domain cylinder -> its points
-    for i, a in enumerate(atoms):
-        classes.setdefault(doms[a], []).append(i)
-    graphs = [masks[a] for a in atoms]
-    hats = tuple(sum(compress(powers, map(m.__and__, graphs))) for m in masks)
-    return tuple(atoms), tuple(map(tuple, classes.values())), hats
 
 
 def closure_generate(

@@ -5,9 +5,10 @@ most two partial functions on carriers of size up to three; generating that
 corpus once keeps the suite fast.  Seeded three-seed closures on carrier 4
 reach the sizes the two-seed corpus does not.  The operator tests share one
 list of operation tables built from fixtures and corpus closures, and the
-differential tests one way to shuffle an algebra's elements, one strategy for
-valid spaces, one way to compare outcomes, refusals included, and one
-closure whose completion is past the old filter cap.
+differential tests one way to shuffle an algebra's elements, every space of
+at most three points, one strategy for valid spaces, one way to compare
+outcomes, refusals included, and one closure whose completion is past the
+old filter cap.
 """
 from __future__ import annotations
 
@@ -127,6 +128,17 @@ def operator_cases(corpus, stride: int):
             if len(closed.elements) <= OPERATOR_ALGEBRA_CAP:
                 with_op = from_concrete(closed, extra_ops=(op,))
                 yield with_op.with_ops(()), with_op.op(op)
+
+
+def small_spaces():
+    """Every projection of n points into n base points with every set of
+    subsets as basis, for n = 1..3: 6,980 spaces."""
+    for n in range(1, 4):
+        subsets = [frozenset(x for x in range(n) if m >> x & 1) for m in range(1 << n)]
+        for projection in product(range(n), repeat=n):
+            for chosen in range(1 << len(subsets)):
+                basis = tuple(u for i, u in enumerate(subsets) if chosen >> i & 1)
+                yield EtaleSpace(n, n, projection, basis)
 
 
 @st.composite

@@ -7,9 +7,9 @@ intersections of basis sets be unions of the basis as given, the base
 carries the quotient topology, and compactness, interiors, separation,
 properness and relation continuity are tested by their quantifiers over
 open sets.  The library decides the same verdicts from least neighbourhoods
-on bitmasks; the differential tests compare the two on small spaces.  Joins and the
-shared-domain relation of filters are kept the same way, quantified over
-elements with ``leq``, and completeness as the pair scan over up-set masks;
+on bitmasks; the differential tests compare the two on small spaces.
+Joins, the filter predicates and the relations of filters are kept the same
+way, quantified over elements with ``leq``, and completeness as the pair scan over up-set masks;
 the library looks joins up by the union of supports, counts partial sections
 for completeness, and compares the least members of principal filters.  The
 axiom validator and the dichotomy predicate for maximal filters are kept as
@@ -535,6 +535,35 @@ def filter_equiv(
     """Shared-domain equivalence of maximal filters: every a | b with a from
     the first and b from the second lands in the second."""
     return all(algebra.r(a, b) in nu for a in mu for b in nu)
+
+
+def is_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
+    """Nonempty, upward closed, and closed under binary meets."""
+    s = set(members)
+    if not s:
+        return False
+    n = algebra.n
+    for x in s:
+        for y in range(n):
+            if leq(algebra, x, y) and y not in s:
+                return False
+        for y in s:
+            if dra.derived_meet(algebra, x, y) not in s:
+                return False
+    return True
+
+
+def is_proper_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
+    s = set(members)
+    return is_filter(algebra, s) and bottom(algebra) not in s
+
+
+def filter_domain_rel(
+    algebra: FiniteAlgebra, f: frozenset[int], g: frozenset[int]
+) -> bool:
+    """Domain-inclusion preorder on filters: restricting members of g by
+    members of f never escapes f."""
+    return all(algebra.r(b, a) in f for b in g for a in f)
 
 
 def as_array(table: OpTable) -> np.ndarray:

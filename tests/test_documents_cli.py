@@ -560,6 +560,39 @@ def test_a_pfalgebra_not_closed_under_the_named_operation_is_a_usage_error(tmp_p
         assert capsys.readouterr() == NOT_CLOSED[1:]
 
 
+def unclosed_pfalgebra(tmp_path) -> str:
+    """{0:0,1:1} and {0:0}, whose difference {1:1} is missing."""
+    carrier = Carrier(2)
+    elements = [PartialFunction.from_graph(carrier, g) for g in ([(0, 0)], [(0, 0), (1, 1)])]
+    document = emit_document(ConcretePFAlgebra(carrier, tuple(elements)))
+    return write(tmp_path, "unclosed.json", document)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filters"],
+        ["dualize"],
+        ["complete"],
+        ["complete", "--with-op", "override"],
+        ["roundtrip"],
+        ["check-op", "range"],
+        ["check-op", "override", "--relation"],
+    ],
+)
+def test_a_pfalgebra_not_closed_under_difference_fails_validation(tmp_path, capsys, argv):
+    # difference and restriction are decided before any named operation,
+    # so every command gives the verdict of validate
+    assert main([argv[0], unclosed_pfalgebra(tmp_path), *argv[1:]]) == 1
+    invalid = json.dumps({"error": "input algebra fails validation"}) + "\n"
+    assert capsys.readouterr() == ("", invalid)
+
+
+def test_validate_finds_the_unclosed_pfalgebra_not_closed(tmp_path, capsys):
+    assert main(["validate", unclosed_pfalgebra(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"kind": "pfalgebra", "closed": False}
+
+
 def test_roundtrip_command(tmp_path, capsys):
     for name in ("disjoint_pair", "conflicting_pair", "boolean_four", "single_point"):
         path = fixture_file(tmp_path, name)

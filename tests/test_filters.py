@@ -3,16 +3,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import filter_domain_rel, is_filter, is_proper_filter
 from drest.dra import bottom, derived_meet, from_concrete, leq
-from drest.filters import (
-    all_proper_filters,
-    filter_domain_rel,
-    filter_equiv,
-    hat,
-    is_filter,
-    is_proper_filter,
-    maximal_filters,
-)
+from drest.filters import all_proper_filters, filter_equiv, hat, maximal_filters
 from drest.fixtures import (
     boolean_four,
     conflicting_pair,

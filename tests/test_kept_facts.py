@@ -1,27 +1,32 @@
-"""Facts decided once and kept: the representation a concrete algebra reads
-off its graphs, the facts ``with_ops`` shares, the operator store, and dual
-records that hold no reference cycle.
+"""Facts decided once and kept: the representation an algebra built from
+masks reads off them, the facts ``with_ops`` shares, the operator store, and
+dual records that hold no reference cycle.
 
-The representation ``from_concrete`` stores must be the one ``_represent``
-finds from the tables alone, on the corpus, seeded three-seed closures,
-catalogue-operation closures, the fixtures and hypothesis seed sets; and no
-concrete input has one searched for in its tables.  An operator is
-classified, and its relation built, once per (algebra, table), with the
-reports a fresh algebra gives.  A roundtrip and an operator completion,
-dropped, leave nothing for the cyclic collector.
+An algebra built from masks, a concrete algebra's graphs or a space's
+sections, derives no representation until one is read, then derives it once
+from its masks, with neither ``_represent`` nor ``up_masks`` run; it must be
+the one ``_represent`` finds from the tables alone, on the corpus, seeded
+three-seed closures, catalogue-operation closures, the fixtures, hypothesis
+seed sets and the section algebras of every valid space of at most three
+points and of hypothesis spaces.  An operator is classified, and its
+relation built, once per (algebra, table), with the reports a fresh algebra
+gives.  A roundtrip and an operator completion, dropped, leave nothing for
+the cyclic collector.
 """
 from __future__ import annotations
 
 import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import operator_cases, three_seed_closures
+from conftest import operator_cases, small_spaces, three_seed_closures, valid_spaces
 from drest import dra, duality, filters, operators
 from drest.documents import emit_document, parse_document
 from drest.dra import FiniteAlgebra, from_concrete
+from drest.duality import EtaleSpace, G_object, validate_etale
 from drest.fixtures import FIXTURES, get_fixture
 from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
 from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate, enumerate_all_pfs
@@ -31,10 +36,40 @@ def tables_alone(alg: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(alg.elements, alg.minus, alg.rest)
 
 
-def assert_read_off_the_graphs(concrete, extra_ops=()) -> None:
-    alg = from_concrete(concrete, extra_ops)
-    assert alg._rep is not None and alg._up is None
-    assert alg._rep == dra._represent(tables_alone(alg))
+FINDERS = ("_represent", "up_masks", "_mask_representation")
+
+
+@contextmanager
+def finder_calls():
+    """The number of calls to each way of finding a representation."""
+    calls = dict.fromkeys(FINDERS, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FINDERS:
+            original = getattr(dra, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            patch.setattr(dra, name, counted)
+        yield calls
+
+
+def assert_read_off_the_masks(build) -> FiniteAlgebra:
+    """The algebra build() makes reads its representation off its masks on
+    first use, once, and it is the one its tables give."""
+    with finder_calls() as calls:
+        alg = build()
+        assert calls == dict.fromkeys(FINDERS, 0)
+        rep = dra.representation(alg)
+        assert dra.representation(alg) is rep
+        assert calls == {"_represent": 0, "up_masks": 0, "_mask_representation": 1}
+    assert rep == dra._represent(tables_alone(alg))
+    return alg
+
+
+def assert_read_off_the_graphs(concrete, extra_ops=()) -> FiniteAlgebra:
+    return assert_read_off_the_masks(lambda: from_concrete(concrete, extra_ops))
 
 
 def catalogue_closures(concretes):
@@ -87,8 +122,7 @@ def test_one_atom_may_hold_several_pairs():
     # atom with two pairs, so the closure has one point
     carrier = Carrier(2)
     closed = closure_generate(carrier, [PartialFunction.from_graph(carrier, [(0, 0), (1, 1)])])
-    assert_read_off_the_graphs(closed)
-    assert from_concrete(closed)._rep == ((1,), ((0,),), (0, 1))
+    assert dra.representation(assert_read_off_the_graphs(closed)) == ((1,), ((0,),), (0, 1))
 
 
 def test_the_restrictions_of_a_function_on_seven_points():
@@ -101,8 +135,7 @@ def test_the_restrictions_of_a_function_on_seven_points():
         key=lambda f: f.sort_key,
     )
     family = ConcretePFAlgebra(carrier, tuple(elements))
-    assert_read_off_the_graphs(family)
-    assert len(from_concrete(family)._rep[0]) == 7
+    assert len(dra.representation(assert_read_off_the_graphs(family))[0]) == 7
 
 
 @st.composite
@@ -121,30 +154,52 @@ def test_seed_sets_read_their_representation_off_the_graphs(drawn):
     assert_read_off_the_graphs(closure_generate(carrier, seeds))
 
 
-@pytest.fixture
-def represent_calls(monkeypatch):
-    """The algebras _represent and up_masks run on."""
-    found = []
-    for name in ("_represent", "up_masks"):
-        original = getattr(dra, name)
-        monkeypatch.setattr(
-            dra, name, lambda alg, original=original: found.append(alg) or original(alg)
-        )
-    return found
+def test_section_algebras_of_small_spaces_read_their_representation_off_the_masks():
+    valid = [space for space in small_spaces() if validate_etale(space).ok]
+    assert len(valid) > 100
+    for space in valid:
+        assert_read_off_the_masks(lambda: G_object(space).algebra)
 
 
-def test_concrete_input_has_no_representation_searched_for(represent_calls):
-    for name in FIXTURES:
-        concrete = get_fixture(name).concrete
-        if concrete is None:
-            continue
+@settings(max_examples=100, deadline=None)
+@given(valid_spaces())
+def test_section_algebras_of_generated_spaces_read_their_representation_off_the_masks(space):
+    assert_read_off_the_masks(lambda: G_object(space).algebra)
+
+
+def test_completions_read_their_representation_off_the_masks(closure_corpus):
+    for concrete in closure_corpus[::20]:
         alg = from_concrete(concrete)
-        assert dra.validate_axioms(alg).ok
-        completed, _ = duality.complete(alg)
-        duality.complete(completed)
-        assert duality.check_triangle_identities(alg).ok
-        operators.classify_concrete_ops(concrete)
-    assert represent_calls == []
+        dual = duality.dual_of(alg)
+        completed = assert_read_off_the_masks(lambda: dual.sections.algebra)
+        assert duality.complete(alg)[0] is completed
+        dual = duality.dual_of(completed)
+        assert_read_off_the_masks(lambda: dual.sections.algebra)
+
+
+def test_concrete_input_has_no_representation_searched_for():
+    spaces = [
+        EtaleSpace(n, len(set(p)), p, tuple(frozenset({x}) for x in range(n)))
+        for p in ((0,), (0, 0), (0, 1), (0, 0, 1), (0, 1, 0, 1), (0, 1, 2, 0, 1))
+        for n in [len(p)]
+    ]
+    with finder_calls() as calls:
+        for name in FIXTURES:
+            concrete = get_fixture(name).concrete
+            if concrete is None:
+                continue
+            alg = from_concrete(concrete)
+            assert dra.validate_axioms(alg).ok
+            completed, _ = duality.complete(alg)
+            duality.complete(completed)
+            assert duality.check_triangle_identities(alg).ok
+            operators.classify_concrete_ops(concrete)
+        for space in spaces:
+            sections = G_object(space).algebra
+            assert dra.validate_axioms(sections).ok and filters.maximal_filters(sections)
+            duality.complete(sections)
+            assert duality.check_triangle_identities(space).ok
+    assert calls["_represent"] == calls["up_masks"] == 0 < calls["_mask_representation"]
 
 
 def test_with_ops_keeps_every_fact():
@@ -152,7 +207,6 @@ def test_with_ops_keeps_every_fact():
     alg = from_concrete(concrete, extra_ops=("domain",))
     duality.complete(alg)
     dra.supports(alg)
-    dra.up_masks(alg)
     bare = alg.with_ops(())
     assert bare.extra_ops == () and bare == tables_alone(alg)
     for name in dra._KEPT:

@@ -5,10 +5,10 @@ support masks, against the literal definitions in ``oracles``.
 ``is_fin_compatibly_complete`` counts partial sections.  Both are compared
 with the literal join and the pair scan on the corpus, on seeded three-seed
 closures, on the completions of both and on non-complete fixtures.  A
-completion is built with its representation; that representation must be
-the one found from its tables, and no completion has one found from its
-tables.  ``up_masks`` is compared with the literal order on the corpus and
-on random tables.
+completion reads its representation off its section masks; that
+representation must be the one found from its tables, and no completion has
+one found from its tables.  ``up_masks`` is compared with the literal order
+on the corpus and on random tables.
 """
 from __future__ import annotations
 
@@ -96,9 +96,10 @@ def test_completions_carry_the_representation_their_tables_give(closures):
         twice, _ = complete(completed)
         for c in (completed, twice):
             fresh = FiniteAlgebra(c.elements, c.minus, c.rest)
-            assert c._rep is not None and c._rep == dra._represent(fresh)
+            atoms = representation(c)[0]
+            assert representation(c) == dra._represent(fresh)
             # whether the atoms keep the order of the points they come from
-            orders.add(list(c._rep[0]) == sorted(c._rep[0]))
+            orders.add(list(atoms) == sorted(atoms))
     assert orders == {True, False}
 
 
@@ -111,18 +112,20 @@ def non_identity_order_closure() -> FiniteAlgebra:
 
 @pytest.mark.parametrize("fixture", [None, "disjoint_pair"])
 def test_only_the_input_has_its_representation_found(fixture, monkeypatch):
-    found = []
-    original = dra._represent
-    monkeypatch.setattr(dra, "_represent", lambda alg: found.append(alg) or original(alg))
+    found = {"_represent": [], "up_masks": []}
+    for name, seen in found.items():
+        original = getattr(dra, name)
+        monkeypatch.setattr(
+            dra, name, lambda alg, seen=seen, original=original: seen.append(alg) or original(alg)
+        )
     alg = non_identity_order_closure() if fixture is None else get_fixture(fixture).algebra
     # the tables alone: a concrete algebra's representation is read off its graphs
     alg = FiniteAlgebra(alg.elements, alg.minus, alg.rest)
     completed, _ = complete(alg)
-    twice, _ = complete(completed)
+    complete(completed)
     assert check_triangle_identities(alg).ok
-    assert len(found) == 1 and found[0] is alg
-    # nor is the order of a completion read off its tables
-    assert completed._up is None and twice._up is None
+    # nor is the representation or order of a completion read off its tables
+    assert all(len(seen) == 1 and seen[0] is alg for seen in found.values())
 
 
 def literal_up(alg: FiniteAlgebra) -> tuple[int, ...]:

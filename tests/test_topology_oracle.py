@@ -16,7 +16,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract, three_seed_closures
+from conftest import abstract, small_spaces, three_seed_closures
 from drest.duality import (
     EtaleSpace,
     F_morphism,
@@ -36,17 +36,6 @@ from drest.operators import SpaceRelation, apply_relation, check_relation_proper
 
 def members(mask: int, n: int) -> frozenset[int]:
     return frozenset(x for x in range(n) if mask >> x & 1)
-
-
-def small_spaces():
-    """Every projection of n points into n base points with every set of
-    subsets as basis, for n = 1..3: 6,980 spaces."""
-    for n in range(1, 4):
-        subsets = [members(m, n) for m in range(1 << n)]
-        for projection in product(range(n), repeat=n):
-            for chosen in range(1 << len(subsets)):
-                basis = tuple(u for i, u in enumerate(subsets) if chosen >> i & 1)
-                yield EtaleSpace(n, n, projection, basis)
 
 
 @st.composite
