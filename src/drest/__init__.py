@@ -43,7 +43,6 @@ _EXPORTS = {
     "filters": (
         "MaxFilterSpace",
         "all_proper_filters",
-        "filter_equiv",
         "hat",
         "maximal_filters",
     ),

@@ -4,16 +4,21 @@ A space is a finite point set with a projection onto a base set and a basis
 of opens.  A finite topology is fixed by each point's least neighbourhood,
 the intersection of the basis sets around it, so the validator decides every
 basis on int bitmasks in O(k·B + k²) for k points and B basis sets, after one
-pass over the basis, and lists no open set.  A valid space is discrete, so
-its sections are the choices of at most one point per fibre, capped at
-SECTION_CAP; their algebra is built from the section masks
-(:func:`drest.dra.from_masks`), which give its representation on first use.
-Each algebra keeps one dual record (:func:`dual_of`), which the functors,
-unit, counit and completion read; a space passed in by a caller gets none.
-Read off the algebra's representation, its space is valid and its unit an
-embedding with no check run.  Point and section sets are int masks: the
-unit reads the support table, the counit sends a point x to the up-set of
-the singleton section {x}, and F and G on maps pull masks back.
+pass over the basis kept on the space, and lists no open set; a morphism is
+continuous iff the preimage of each least neighbourhood N(y) of its target
+is open.  A valid space is discrete, so its sections are the choices of at
+most one point per fibre, capped at SECTION_CAP; their algebra is built from
+the section masks (:func:`drest.dra.from_masks`), which give its
+representation on first use.  Each algebra keeps one dual record
+(:func:`dual_of`), which the functors, unit, counit and completion read; a
+space passed in by a caller gets none.  Read off the algebra's
+representation, its space is valid and discrete and its unit an embedding
+with no check run.  The record holds masks: the space F(A), its labels and
+frozenset basis, the frozenset sections and the section algebra's space are
+views built on first read, and the completion and the triangle check build
+none of them.  Point and section sets are int masks: the unit reads the
+support table, the counit sends a point x to the up-set of the singleton
+section {x}, and F and G on maps pull masks back.
 Both triangle identities, the η square and the density of a completion are
 decided on these masks, with no composite map built and no table read; the
 λ square, the subtraction-algebra checks and the transport between
@@ -23,11 +28,11 @@ completions are decided by proof, building no section algebra, composite or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from math import prod
 from operator import or_
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
@@ -62,7 +67,8 @@ class EtaleSpace:
     Opens are the unions of finite intersections of basis sets, the topology
     the basis generates.  A valid space's basis is intersection stable
     (pairwise intersections are again unions of basis sets), so its opens
-    are the unions of basis sets.
+    are the unions of basis sets.  Its :class:`_Topology` is built on first
+    use and kept (:func:`_topology`).
     """
 
     n_points: int
@@ -70,6 +76,7 @@ class EtaleSpace:
     projection: tuple[int, ...]
     basis: tuple[frozenset[int], ...]
     point_labels: Optional[tuple[str, ...]] = None
+    _topology: Optional[_Topology] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_points < 0 or self.n_base < 0:
@@ -106,10 +113,11 @@ def _fibres(space: EtaleSpace) -> list[int]:
 
 
 class _Topology:
-    """A space's fibres and least neighbourhoods as int bitmasks, built in one
-    pass over the basis.  ``least[x]`` is N(x), the intersection of the basis
-    sets holding x, or None when none does; ``neighbourhoods`` lists the
-    distinct N(x).
+    """A space's fibres and least neighbourhoods as int bitmasks.
+    ``fibre[x]`` is the point mask of the fibre of x; ``least[x]`` is N(x),
+    the intersection of the basis sets holding x, or None when none does;
+    ``neighbourhoods`` lists the distinct N(x), and ``stable`` says whether
+    the basis is intersection-stable.
 
     The topology is the one the basis generates, the unions of finite
     intersections of basis sets.  N(x) is one of those intersections, and
@@ -121,20 +129,15 @@ class _Topology:
     one of them, c, has x in c <= N(x) <= c.
     """
 
-    def __init__(self, space: EtaleSpace) -> None:
-        self.full = (1 << space.n_points) - 1
-        basis = dict.fromkeys(flt.to_mask(u) for u in space.basis)
-        fibres = _fibres(space)
-        self.fibre = tuple(fibres[b] for b in space.projection)
-        least = [self.full] * space.n_points
-        self.covered = 0
-        for u in basis:
-            self.covered |= u
-            for x in bits(u):
-                least[x] &= u
-        self.least = tuple(u if self.covered >> x & 1 else None for x, u in enumerate(least))
-        self.neighbourhoods = tuple(dict.fromkeys(u for u in self.least if u is not None))
-        self.stable = all(u in basis for u in self.neighbourhoods)
+    def __init__(
+        self, fibre: tuple[int, ...], least: tuple[Optional[int], ...], stable: bool
+    ) -> None:
+        self.full = (1 << len(fibre)) - 1
+        self.fibre = fibre
+        self.least = least
+        self.covered = sum(1 << x for x, u in enumerate(least) if u is not None)
+        self.neighbourhoods = tuple(dict.fromkeys(u for u in least if u is not None))
+        self.stable = stable
 
     def is_open(self, s: int) -> bool:
         return not s & ~self.covered and all(self.least[x] | s == s for x in bits(s))
@@ -147,11 +150,33 @@ class _Topology:
         return all(self.fibre[x] & u == 1 << x for x in bits(u))
 
 
+def _topology(space: EtaleSpace) -> _Topology:
+    """The space's topology, built in one pass over the basis on first use
+    and kept on the space."""
+    if space._topology is None:
+        basis = dict.fromkeys(flt.to_mask(u) for u in space.basis)
+        least = [(1 << space.n_points) - 1] * space.n_points
+        covered = 0
+        for u in basis:
+            covered |= u
+            for x in bits(u):
+                least[x] &= u
+        least = tuple(u if covered >> x & 1 else None for x, u in enumerate(least))
+        fibres = _fibres(space)
+        top = _Topology(
+            tuple(fibres[b] for b in space.projection),
+            least,
+            stable=all(u in basis for u in least if u is not None),
+        )
+        object.__setattr__(space, "_topology", top)
+    return space._topology
+
+
 def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     """Every open set: the unions of the least neighbourhoods, including the
     empty union.  No check lists them."""
     found = {0}
-    for u in _Topology(space).neighbourhoods:
+    for u in _topology(space).neighbourhoods:
         if u not in found:  # else found is already closed under adding u
             found |= {v | u for v in found}
     return frozenset(flt.from_mask(u, space.n_points) for u in found)
@@ -197,7 +222,7 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
     basis generates, so a basis that is not stable, which makes the space
     invalid, is decided the same way.
     """
-    top = _Topology(space)
+    top = _topology(space)
     failures: list[str] = []
 
     if not top.stable:
@@ -269,7 +294,7 @@ class SpaceMorphism:
         return frozenset(x for x, v in enumerate(self.mapping) if v != NOWHERE)
 
     def preimage(self, subset: Iterable[int]) -> frozenset[int]:
-        return flt.from_mask(_preimage(self, flt.to_mask(subset)), self.source.n_points)
+        return flt.from_mask(_preimage(self.mapping, flt.to_mask(subset)), self.source.n_points)
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.mapping == tuple(
@@ -277,9 +302,9 @@ class SpaceMorphism:
         )
 
 
-def _preimage(m: SpaceMorphism, mask: int) -> int:
+def _preimage(mapping: Sequence[int], mask: int) -> int:
     """The points of the source mapped into the target point mask."""
-    return sum(1 << x for x, v in enumerate(m.mapping) if v != NOWHERE and mask >> v & 1)
+    return sum(1 << x for x, v in enumerate(mapping) if v != NOWHERE and mask >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -297,33 +322,44 @@ class MorphismReport:
 
 
 def validate_morphism(m: SpaceMorphism) -> MorphismReport:
-    src, tgt = m.source, m.target
+    return _morphism_report(m.mapping, _topology(m.source), _topology(m.target))
+
+
+def _morphism_report(mapping: Sequence[int], src: _Topology, tgt: _Topology) -> MorphismReport:
+    """The morphism conditions of a partial point map, read off the two
+    topologies in O(k) set operations.
+
+    Continuity is decided on the target's least neighbourhoods: m is
+    continuous iff m⁻¹(N(y)) is open for every covered y.  Each N(y) is a
+    finite intersection of basis sets, so open, which makes the condition
+    necessary.  It is sufficient as every open set V is the union of the
+    N(y) for y in V (:class:`_Topology`), preimages commute with unions,
+    and a union of opens is open.  A fibre is named by its point mask, as
+    distinct fibres are disjoint and a point's fibre holds it.
+    """
     failures: list[str] = []
 
-    # pre[y]: the points mapped to y; images[x0, y0]: the images over y0 of points over x0
-    pre = [0] * tgt.n_points
+    # pre[y]: the points mapped to y; images[fx, fy]: the images in fibre fy of points in fibre fx
+    pre = [0] * len(tgt.fibre)
     images: dict[tuple[int, int], int] = {}
     q2 = True
-    for x, v in enumerate(m.mapping):
+    for x, v in enumerate(mapping):
         if v != NOWHERE:
             pre[v] |= 1 << x
-            key = src.projection[x], tgt.projection[v]
+            key = src.fibre[x], tgt.fibre[v]
             seen = images.get(key, 0)
             q2 = q2 and not seen >> v & 1
             images[key] = seen | 1 << v
 
-    # preimages commute with unions, so basis sets decide continuity
-    src_top = _Topology(src)
-    continuous = all(src_top.is_open(_union(pre[y] for y in v)) for v in tgt.basis)
+    continuous = all(src.is_open(_union(pre[y] for y in bits(u))) for u in tgt.neighbourhoods)
     if not continuous:
         failures.append("not continuous")
 
     # each source fibre lands in one target fibre (q1), onto all of it (q3)
-    q1 = len({x0 for x0, _ in images}) == len(images)
+    q1 = len({fx for fx, _ in images}) == len(images)
     if not q1:
         failures.append("does not preserve equivalence")
-    tgt_fibres = _fibres(tgt)
-    q3 = all(mask == tgt_fibres[y0] for (_, y0), mask in images.items())
+    q3 = all(mask == fy for (_, fy), mask in images.items())
     if not q2:
         failures.append("not fibrewise injective")
     if not q3:
@@ -346,10 +382,13 @@ def space_morphism(
 
 
 def _validated(m: SpaceMorphism) -> SpaceMorphism:
-    report = validate_morphism(m)
+    _require_ok(validate_morphism(m))
+    return m
+
+
+def _require_ok(report: MorphismReport) -> None:
     if not report.ok:
         raise InvalidMorphism("; ".join(report.failures))
-    return m
 
 
 def identity_morphism(space: EtaleSpace) -> SpaceMorphism:
@@ -370,28 +409,61 @@ def is_space_isomorphism(m: SpaceMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # the two functors
 
-def section_name(u: frozenset[int]) -> str:
-    return "{" + ",".join(str(x) for x in sorted(u)) + "}"
+def _set_name(mask: int, name: Callable[[int], str] = str) -> str:
+    """"{a,b,...}" with the name of each set bit, ascending."""
+    return "{" + ",".join(map(name, bits(mask))) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualAlgebra:
-    """Compact open injective-projection subsets of a space, as an algebra."""
+    """Compact open injective-projection subsets of a space, as an algebra.
 
-    space: EtaleSpace
-    sections: tuple[frozenset[int], ...]
+    The sections are held as point masks, with the index of each mask and
+    the space's topology.  ``sections``, the same sets as frozensets, is a
+    view built on first read, and so is ``space`` for the sections of a dual
+    record (:attr:`DualRecord.sections`).  Equality compares the space, the
+    masks and the algebra.
+    """
+
     algebra: FiniteAlgebra
-    # the sections as point masks, and the index of each mask
-    masks: tuple[int, ...] = field(repr=False, compare=False)
-    index: dict[int, int] = field(repr=False, compare=False)
+    masks: tuple[int, ...] = field(repr=False)
+    index: dict[int, int] = field(repr=False)
+    topology: _Topology = field(repr=False)
+    # the space, or the function that builds it on first read
+    _space: EtaleSpace | Callable[[], EtaleSpace] = field(repr=False)
+    _sections: Optional[tuple[frozenset[int], ...]] = field(default=None, init=False, repr=False)
+
+    @property
+    def space(self) -> EtaleSpace:
+        if not isinstance(self._space, EtaleSpace):
+            object.__setattr__(self, "_space", self._space())
+        return self._space
+
+    @property
+    def sections(self) -> tuple[frozenset[int], ...]:
+        if self._sections is None:
+            k = len(self.topology.fibre)
+            object.__setattr__(self, "_sections", tuple(flt.from_mask(m, k) for m in self.masks))
+        return self._sections
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DualAlgebra):
+            return NotImplemented
+        return (self.masks, self.algebra, self.space) == (other.masks, other.algebra, other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.masks, self.algebra))
 
 
-def _section_algebra(space: EtaleSpace) -> DualAlgebra:
-    """The sections of a valid space as an algebra built from their masks,
-    restricted by their saturations (:func:`drest.dra.from_masks`); refuses
-    before any table is built when there are too many."""
+def _section_algebra(
+    top: _Topology, space: EtaleSpace | Callable[[], EtaleSpace]
+) -> DualAlgebra:
+    """The sections of a valid space with topology top, as an algebra built
+    from their masks, restricted by their saturations
+    (:func:`drest.dra.from_masks`); refuses before any table is built when
+    there are too many.  space is the space, or the function that builds it."""
     # a section picks one point or none from each fibre
-    fibres = _fibres(space)
+    fibres = list(dict.fromkeys(top.fibre))
     count = prod(f.bit_count() + 1 for f in fibres)
     if count > SECTION_CAP:
         raise ValueError(f"sections capped at {SECTION_CAP}; this space has {count}")
@@ -402,13 +474,12 @@ def _section_algebra(space: EtaleSpace) -> DualAlgebra:
         key=lambda m: (m.bit_count(), list(bits(m))),
     )
     saturated = [_union(f for f in fibres if f & m) for m in masks]
-    sections = tuple(flt.from_mask(m, space.n_points) for m in masks)
-    algebra, index = from_masks(map(section_name, sections), masks, saturated)
-    return DualAlgebra(space, sections, algebra, tuple(masks), index)
+    algebra, index = from_masks(map(_set_name, masks), masks, saturated)
+    return DualAlgebra(algebra, tuple(masks), index, top, space)
 
 
 def G_object(space: EtaleSpace) -> DualAlgebra:
-    return _section_algebra(_valid_space(space))
+    return _section_algebra(_topology(_valid_space(space)), space)
 
 
 def _valid_space(space: EtaleSpace) -> EtaleSpace:
@@ -420,18 +491,64 @@ def _valid_space(space: EtaleSpace) -> EtaleSpace:
 
 @dataclass(frozen=True)
 class DualRecord:
-    """An algebra's dual data: its maximal filters, support table and space."""
+    """An algebra's dual data, held as masks: its maximal filters with the
+    support table, and its element names.  The space is discrete with
+    N(x) = {x} (:func:`dual_of`), so its topology is built from the class
+    masks in O(k).  The space F(A), with its labels and frozenset basis, and
+    the sections GF(A) are built on first read; neither refers back to the
+    record or the algebra, and the two share one space."""
 
     mfs: flt.MaxFilterSpace
-    space: EtaleSpace
+    names: tuple[str, ...] = field(repr=False)
+    topology: _Topology = field(init=False, repr=False, compare=False)
+    _space: Optional[EtaleSpace] = field(default=None, init=False, repr=False, compare=False)
     _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fibre = [0] * len(self.mfs.atoms)
+        for cls in self.mfs.classes:
+            mask = flt.to_mask(cls)
+            for x in cls:
+                fibre[x] = mask
+        least = tuple(1 << x for x in range(len(fibre)))
+        object.__setattr__(self, "topology", _Topology(tuple(fibre), least, stable=True))
+
+    @property
+    def space(self) -> EtaleSpace:
+        """F of the algebra."""
+        if self._space is None:
+            if self._sections is not None:
+                space = self._sections.space
+            else:
+                space = _dual_space(self.mfs, self.names, self.topology)
+            object.__setattr__(self, "_space", space)
+        return self._space
 
     @property
     def sections(self) -> DualAlgebra:
         """G of the dual space: the completion of the algebra."""
         if self._sections is None:
-            object.__setattr__(self, "_sections", _section_algebra(self.space))
+            space = self._space
+            if space is None:
+                space = partial(_dual_space, self.mfs, self.names, self.topology)
+            object.__setattr__(self, "_sections", _section_algebra(self.topology, space))
         return self._sections
+
+
+def _dual_space(mfs: flt.MaxFilterSpace, names: Sequence[str], top: _Topology) -> EtaleSpace:
+    """The space of the maximal filters, each labelled by its members, over
+    their classes, with the distinct supports as basis and top kept as its
+    topology."""
+    k = len(mfs.atoms)
+    space = EtaleSpace(
+        n_points=k,
+        n_base=len(mfs.classes),
+        projection=tuple(map(mfs.class_of, range(k))),
+        basis=tuple(flt.from_mask(h, k) for h in sorted(set(mfs.hats), key=lambda h: list(bits(h)))),
+        point_labels=tuple(_set_name(m, names.__getitem__) for m in mfs.members),
+    )
+    object.__setattr__(space, "_topology", top)
+    return space
 
 
 def dual_of(algebra: FiniteAlgebra) -> DualRecord:
@@ -442,22 +559,9 @@ def dual_of(algebra: FiniteAlgebra) -> DualRecord:
     N(x) = {x}, and its projection open and injective on each N(x); it is
     onto, each class holding a point.
     """
-    if algebra._dual is not None:
-        return algebra._dual
-    mfs = flt.maximal_filters(algebra)
-    n_points = len(mfs.points)
-    labels = tuple(
-        "{" + ",".join(algebra.elements[a] for a in sorted(mu)) + "}"
-        for mu in mfs.points
-    )
-    space = EtaleSpace(
-        n_points=n_points,
-        n_base=len(mfs.classes),
-        projection=tuple(mfs.class_of(i) for i in range(n_points)),
-        basis=tuple(sorted({flt.from_mask(h, n_points) for h in mfs.hats}, key=sorted)),
-        point_labels=labels,
-    )
-    object.__setattr__(algebra, "_dual", DualRecord(mfs, space))
+    if algebra._dual is None:
+        record = DualRecord(flt.maximal_filters(algebra), algebra.elements)
+        object.__setattr__(algebra, "_dual", record)
     return algebra._dual
 
 
@@ -483,17 +587,26 @@ def counit_lambda(space: EtaleSpace) -> SpaceMorphism:
 
 
 def _counit(sections: DualAlgebra) -> SpaceMorphism:
+    return SpaceMorphism(
+        sections.space, dual_of(sections.algebra).space, _counit_map(sections)
+    )
+
+
+def _counit_map(sections: DualAlgebra) -> tuple[int, ...]:
+    """λ on the space of the sections as a point map, validated on the
+    topologies of the two spaces, neither of which is built."""
     # the sections containing x are the up-set of the singleton section {x},
     # the point of that atom
-    space, target = sections.space, dual_of(sections.algebra)
+    target = dual_of(sections.algebra)
     point_of = {a: i for i, a in enumerate(target.mfs.atoms)}
     mapping = []
-    for x in range(space.n_points):
+    for x in range(len(sections.topology.fibre)):
         point = point_of.get(sections.index.get(1 << x))
         if point is None:
             raise AssertionError("internal error: point filter not maximal")
         mapping.append(point)
-    return space_morphism(space, target.space, mapping)
+    _require_ok(_morphism_report(mapping, sections.topology, target.topology))
+    return tuple(mapping)
 
 
 def F_morphism(h: AlgebraMap) -> SpaceMorphism:
@@ -511,7 +624,7 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
     :func:`_G_morphism`) and hats_B is injective, so h commutes with both."""
     src, tgt = dual_of(h.target), dual_of(h.source)  # src: points of the target algebra
     # pullback[xi]: the source elements whose image lies in the filter xi
-    pullback = [0] * src.space.n_points
+    pullback = [0] * len(src.mfs.atoms)
     for a, b in enumerate(h.table):
         for xi in bits(src.mfs.hats[b]):
             pullback[xi] |= 1 << a
@@ -522,7 +635,7 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
             raise ValueError("not a homomorphism: a filter preimage is not maximal")
         mapping.append(point)
     morphism = space_morphism(src.space, tgt.space, mapping)
-    if any(_preimage(morphism, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
+    if any(_preimage(mapping, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
         raise AssertionError("internal error: dual map misses the support identity")
     return morphism
 
@@ -553,7 +666,7 @@ def _G_morphism(m: SpaceMorphism, src: DualAlgebra, tgt: DualAlgebra) -> Algebra
     these mask operations read through the section index, so G(m) preserves
     both.
     """
-    table = tuple(src.index[_preimage(m, u)] for u in tgt.masks)
+    table = tuple(src.index[_preimage(m.mapping, u)] for u in tgt.masks)
     return AlgebraMap(tgt.algebra, src.algebra, table)
 
 
@@ -574,9 +687,10 @@ def check_triangle_identities(obj) -> TriangleReport:
     """Both triangle identities, anchored at the given algebra A or at the
     algebra A = G(X) of the given space X, decided on point masks in O(n·k)
     for n elements and k points.  Let S be the sections of the anchor's
-    space (S = GF(A) or G(X)) and λ the counit on that space, built and
-    validated as a morphism; no composite is built, and no table of the
-    completion GF(S) is read or made.
+    space (S = GF(A) or G(X)) and λ the counit on that space, a point map
+    checked against every morphism condition on the topologies of its two
+    spaces (:func:`_morphism_report`); no space, frozenset or composite is
+    built, and no table of the completion GF(S) is read or made.
 
     Left, F(η_A) ∘ λ = id on F(A).  Here λ sends a point x to the point of
     the singleton section {x}, an atom of GF(A) as only ∅ lies below it;
@@ -584,7 +698,7 @@ def check_triangle_identities(obj) -> TriangleReport:
     holds the sections containing x, the order of sections being
     inclusion, and η_A sends a to the section with mask hats_A[a].  So
     F(η_A) pulls the point back to {a : x in hats_A[a]}, the members of
-    point x in :attr:`MaxFilterSpace.points`, and the identity holds iff
+    point x in :attr:`MaxFilterSpace.members`, and the identity holds iff
     :meth:`MaxFilterSpace.point_index` maps those to x for every x.
     Anchored at A this λ is the counit below; anchored at X it is that of
     F(A), which is neither built nor needed.
@@ -603,8 +717,8 @@ def check_triangle_identities(obj) -> TriangleReport:
         raise TypeError("expected an algebra or a space")
 
     mfs = dual_of(algebra).mfs
-    left = all(mfs.point_index(flt.to_mask(p)) == x for x, p in enumerate(mfs.points))
-    counit = _counit(sections)
+    left = all(mfs.point_index(p) == x for x, p in enumerate(mfs.members))
+    counit = _counit_map(sections)
     hats = dual_of(sections.algebra).mfs.hats
     right = all(_preimage(counit, h) == u for h, u in zip(hats, sections.masks))
     return TriangleReport(left, right)

@@ -1,21 +1,21 @@
 """Filters and maximal filters of a finite algebra.
 
-Element and point sets are int bitmasks internally and are exposed as
-frozensets.  In a finite algebra every filter holds the meet of its members,
-so it is the up-set of that member: the maximal filters are the up-sets of
-the atoms.  A point is the position of its atom, and the support of an
+Element and point sets are int bitmasks; the frozensets of the public
+views (``MaxFilterSpace.points``, :func:`hat`) are built when read.  In a
+finite algebra every filter holds the meet of its members, so it is the
+up-set of that member: the maximal filters are the up-sets of the atoms.  A point is the position of its atom, and the support of an
 element is the mask of the points holding it; the support table is the
 algebra's :func:`drest.dra.representation`, and an algebra without one has
 no dual space.  The subset scan ``all_proper_filters`` is kept, capped, as
-the oracle the tests compare against; the literal filter predicates are in
-the tests' oracles.
+the oracle the tests compare against; the literal filter predicates and
+the shared-domain relation of filters are in the tests' oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, representation, up_masks
+from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, representation
 
 FILTER_SIZE_CAP = 16
 
@@ -70,28 +70,42 @@ class MaxFilterSpace:
     plus their grouping by the shared-domain equivalence.  Point i is the
     up-set of atoms[i]; hats[e] is the support of element e, the mask of the
     points holding it.  The points are read off the supports: the up-set of
-    atoms[i] holds e exactly when hats[e] holds i.  It holds no reference to
-    the algebra, which keeps it, so that neither waits for the cyclic
-    collector."""
+    atoms[i] holds e exactly when hats[e] holds i, and ``members`` keeps that
+    element mask for each point.  ``points``, the same sets as frozensets,
+    is a view built on first read; equality compares the supports it is
+    derived from.  It holds no reference to the algebra, which keeps it, so
+    that neither waits for the cyclic collector."""
 
     n: int
     atoms: tuple[int, ...]
-    points: tuple[frozenset[int], ...] = field(init=False)
     classes: tuple[tuple[int, ...], ...]
-    hats: tuple[int, ...] = field(repr=False, compare=False)
+    hats: tuple[int, ...] = field(repr=False)
+    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _class: dict[int, int] = field(init=False, repr=False, compare=False)
+    _points: Optional[tuple[frozenset[int], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        members = [0] * len(self.atoms)  # the element mask of each point
+        members = [0] * len(self.atoms)
         for e, h in enumerate(self.hats):
             for i in bits(h):
                 members[i] |= 1 << e
-        object.__setattr__(self, "points", tuple(from_mask(m, self.n) for m in members))
+        object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(members)})
         object.__setattr__(
             self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
         )
+
+    @property
+    def points(self) -> tuple[frozenset[int], ...]:
+        """The member set of each maximal filter."""
+        if self._points is None:
+            object.__setattr__(
+                self, "_points", tuple(from_mask(m, self.n) for m in self.members)
+            )
+        return self._points
 
     def point_index(self, members: int) -> Optional[int]:
         """Position of the maximal filter with the member mask, or None when
@@ -102,28 +116,6 @@ class MaxFilterSpace:
         if point not in self._class:
             raise ValueError(f"unknown point {point}")
         return self._class[point]
-
-
-def _generator(algebra: FiniteAlgebra, members: frozenset[int]) -> int:
-    mask, up = to_mask(members), up_masks(algebra)
-    for x in members:
-        if up[x] == mask:
-            return x
-    raise ValueError("not the up-set of one of its members, so not a filter")
-
-
-def filter_equiv(
-    algebra: FiniteAlgebra, mu: frozenset[int], nu: frozenset[int]
-) -> bool:
-    """Shared-domain equivalence of filters: every a | b with a from the
-    first and b from the second lands in the second.
-
-    A finite filter is the up-set of its least member.  Restriction is
-    monotone and p | q lies below q, so for the up-sets of p and q this holds
-    iff p | q = q; a set that is no such up-set raises.
-    """
-    q = _generator(algebra, nu)
-    return algebra.r(_generator(algebra, mu), q) == q
 
 
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
@@ -141,4 +133,4 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:
     """Point set of the maximal filters containing the element."""
-    return from_mask(space.hats[element], len(space.points))
+    return from_mask(space.hats[element], len(space.atoms))

@@ -45,7 +45,7 @@ from .duality import (
     G_object,
     SpaceMorphism,
     _preimage,
-    _Topology,
+    _topology,
     complete,
     dual_of,
 )
@@ -241,33 +241,60 @@ def _classify(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
 # ---------------------------------------------------------------------------
 # relations on spaces
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpaceRelation:
     """A set of (arity + 1)-tuples of points; the last coordinate is the
     output position.  ``image`` holds the output mask of each input tuple in
-    row-major order, built once here; every check reads it through
-    :func:`_fold`."""
+    row-major order; every check reads it through :func:`_fold`, and equal
+    relations have equal images.  Made from tuples, the relation checks them
+    and builds its image; made from an image (:meth:`_of_image`), ``tuples``
+    is a view built on first read."""
 
     name: str
     space: EtaleSpace
     arity: int
-    tuples: frozenset[tuple[int, ...]]
-    image: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    image: tuple[int, ...] = field(repr=False)
+    _tuples: Optional[frozenset[tuple[int, ...]]] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError(f"relation {self.name}: arity must be nonnegative")
-        if self.arity > OPERATOR_ARITY_CAP:
-            raise ValueError(f"relation {self.name}: arity capped at {OPERATOR_ARITY_CAP}")
-        k = self.space.n_points
-        if any(len(t) != self.arity + 1 for t in self.tuples):
-            raise ValueError(f"relation {self.name}: tuple of wrong length")
-        if not set().union(*self.tuples) <= set(range(k)):
-            raise ValueError(f"relation {self.name}: foreign point")
-        image = [0] * k**self.arity
-        for t in self.tuples:
+    def __init__(
+        self, name: str, space: EtaleSpace, arity: int, tuples: Iterable[tuple[int, ...]]
+    ) -> None:
+        if arity < 0:
+            raise ValueError(f"relation {name}: arity must be nonnegative")
+        if arity > OPERATOR_ARITY_CAP:
+            raise ValueError(f"relation {name}: arity capped at {OPERATOR_ARITY_CAP}")
+        tuples, k = frozenset(tuples), space.n_points
+        if any(len(t) != arity + 1 for t in tuples):
+            raise ValueError(f"relation {name}: tuple of wrong length")
+        if not set().union(*tuples) <= set(range(k)):
+            raise ValueError(f"relation {name}: foreign point")
+        image = [0] * k**arity
+        for t in tuples:
             image[_flatten(t[:-1], k)] |= 1 << t[-1]
-        object.__setattr__(self, "image", tuple(image))
+        self._set(name, space, arity, tuple(image), tuples)
+
+    @classmethod
+    def _of_image(
+        cls, name: str, space: EtaleSpace, arity: int, image: Sequence[int]
+    ) -> SpaceRelation:
+        """The relation with the given output masks, which the caller builds
+        on the points of the space with an arity within the cap."""
+        rel = cls.__new__(cls)
+        rel._set(name, space, arity, tuple(image), None)
+        return rel
+
+    def _set(self, *values) -> None:
+        for attr, value in zip(("name", "space", "arity", "image", "_tuples"), values):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def tuples(self) -> frozenset[tuple[int, ...]]:
+        if self._tuples is None:
+            inputs = product(range(self.space.n_points), repeat=self.arity)
+            object.__setattr__(self, "_tuples", frozenset(
+                mus + (nu,) for mus, out in zip(inputs, self.image) for nu in bits(out)
+            ))
+        return self._tuples
 
 
 def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -298,16 +325,11 @@ def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelat
 def _relation(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     _check_caps(algebra, table)
     dual = dual_of(algebra)
-    k, hats = len(dual.mfs.points), dual.mfs.hats
-    members = [list(p) for p in dual.mfs.points]
+    hats = dual.mfs.hats
+    members = [list(bits(m)) for m in dual.mfs.members]
     outputs = [hats[e] for e in table.entries]
-    image = _fold(outputs, algebra.n, members, table.arity, and_, (1 << k) - 1)
-    tuples = frozenset(
-        mus + (nu,)
-        for mus, out in zip(product(range(k), repeat=table.arity), image)
-        for nu in bits(out)
-    )
-    return SpaceRelation(table.name, dual.space, table.arity, tuples)
+    image = _fold(outputs, algebra.n, members, table.arity, and_, dual.topology.full)
+    return SpaceRelation._of_image(table.name, dual.space, table.arity, image)
 
 
 @dataclass(frozen=True)
@@ -346,7 +368,7 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     same fold at xs lies inside the image of xs.
     """
     k = rel.space.n_points
-    top = _Topology(rel.space)
+    top = _topology(rel.space)
     compatible = [list(bits(top.full & ~fibre | 1 << x)) for x, fibre in enumerate(top.fibre)]
     reach = _fold(rel.image, k, compatible, rel.arity, or_, 0)
     compat = not any(
@@ -452,14 +474,14 @@ def check_morphism_back_forth(
     if rel_src.arity != rel_tgt.arity:
         raise OperatorCheckError("relations have different arities")
     phi, points = morphism.mapping, range(morphism.target.n_points)
-    onto = [list(bits(_preimage(morphism, 1 << z))) for z in points]
-    dom = _preimage(morphism, (1 << len(points)) - 1)
+    onto = [list(bits(_preimage(phi, 1 << z))) for z in points]
+    dom = _preimage(phi, (1 << len(points)) - 1)
     reach = _fold(rel_src.image, morphism.source.n_points, onto, rel_src.arity, or_, 0)
     pairs = list(zip(reach, rel_tgt.image))
     reverse_forth = all(
         not r & ~dom and all(out >> phi[x] & 1 for x in bits(r)) for r, out in pairs
     )
-    back = all(not _preimage(morphism, out) & ~r for r, out in pairs)
+    back = all(not _preimage(phi, out) & ~r for r, out in pairs)
     return BackForthReport(reverse_forth, back)
 
 

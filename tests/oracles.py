@@ -10,14 +10,20 @@ open sets.  The library decides the same verdicts from least neighbourhoods
 on bitmasks; the differential tests compare the two on small spaces.
 Joins, the filter predicates and the relations of filters are kept the same
 way, quantified over elements with ``leq``, and completeness as the pair scan over up-set masks;
-the library looks joins up by the union of supports, counts partial sections
-for completeness, and compares the least members of principal filters.  The
+the library looks joins up by the union of supports and counts partial
+sections for completeness.  The shared-domain relation of filters is also
+kept on the least members of principal filters, compared with the literal
+one.  The
 axiom validator and the dichotomy predicate for maximal filters are kept as
 numpy array code, one n³ array per law; the library decides validity by
 its representation, walking table rows through ``itemgetter`` only to list
 the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
-sets as int masks and reads one support table per algebra.  The triangle
+sets as int masks and reads one support table per algebra.  The dual space
+of an algebra, the points and the sections are also built here at once from
+the masks, and continuity is asked of every basis set of the target; the
+library builds these frozenset views on first read and decides continuity
+on least neighbourhoods.  The triangle
 identities and both naturality squares are kept as the composite maps,
 density as the join of the image below each element, the transport between
 completions as the join scan checked with ``hom_check``, and the
@@ -68,7 +74,7 @@ from drest.duality import (
     StoneReport,
     TriangleReport,
 )
-from drest.filters import maximal_filters
+from drest.filters import MaxFilterSpace, maximal_filters
 from drest.operators import BackForthReport, RelationReport, SpaceRelation, _check_caps
 from drest.pfun import (
     CLOSURE_SIZE_CAP,
@@ -251,7 +257,14 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
     )
     if not proper:
         failures.append("not proper")
+    return _morphism_report(m, continuous, proper, failures)
 
+
+def _morphism_report(
+    m: SpaceMorphism, continuous: bool, proper: bool, failures: list[str]
+) -> MorphismReport:
+    """The report with the fibre conditions read off the projections."""
+    src, tgt = m.source, m.target
     dom = m.defined_on
     q1 = all(
         tgt.projection[m.mapping[x]] == tgt.projection[m.mapping[y]]
@@ -291,6 +304,26 @@ def validate_morphism(m: SpaceMorphism) -> MorphismReport:
         fibrewise_surjective=q3,
         failures=tuple(failures),
     )
+
+
+def least_neighbourhood(space: EtaleSpace, x: int) -> Optional[frozenset[int]]:
+    """The intersection of the basis sets holding x, None when none does."""
+    around = [u for u in space.basis if x in u]
+    return frozenset(range(space.n_points)).intersection(*around) if around else None
+
+
+def validate_morphism_on_basis(m: SpaceMorphism) -> MorphismReport:
+    """The report with continuity asked of every basis set of the target: its
+    preimage must hold, around each of its points, the intersection of the
+    source basis sets holding that point.  Properness holds, every finite set
+    being compact.  No open set is listed, so dual spaces of sixteen points
+    are in reach."""
+    least = [least_neighbourhood(m.source, x) for x in range(m.source.n_points)]
+    continuous = all(
+        all(least[x] is not None and least[x] <= pre for x in pre)
+        for pre in map(m.preimage, m.target.basis)
+    )
+    return _morphism_report(m, continuous, True, [] if continuous else ["not continuous"])
 
 
 def is_space_isomorphism(m: SpaceMorphism) -> bool:
@@ -537,6 +570,27 @@ def filter_equiv(
     return all(algebra.r(a, b) in nu for a in mu for b in nu)
 
 
+def _generator(algebra: FiniteAlgebra, members: frozenset[int]) -> int:
+    mask, up = sum(1 << x for x in members), dra.up_masks(algebra)
+    for x in members:
+        if up[x] == mask:
+            return x
+    raise ValueError("not the up-set of one of its members, so not a filter")
+
+
+def filter_equiv_by_generators(
+    algebra: FiniteAlgebra, mu: frozenset[int], nu: frozenset[int]
+) -> bool:
+    """The same relation on the least members of two filters.
+
+    A finite filter is the up-set of its least member.  Restriction is
+    monotone and p | q lies below q, so for the up-sets of p and q the
+    relation holds iff p | q = q; a set that is no such up-set raises.
+    """
+    q = _generator(algebra, nu)
+    return algebra.r(_generator(algebra, mu), q) == q
+
+
 def is_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
     """Nonempty, upward closed, and closed under binary meets."""
     s = set(members)
@@ -634,6 +688,35 @@ def _is_maximal_by_dichotomy(minus: np.ndarray, members: frozenset[int]) -> bool
 
 # ---------------------------------------------------------------------------
 # supports, the counit, F on maps and the operator relations, on frozensets
+
+def points_from_hats(mfs: MaxFilterSpace) -> tuple[frozenset[int], ...]:
+    """The member set of each point: the elements whose support holds it."""
+    return tuple(
+        frozenset(e for e, h in enumerate(mfs.hats) if h >> i & 1) for i in range(len(mfs.atoms))
+    )
+
+
+def dual_space(algebra: FiniteAlgebra) -> EtaleSpace:
+    """F(A) with every field built at once: each point labelled by its
+    members and projected to its class, with the distinct supports, in the
+    order of their sorted members, as basis."""
+    mfs = maximal_filters(algebra)
+    points = points_from_hats(mfs)
+    class_of = {x: i for i, cls in enumerate(mfs.classes) for x in cls}
+    return EtaleSpace(
+        len(points),
+        len(mfs.classes),
+        tuple(class_of[x] for x in range(len(points))),
+        tuple(sorted({hat(points, e) for e in range(algebra.n)}, key=sorted)),
+        tuple("{" + ",".join(algebra.elements[a] for a in sorted(mu)) + "}" for mu in points),
+    )
+
+
+def section_sets(dual: DualAlgebra) -> tuple[frozenset[int], ...]:
+    """The sections as frozensets, built from their masks at once."""
+    points = range(dual.space.n_points)
+    return tuple(frozenset(x for x in points if m >> x & 1) for m in dual.masks)
+
 
 def hat(points: Sequence[frozenset[int]], element: int) -> frozenset[int]:
     """Point set of the maximal filters containing the element."""

@@ -543,7 +543,7 @@ def test_each_dual_is_built_and_validated_once(monkeypatch):
 
 
 def test_one_triangle_check_builds_each_counit_once(monkeypatch):
-    calls = {"_counit": 0, "validate_morphism": 0}
+    calls = {"_counit": 0, "_counit_map": 0, "validate_morphism": 0, "_morphism_report": 0}
     for name in calls:
         original = getattr(duality, name)
 
@@ -554,16 +554,16 @@ def test_one_triangle_check_builds_each_counit_once(monkeypatch):
         monkeypatch.setattr(duality, name, counted)
     alg = boolean_four().algebra
     assert check_triangle_identities(alg).ok
-    # the identities are decided on masks, so the counit of the sections is
-    # the one morphism built and validated; F(unit) and the composite, two
-    # more validations, are no longer built
-    assert calls == {"_counit": 1, "validate_morphism": 1}
-    calls.update(_counit=0, validate_morphism=0)
+    # the identities are decided on masks: the counit of the sections is the
+    # one point map built, checked once on the topologies of its two spaces,
+    # and no space morphism is made; F(unit) and the composites are not built
+    once = {"_counit": 0, "_counit_map": 1, "validate_morphism": 0, "_morphism_report": 1}
+    assert calls == once
+    calls.update(dict.fromkeys(calls, 0))
     # anchored at a space, the left identity reads the support table alone,
-    # so the counit of the dual's sections (one more counit and validation)
-    # and the composites (two more validations) are no longer built either
+    # so the counit of the dual's sections is not built either
     assert check_triangle_identities(F_object(alg)).ok
-    assert calls == {"_counit": 1, "validate_morphism": 1}
+    assert calls == once
 
 
 def test_triangle_check_builds_no_completion_of_the_completion():

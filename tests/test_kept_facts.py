@@ -10,8 +10,9 @@ three-seed closures, catalogue-operation closures, the fixtures, hypothesis
 seed sets and the section algebras of every valid space of at most three
 points and of hypothesis spaces.  An operator is classified, and its
 relation built, once per (algebra, table), with the reports a fresh algebra
-gives.  A roundtrip and an operator completion, dropped, leave nothing for
-the cyclic collector.
+gives.  A dual record holds masks: the completion and the triangle check
+build no space, point or section view of it.  A roundtrip and an operator
+completion, dropped, leave nothing for the cyclic collector.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from conftest import operator_cases, small_spaces, three_seed_closures, valid_sp
 from drest import dra, duality, filters, operators
 from drest.documents import emit_document, parse_document
 from drest.dra import FiniteAlgebra, from_concrete
-from drest.duality import EtaleSpace, G_object, validate_etale
+from drest.duality import EtaleSpace, G_object, dual_of, validate_etale
 from drest.fixtures import FIXTURES, get_fixture
 from drest.operators import CATALOGUE, NOT_IMPLEMENTED, OPERATOR_ALGEBRA_CAP
 from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate, enumerate_all_pfs
@@ -277,6 +278,25 @@ def drest_garbage() -> list:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.collect()
+
+
+def test_completion_and_triangle_check_build_no_view(closure_corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(filters, "from_mask", refuse)
+    monkeypatch.setattr(EtaleSpace, "__post_init__", refuse)
+    for concrete in closure_corpus[::97]:
+        alg = from_concrete(concrete)
+        completed, _ = duality.complete(alg)
+        assert duality.check_triangle_identities(alg).ok
+        duality.complete(completed)
+        for record in (dual_of(alg), dual_of(completed)):
+            assert record._space is None and record.mfs._points is None
+            assert record._sections._sections is None
+            assert not isinstance(record._sections._space, EtaleSpace)
+    monkeypatch.undo()
+    assert dual_of(alg).space.n_points == len(dual_of(alg).mfs.points)
 
 
 def test_dropped_results_leave_no_cyclic_garbage(closure_corpus):

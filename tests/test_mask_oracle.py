@@ -94,6 +94,7 @@ def test_operator_relation_layer_agrees(closure_corpus):
             seen["lifted"] += 1
         if classify_operator(alg, table).is_compat_preserving_operator:
             literal = SpaceRelation(table.name, rel.space, table.arity, oracles.relation_from_operator(alg, table))
+            assert literal == rel and hash(literal) == hash(rel)
             assert check_eta_preserves_operator(alg, table) == oracles.check_eta_preserves_operator(
                 alg, table, literal
             )

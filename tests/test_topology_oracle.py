@@ -23,7 +23,7 @@ from drest.duality import (
     G_object,
     SpaceMorphism,
     _counit,
-    _Topology,
+    _topology,
     dual_of,
     is_space_isomorphism,
     opens,
@@ -74,7 +74,7 @@ def test_every_space_of_at_most_three_points_agrees():
 
 def test_stability_and_openness_match_the_definitions():
     for space in small_spaces():
-        top = _Topology(space)
+        top = _topology(space)
         unions, literal_opens = oracles.basis_unions(space), oracles.opens(space)
         assert top.stable == all(u & v in unions for u in space.basis for v in space.basis)
         for s in range(1 << space.n_points):
