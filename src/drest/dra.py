@@ -85,13 +85,15 @@ class FiniteAlgebra:
     extra_ops: tuple[OpTable, ...] = ()
     # not compared, and dropped with the algebra: the masks and domain masks
     # the algebra was built from (from_masks), and, built on first use,
-    # the representation (() for none), the element of each support, the dual
-    # record (drest.duality.dual_of), and the operator facts, keyed by what
-    # built them and the table (drest.operators); each depends on the
-    # elements and the two tables alone, so with_ops keeps them
+    # the representation (() for none), the element of each support, the
+    # maximal filters (drest.filters.maximal_filters), the dual record
+    # (drest.duality.dual_of), which shares them, and the operator facts,
+    # keyed by what built them and the table (drest.operators); each depends
+    # on the elements and the two tables alone, so with_ops keeps them
     _masks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _support_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _filters: object = field(default=None, init=False, repr=False, compare=False)
     _dual: object = field(default=None, init=False, repr=False, compare=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -136,7 +138,7 @@ class FiniteAlgebra:
         return other
 
 
-_KEPT = ("_masks", "_rep", "_support_index", "_dual", "_operators")
+_KEPT = ("_masks", "_rep", "_support_index", "_filters", "_dual", "_operators")
 
 
 def binary_table(name: str, n: int, fn) -> OpTable:
@@ -164,7 +166,8 @@ def from_masks(
     of the blocks a meets: graphs of partial functions, their blocks the
     rows, or sections of a discrete space, their blocks the fibres.  They
     are kept on the algebra, and :func:`representation` reads them
-    (:func:`_mask_representation`).
+    (:func:`_mask_representation`).  Every table entry is a value of the
+    index, so the tables skip the range scan of :class:`OpTable`.
     """
     index = {m: i for i, m in enumerate(masks)}
     complements = [~b for b in masks]
@@ -175,10 +178,22 @@ def from_masks(
         raise NotClosed("family not closed under difference and restriction") from None
     n = len(masks)
     algebra = FiniteAlgebra(
-        tuple(names), OpTable("minus", 2, n, minus), OpTable("rest", 2, n, rest), tuple(extra_ops)
+        tuple(names),
+        _index_table("minus", n, minus),
+        _index_table("rest", n, rest),
+        tuple(extra_ops),
     )
     object.__setattr__(algebra, "_masks", (masks, doms))
     return algebra, index
+
+
+def _index_table(name: str, n: int, entries: tuple[int, ...]) -> OpTable:
+    """A binary table of n² values of a mask index, so in range by
+    construction: made without the range scan of :class:`OpTable`."""
+    table = object.__new__(OpTable)
+    for key, value in (("name", name), ("arity", 2), ("size", n), ("entries", entries)):
+        object.__setattr__(table, key, value)
+    return table
 
 
 def from_concrete(
@@ -424,8 +439,11 @@ def _mask_representation(masks: Sequence[int], doms: Sequence[int]) -> Represent
     condition (2).  An atom a lies in doms[x] iff x holds an atom b of a's
     class: then x & doms[a] is a nonempty element, holding an atom b that
     meets only blocks of a, and a & doms[b], nonempty, is a.  That is
-    condition (5).  When atom i is the bit i, as for the sections of a
-    space whose points keep their order, the supports are the masks.
+    condition (5).  When atom i is the bit i the supports are the masks.
+    That is not so for every family of sections: on the fibres {0, 2} and
+    {1} the atoms {0}, {1}, {2} are sorted by their up-sets as {0}, {2},
+    {1}, so the atoms are the elements (1, 3, 2) and the support of {1} is
+    the point mask 0b100.
     """
     count = list(map(int.bit_count, masks))
     atoms, covered = [], 0

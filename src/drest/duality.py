@@ -7,13 +7,13 @@ basis on int bitmasks in O(k·B + k²) for k points and B basis sets, after one
 pass over the basis kept on the space, and lists no open set; a morphism is
 continuous iff the preimage of each least neighbourhood N(y) of its target
 is open.  A valid space is discrete, so its sections are the choices of at
-most one point per fibre, capped at SECTION_CAP; their algebra is built from
-the section masks (:func:`drest.dra.from_masks`), which give its
-representation on first use.  Each algebra keeps one dual record
-(:func:`dual_of`), which the functors, unit, counit and completion read; a
-space passed in by a caller gets none.  Read off the algebra's
-representation, its space is valid and discrete and its unit an embedding
-with no check run.  The record holds masks: the space F(A), its labels and
+most one point per fibre, capped at SECTION_CAP, generated in order in one
+pass; their algebra is built from the section masks
+(:func:`drest.dra.from_masks`), which give its representation on first use.
+Each algebra keeps one dual record (:func:`dual_of`), which the functors,
+unit, counit and completion read; a space passed in by a caller gets none.
+Read off the algebra's representation, its space is valid and discrete and
+its unit an embedding with no check run.  The record holds masks: the space F(A), its labels and
 frozenset basis, the frozenset sections and the section algebra's space are
 views built on first read, and the completion and the triangle check build
 none of them.  Point and section sets are int masks: the unit reads the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import product
 from math import prod
 from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
@@ -461,20 +460,39 @@ def _section_algebra(
     """The sections of a valid space with topology top, as an algebra built
     from their masks, restricted by their saturations
     (:func:`drest.dra.from_masks`); refuses before any table is built when
-    there are too many.  space is the space, or the function that builds it."""
-    # a section picks one point or none from each fibre
-    fibres = list(dict.fromkeys(top.fibre))
-    count = prod(f.bit_count() + 1 for f in fibres)
+    there are too many.  space is the space, or the function that builds it.
+
+    A valid space is discrete, so the sections are the point sets meeting
+    each fibre at most once.  They are generated in one pass, in order of
+    size and then of their ascending point lists, each with its name and
+    saturation (the points over the fibres it meets) carried from its
+    parent.  A section of size s + 1 is its first s points p, a section,
+    plus one point y above the last point of p and outside the saturation
+    of p; conversely every such p + y is a section of size s + 1.  So
+    extending each section of size s by every such y lists each section of
+    size s + 1 exactly once, from its own p.  The list is in order, by
+    induction on s: two point lists of one size compare lexicographically,
+    first on their first s points, the parents, listed in order, and then,
+    for one parent, on the last point, which ascends.
+    """
+    count = prod(f.bit_count() + 1 for f in dict.fromkeys(top.fibre))
     if count > SECTION_CAP:
         raise ValueError(f"sections capped at {SECTION_CAP}; this space has {count}")
-    # a valid space is discrete, so every injective set is a section
-    choices = [(0, *(1 << x for x in bits(f))) for f in fibres]
-    masks = sorted(
-        (sum(pick) for pick in product(*choices)),
-        key=lambda m: (m.bit_count(), list(bits(m))),
-    )
-    saturated = [_union(f for f in fibres if f & m) for m in masks]
-    algebra, index = from_masks(map(_set_name, masks), masks, saturated)
+    labels = [str(x) for x in range(len(top.fibre))]
+    masks, names, saturated = [0], ["{}"], [0]
+    start = 0
+    while start < len(masks):
+        end = len(masks)
+        for i in range(start, end):
+            m, sat = masks[i], saturated[i]
+            prefix = names[i][:-1] + "," if m else "{"
+            above = top.full >> m.bit_length() << m.bit_length()
+            for y in bits(above & ~sat):
+                masks.append(m | 1 << y)
+                names.append(prefix + labels[y] + "}")
+                saturated.append(sat | top.fibre[y])
+        start = end
+    algebra, index = from_masks(names, masks, saturated)
     return DualAlgebra(algebra, tuple(masks), index, top, space)
 
 
@@ -622,6 +640,14 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
     hats_A[a] back to hats_B[h(a)] (ξ is in either iff h(a) is in ξ);
     preimages under a valid φ commute with a & ~b and sat(a) & b (see
     :func:`_G_morphism`) and hats_B is injective, so h commutes with both."""
+    mapping = _dual_map(h)
+    return SpaceMorphism(dual_of(h.target).space, dual_of(h.source).space, mapping)
+
+
+def _dual_map(h: AlgebraMap) -> tuple[int, ...]:
+    """F(h) as a point map, with the errors of :func:`F_morphism`, checked
+    against every morphism condition on the topologies of the two dual
+    records; neither space is built."""
     src, tgt = dual_of(h.target), dual_of(h.source)  # src: points of the target algebra
     # pullback[xi]: the source elements whose image lies in the filter xi
     pullback = [0] * len(src.mfs.atoms)
@@ -634,10 +660,10 @@ def F_morphism(h: AlgebraMap) -> SpaceMorphism:
         if point is None:
             raise ValueError("not a homomorphism: a filter preimage is not maximal")
         mapping.append(point)
-    morphism = space_morphism(src.space, tgt.space, mapping)
+    _require_ok(_morphism_report(mapping, src.topology, tgt.topology))
     if any(_preimage(mapping, tgt.mfs.hats[a]) != src.mfs.hats[b] for a, b in enumerate(h.table)):
         raise AssertionError("internal error: dual map misses the support identity")
-    return morphism
+    return tuple(mapping)
 
 
 def G_morphism(m: SpaceMorphism) -> AlgebraMap:
@@ -726,11 +752,12 @@ def check_triangle_identities(obj) -> TriangleReport:
 
 def eta_naturality_square(h: AlgebraMap) -> bool:
     """G(F(h)) ∘ η_A = η_B ∘ h for a homomorphism h: A -> B, building no
-    completion.  G sends a section to its preimage and η an element to its
-    support, so the two sides send a to F(h)⁻¹(hats_A[a]) and hats_B[h(a)]:
-    the support identity :func:`F_morphism` asserts, so the square holds once
-    F(h) is built."""
-    F_morphism(h)
+    completion and no dual space.  G sends a section to its preimage and η
+    an element to its support, so the two sides send a to F(h)⁻¹(hats_A[a])
+    and hats_B[h(a)]: the support identity that the point map of F(h)
+    satisfies (:func:`_dual_map`), so the square holds once that map is
+    made, with the errors of :func:`F_morphism`."""
+    _dual_map(h)
     return True
 
 
@@ -821,6 +848,18 @@ def unique_completion_iso(iota: AlgebraMap, iota2: AlgebraMap) -> AlgebraMap:
     return theta
 
 
+def _is_unit(m: AlgebraMap) -> bool:
+    """m is the unit of its source, whose dual record and sections are
+    already built, compared in O(n); no completion is built to compare."""
+    dual = m.source._dual
+    return (
+        dual is not None
+        and dual._sections is not None
+        and m.target is dual._sections.algebra
+        and m.table == unit_eta(m.source).table
+    )
+
+
 @dataclass(frozen=True)
 class CharacterizationEntry:
     extension: str
@@ -874,8 +913,10 @@ def completion_characterizations(
     iota: AlgebraMap, extensions: Sequence[tuple[str, AlgebraMap]]
 ) -> tuple[CharacterizationEntry, ...]:
     """Probe the smallest-complete-extension and largest-dense-extension
-    characterisations against a family of test embeddings."""
-    if not hom_check(iota).is_embedding:
+    characterisations against a family of test embeddings.  The base map is
+    checked to be an embedding unless it is the unit of its source's dual
+    record, an embedding by construction (:func:`unit_eta`)."""
+    if not _is_unit(iota) and not hom_check(iota).is_embedding:
         raise ValueError("base map must be an embedding")
     entries = []
     for name, kappa in extensions:

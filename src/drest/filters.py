@@ -121,14 +121,19 @@ class MaxFilterSpace:
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
     """All maximal proper filters, the up-sets of the atoms, canonically
     ordered, with their grouping and the support table: the algebra's
-    representation.  An algebra without one fails the defining laws and
-    raises ValueError.
+    representation, built once and kept on the algebra, whose dual record
+    shares it.  An algebra without a representation fails the defining laws
+    and raises ValueError.
     """
-    rep = representation(algebra)
-    if rep is None:
-        raise ValueError("algebra is not represented by partial functions, so it has no dual space")
-    atoms, classes, hats = rep
-    return MaxFilterSpace(algebra.n, atoms, classes, hats)
+    if algebra._filters is None:
+        rep = representation(algebra)
+        if rep is None:
+            raise ValueError(
+                "algebra is not represented by partial functions, so it has no dual space"
+            )
+        atoms, classes, hats = rep
+        object.__setattr__(algebra, "_filters", MaxFilterSpace(algebra.n, atoms, classes, hats))
+    return algebra._filters
 
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:

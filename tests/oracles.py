@@ -41,13 +41,16 @@ kept as the double scans over argument tuples; the library decides them on
 compatibility masks and supports.  The closure of
 partial functions, the difference and restriction tables and the closedness
 check are kept on value tuples, one point at a time; the library runs them on
-graph masks.  The isomorphism search is kept as the backtracking over
-elements, pruned by table invariants and capped at 12 elements; the library
-searches bijections of points.
+graph masks.  The section algebra of a space is kept as the product over
+the fibres sorted by size and point list; the library generates the
+sections in that order.  The isomorphism search is kept as the backtracking
+over elements, pruned by table invariants and capped at 12 elements; the
+library searches bijections of points.
 """
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -370,6 +373,25 @@ def dual_tables(space: EtaleSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
         index[project_preimage(space, project(space, u)) & v] for u in secs for v in secs
     )
     return minus, rest
+
+
+def section_algebra(top, space) -> DualAlgebra:
+    """``duality._section_algebra`` as the product over the fibres, sorted
+    by size and then by the ascending point list, each name and saturation
+    read off its mask."""
+    fibres = list(dict.fromkeys(top.fibre))
+    count = prod(f.bit_count() + 1 for f in fibres)
+    if count > dra.SECTION_CAP:
+        raise ValueError(f"sections capped at {dra.SECTION_CAP}; this space has {count}")
+    choices = [(0, *(1 << x for x in dra.bits(f))) for f in fibres]
+    masks = sorted(
+        (sum(pick) for pick in product(*choices)),
+        key=lambda m: (m.bit_count(), list(dra.bits(m))),
+    )
+    saturated = [sum(f for f in fibres if f & m) for m in masks]
+    names = ["{" + ",".join(map(str, dra.bits(m))) + "}" for m in masks]
+    algebra, index = dra.from_masks(names, masks, saturated)
+    return DualAlgebra(algebra, tuple(masks), index, top, space)
 
 
 def check_relation_properties(rel: SpaceRelation) -> RelationReport:

@@ -67,6 +67,18 @@ def test_no_constant_bottom_is_reported():
     assert report.violations[0].axiom == "no-constant-bottom"
 
 
+@pytest.mark.parametrize(
+    "arity, entries, bad",
+    [(2, (0, 1, 2, 0), 2), (2, (0, -1, 1, 0), -1), (1, (0, 5), 5), (0, (2,), 2)],
+)
+def test_a_table_with_an_entry_out_of_range_is_refused(arity, entries, bad):
+    # only the tables from_masks builds, whose entries are mask indices, skip the scan
+    with pytest.raises(ValueError, match=f"table f: entry {bad} out of range"):
+        OpTable("f", arity, 2, entries)
+    with pytest.raises(ValueError, match="table f: wrong number of entries"):
+        OpTable("f", arity, 2, entries + (0,))
+
+
 def test_closure_of_random_seeds_validates(closure_corpus):
     # spot sample here; the exhaustive scan lives in the acceptance suite
     for concrete in closure_corpus[::25]:

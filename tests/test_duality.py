@@ -11,6 +11,7 @@ from conftest import eighteen_element_completion
 from drest import duality, filters
 from drest.dra import (
     AlgebraMap,
+    FiniteAlgebra,
     binary_table,
     bottom,
     derived_meet,
@@ -472,6 +473,29 @@ def test_completion_characterizations(monkeypatch):
     ident = by_name["identity"]
     assert not ident.smallest_applicable  # the identity target is incomplete
     assert ident.largest_applicable and ident.largest_factors
+
+
+def test_completion_characterizations_check_the_base_map_unless_it_is_the_unit(monkeypatch):
+    alg = disjoint_pair().algebra
+    iota = complete(alg)[1]
+    extensions = [("names-into-boolean", inclusion_disjoint_into_boolean())]
+    expected = completion_characterizations(iota, extensions)
+    checked = []
+    original = duality.hom_check
+    monkeypatch.setattr(duality, "hom_check", lambda m: checked.append(m) or original(m))
+    # the unit is an embedding by construction: only the extension is checked
+    assert completion_characterizations(iota, extensions) == expected
+    assert checked == [extensions[0][1]]
+    # the same table into an equal target built apart is checked
+    target = iota.target
+    apart = AlgebraMap(alg, FiniteAlgebra(target.elements, target.minus, target.rest), iota.table)
+    checked.clear()
+    assert completion_characterizations(apart, extensions) == expected
+    assert checked == [apart, extensions[0][1]]
+    # and a map into the completion that is not the unit is refused
+    flat = AlgebraMap(alg, target, (bottom(target),) * alg.n)
+    with pytest.raises(ValueError, match="base map must be an embedding"):
+        completion_characterizations(flat, extensions)
 
 
 def test_stone_restriction_checks():

@@ -223,6 +223,28 @@ def test_max_filter_space_holds_the_element_count():
     assert mfs.n == alg.n and not hasattr(mfs, "algebra")
 
 
+def test_maximal_filters_are_built_once_and_shared_with_the_dual_record(monkeypatch):
+    built = []
+    original = filters.MaxFilterSpace.__post_init__
+    monkeypatch.setattr(
+        filters.MaxFilterSpace, "__post_init__", lambda self: built.append(self) or original(self)
+    )
+    concrete = get_fixture("boolean_four").concrete
+    for filters_first in (True, False):
+        alg = from_concrete(concrete)
+        if filters_first:
+            mfs = filters.maximal_filters(alg)
+            assert dual_of(alg).mfs is mfs
+        else:
+            mfs = dual_of(alg).mfs
+        assert filters.maximal_filters(alg) is mfs
+        assert filters.maximal_filters(alg.with_ops(())) is mfs
+        assert built == [mfs]
+        built.clear()
+    # an algebra equal to it but built apart has its own
+    assert filters.maximal_filters(from_concrete(concrete)) == mfs and len(built) == 1
+
+
 @pytest.fixture
 def check_calls(monkeypatch):
     """(check, store, table) for every operator check and relation built:

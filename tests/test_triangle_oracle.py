@@ -13,7 +13,8 @@ inclusions of subalgebras, which are often not dense; both verdicts occur.
 The η square is compared on every corpus identity map, on one subalgebra
 inclusion per corpus size and on every homomorphism among seeded maps
 between corpus algebras of at most 9 elements; the maps that are not
-homomorphisms are refused at the pullback or as morphisms.  The λ square,
+homomorphisms are refused at the pullback or as morphisms, with no dual
+space built on the way.  The λ square,
 which holds by proof, is compared with its composites on the identity and
 counit of every fixture's dual space and of generated valid spaces, on F of
 the seeded homomorphisms, and on refused morphisms and spaces, where the
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import abstract, eighteen_element_completion, outcome, three_seed_closures, valid_spaces
+from drest import duality
 from drest.dra import AlgebraMap, FiniteAlgebra, OpTable, bottom, hom_check, identity_map
 from drest.duality import (
     NOWHERE,
@@ -203,6 +205,22 @@ def test_F_refuses_exactly_the_maps_that_are_no_homomorphisms(closure_corpus):
             assert hom and dual.mapping == oracles.F_morphism(h)
             assert_eta_squares_agree(h)
     assert min(seen["homomorphism"], seen["pullback"]) > 500 and seen["no morphism"] > 5, seen
+
+
+def test_eta_square_builds_no_dual_space(closure_corpus, monkeypatch):
+    small = [abstract(c) for c in closure_corpus if len(c.elements) <= 9]
+    maps = list(seeded_maps(small, random.Random(37), 1500))
+
+    def refuse(*args):
+        raise AssertionError("built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "_dual_space", refuse)
+        got = [outcome(eta_naturality_square, h) for h in maps]
+    assert got == [outcome(oracles.eta_naturality_square, h) for h in maps]
+    seen = Counter(v if v is True else v[0].__name__ for v in got)
+    assert [v is True for v in got] == [hom_check(h).is_hom for h in maps]
+    assert min(seen[True], seen["ValueError"]) > 250 and seen["InvalidMorphism"] > 2, seen
 
 
 def assert_lambda_squares_agree(m: SpaceMorphism) -> None:
