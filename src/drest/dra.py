@@ -21,12 +21,11 @@ tables (:func:`_mask_representation`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, product, repeat
 from math import prod
 from operator import and_, itemgetter, or_
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .pfun import ConcretePFAlgebra
@@ -38,21 +37,34 @@ SPACE_SIZE_CAP = 16
 SECTION_CAP = 1024
 
 
-@dataclass(frozen=True)
 class OpTable:
     """A total n-ary operation on element indices, stored row-major."""
 
-    name: str
-    arity: int
-    size: int
-    entries: tuple[int, ...]
+    __slots__ = ("name", "arity", "size", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.size**self.arity:
-            raise ValueError(f"table {self.name}: wrong number of entries")
-        if self.entries and not 0 <= min(self.entries) <= max(self.entries) < self.size:
-            e = next(e for e in self.entries if not 0 <= e < self.size)
-            raise ValueError(f"table {self.name}: entry {e} out of range")
+    def __init__(self, name: str, arity: int, size: int, entries: tuple[int, ...]) -> None:
+        if len(entries) != size**arity:
+            raise ValueError(f"table {name}: wrong number of entries")
+        if entries and not 0 <= min(entries) <= max(entries) < size:
+            e = next(e for e in entries if not 0 <= e < size)
+            raise ValueError(f"table {name}: entry {e} out of range")
+        self.name, self.arity, self.size, self.entries = name, arity, size, entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OpTable:
+            return NotImplemented
+        return (self.name, self.arity, self.size, self.entries) == (
+            other.name, other.arity, other.size, other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.size, self.entries))
+
+    def __repr__(self) -> str:
+        return (
+            f"OpTable(name={self.name!r}, arity={self.arity!r}, size={self.size!r}, "
+            f"entries={self.entries!r})"
+        )
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -77,35 +89,55 @@ def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*positions)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    elements: tuple[str, ...]
-    minus: OpTable
-    rest: OpTable
-    extra_ops: tuple[OpTable, ...] = ()
-    # not compared, and dropped with the algebra: the masks and domain masks
-    # the algebra was built from (from_masks), and, built on first use,
-    # the representation (() for none), the element of each support, the
-    # maximal filters (drest.filters.maximal_filters), the dual record
-    # (drest.duality.dual_of), which shares them, and the operator facts,
-    # keyed by what built them and the table (drest.operators); each depends
-    # on the elements and the two tables alone, so with_ops keeps them
-    _masks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _rep: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _support_index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-    _filters: object = field(default=None, init=False, repr=False, compare=False)
-    _dual: object = field(default=None, init=False, repr=False, compare=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+# the facts an algebra keeps, in neither its equality nor its repr
+_KEPT = ("_masks", "_rep", "_support_index", "_filters", "_dual", "_operators")
 
-    def __post_init__(self) -> None:
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
+
+class FiniteAlgebra:
+    __slots__ = ("elements", "minus", "rest", "extra_ops", *_KEPT)
+
+    def __init__(
+        self,
+        elements: tuple[str, ...],
+        minus: OpTable,
+        rest: OpTable,
+        extra_ops: tuple[OpTable, ...] = (),
+    ) -> None:
+        n = len(elements)
+        if len(set(elements)) != n:
             raise ValueError("element names must be distinct")
-        for table in (self.minus, self.rest, *self.extra_ops):
+        for table in (minus, rest, *extra_ops):
             if table.size != n:
                 raise ValueError(f"table {table.name} sized for a different algebra")
-        if self.minus.arity != 2 or self.rest.arity != 2:
+        if minus.arity != 2 or rest.arity != 2:
             raise ValueError("difference and restriction must be binary")
+        self.elements, self.minus, self.rest, self.extra_ops = elements, minus, rest, extra_ops
+        # dropped with the algebra: the masks and domain masks the algebra was
+        # built from (from_masks), and, built on first use, the
+        # representation (() for none), the element of each support, the
+        # maximal filters (drest.filters.maximal_filters), the dual record
+        # (drest.duality.dual_of), which shares them, and the operator facts,
+        # keyed by what built them and the table (drest.operators); each
+        # depends on the elements and the two tables alone, so with_ops
+        # keeps them
+        self._masks = self._rep = self._support_index = self._filters = self._dual = None
+        self._operators: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FiniteAlgebra:
+            return NotImplemented
+        return (self.elements, self.minus, self.rest, self.extra_ops) == (
+            other.elements, other.minus, other.rest, other.extra_ops
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.minus, self.rest, self.extra_ops))
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteAlgebra(elements={self.elements!r}, minus={self.minus!r}, "
+            f"rest={self.rest!r}, extra_ops={self.extra_ops!r})"
+        )
 
     @property
     def n(self) -> int:
@@ -134,11 +166,8 @@ class FiniteAlgebra:
         facts built so far."""
         other = FiniteAlgebra(self.elements, self.minus, self.rest, tuple(ops))
         for name in _KEPT:
-            object.__setattr__(other, name, getattr(self, name))
+            setattr(other, name, getattr(self, name))
         return other
-
-
-_KEPT = ("_masks", "_rep", "_support_index", "_filters", "_dual", "_operators")
 
 
 def binary_table(name: str, n: int, fn) -> OpTable:
@@ -183,7 +212,7 @@ def from_masks(
         _index_table("rest", n, rest),
         tuple(extra_ops),
     )
-    object.__setattr__(algebra, "_masks", (masks, doms))
+    algebra._masks = (masks, doms)
     return algebra, index
 
 
@@ -191,8 +220,7 @@ def _index_table(name: str, n: int, entries: tuple[int, ...]) -> OpTable:
     """A binary table of n² values of a mask index, so in range by
     construction: made without the range scan of :class:`OpTable`."""
     table = object.__new__(OpTable)
-    for key, value in (("name", name), ("arity", 2), ("size", n), ("entries", entries)):
-        object.__setattr__(table, key, value)
+    table.name, table.arity, table.size, table.entries = name, 2, n, entries
     return table
 
 
@@ -238,14 +266,12 @@ def from_concrete(
 # ---------------------------------------------------------------------------
 # axiom validation
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[AxiomViolation, ...]
 
     @property
@@ -379,7 +405,7 @@ def representation(algebra: FiniteAlgebra) -> Optional[Representation]:
     if algebra._rep is None:
         masks = algebra._masks
         rep = _mask_representation(*masks) if masks else _represent(algebra)
-        object.__setattr__(algebra, "_rep", rep or ())
+        algebra._rep = rep or ()
     return algebra._rep or None
 
 
@@ -501,7 +527,7 @@ def supports(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], dict[int, int]]:
     ValueError."""
     hats = _represented(algebra)[2]
     if algebra._support_index is None:
-        object.__setattr__(algebra, "_support_index", {h: e for e, h in enumerate(hats)})
+        algebra._support_index = {h: e for e, h in enumerate(hats)}
     return hats, algebra._support_index
 
 
@@ -544,18 +570,27 @@ def is_subtraction_algebra(algebra: FiniteAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # maps between algebras
 
-@dataclass(frozen=True)
 class AlgebraMap:
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    table: tuple[int, ...]
+    __slots__ = ("source", "target", "table")
 
-    def __post_init__(self) -> None:
-        if len(self.table) != self.source.n:
+    def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, table: tuple[int, ...]) -> None:
+        if len(table) != source.n:
             raise ValueError("map table must cover every source element")
-        for t in self.table:
-            if not 0 <= t < self.target.n:
+        for t in table:
+            if not 0 <= t < target.n:
                 raise ValueError("map table value outside target")
+        self.source, self.target, self.table = source, target, table
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AlgebraMap:
+            return NotImplemented
+        return (self.source, self.target, self.table) == (other.source, other.target, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.table))
+
+    def __repr__(self) -> str:
+        return f"AlgebraMap(source={self.source!r}, target={self.target!r}, table={self.table!r})"
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -576,8 +611,7 @@ def identity_map(algebra: FiniteAlgebra) -> AlgebraMap:
     return AlgebraMap(algebra, algebra, tuple(range(algebra.n)))
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(NamedTuple):
     violations: tuple[str, ...]
     injective: bool
 

@@ -27,11 +27,10 @@ completions are decided by proof, building no section algebra, composite or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from math import prod
 from operator import or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import filters as flt
 from .dra import (
@@ -59,7 +58,6 @@ class InvalidMorphism(ValueError):
     """A partial point map fails the morphism conditions."""
 
 
-@dataclass(frozen=True)
 class EtaleSpace:
     """Points over base points, with a basis of opens.
 
@@ -67,31 +65,53 @@ class EtaleSpace:
     the basis generates.  A valid space's basis is intersection stable
     (pairwise intersections are again unions of basis sets), so its opens
     are the unions of basis sets.  Its :class:`_Topology` is built on first
-    use and kept (:func:`_topology`).
+    use and kept (:func:`_topology`), in neither equality nor repr.
     """
 
-    n_points: int
-    n_base: int
-    projection: tuple[int, ...]
-    basis: tuple[frozenset[int], ...]
-    point_labels: Optional[tuple[str, ...]] = None
-    _topology: Optional[_Topology] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n_points", "n_base", "projection", "basis", "point_labels", "_topology")
 
-    def __post_init__(self) -> None:
-        if self.n_points < 0 or self.n_base < 0:
+    def __init__(
+        self,
+        n_points: int,
+        n_base: int,
+        projection: tuple[int, ...],
+        basis: tuple[frozenset[int], ...],
+        point_labels: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        if n_points < 0 or n_base < 0:
             raise ValueError("point and base counts must be nonnegative")
-        if self.n_points > SPACE_SIZE_CAP:
+        if n_points > SPACE_SIZE_CAP:
             raise ValueError(f"spaces capped at {SPACE_SIZE_CAP} points")
-        if self.point_labels is not None and len(self.point_labels) != self.n_points:
+        if point_labels is not None and len(point_labels) != n_points:
             raise ValueError("point labels must name every point")
-        if len(self.projection) != self.n_points:
+        if len(projection) != n_points:
             raise ValueError("projection must cover every point")
-        for b in self.projection:
-            if not 0 <= b < self.n_base:
+        for b in projection:
+            if not 0 <= b < n_base:
                 raise ValueError("projection value outside the base")
-        for u in self.basis:
-            if any(not 0 <= x < self.n_points for x in u):
+        for u in basis:
+            if any(not 0 <= x < n_points for x in u):
                 raise ValueError("basis set contains a foreign point")
+        self.n_points, self.n_base, self.projection = n_points, n_base, projection
+        self.basis, self.point_labels = basis, point_labels
+        self._topology: Optional[_Topology] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EtaleSpace:
+            return NotImplemented
+        return (self.n_points, self.n_base, self.projection, self.basis, self.point_labels) == (
+            other.n_points, other.n_base, other.projection, other.basis, other.point_labels
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_points, self.n_base, self.projection, self.basis, self.point_labels))
+
+    def __repr__(self) -> str:
+        return (
+            f"EtaleSpace(n_points={self.n_points!r}, n_base={self.n_base!r}, "
+            f"projection={self.projection!r}, basis={self.basis!r}, "
+            f"point_labels={self.point_labels!r})"
+        )
 
     def label(self, point: int) -> str:
         if self.point_labels is not None:
@@ -116,7 +136,9 @@ class _Topology:
     ``fibre[x]`` is the point mask of the fibre of x; ``least[x]`` is N(x),
     the intersection of the basis sets holding x, or None when none does;
     ``neighbourhoods`` lists the distinct N(x), and ``stable`` says whether
-    the basis is intersection-stable.
+    the basis is intersection-stable.  ``report`` is the space's
+    :class:`EtaleReport`, kept by :func:`validate_etale` on first use, as it
+    reads only the topology and the fibres.
 
     The topology is the one the basis generates, the unions of finite
     intersections of basis sets.  N(x) is one of those intersections, and
@@ -137,6 +159,7 @@ class _Topology:
         self.covered = sum(1 << x for x, u in enumerate(least) if u is not None)
         self.neighbourhoods = tuple(dict.fromkeys(u for u in least if u is not None))
         self.stable = stable
+        self.report: Optional[EtaleReport] = None
 
     def is_open(self, s: int) -> bool:
         return not s & ~self.covered and all(self.least[x] | s == s for x in bits(s))
@@ -167,7 +190,7 @@ def _topology(space: EtaleSpace) -> _Topology:
             least,
             stable=all(u in basis for u in least if u is not None),
         )
-        object.__setattr__(space, "_topology", top)
+        space._topology = top
     return space._topology
 
 
@@ -181,8 +204,7 @@ def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     return frozenset(flt.from_mask(u, space.n_points) for u in found)
 
 
-@dataclass(frozen=True)
-class EtaleReport:
+class EtaleReport(NamedTuple):
     basis_intersection_stable: bool
     surjective: bool
     projection_continuous: bool
@@ -219,9 +241,15 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
 
     Every field but ``basis_intersection_stable`` describes the topology the
     basis generates, so a basis that is not stable, which makes the space
-    invalid, is decided the same way.
+    invalid, is decided the same way.  The report is kept on the topology.
     """
     top = _topology(space)
+    if top.report is None:
+        top.report = _etale_report(space, top)
+    return top.report
+
+
+def _etale_report(space: EtaleSpace, top: _Topology) -> EtaleReport:
     failures: list[str] = []
 
     if not top.stable:
@@ -270,19 +298,34 @@ def validate_etale(space: EtaleSpace) -> EtaleReport:
 # ---------------------------------------------------------------------------
 # morphisms of spaces
 
-@dataclass(frozen=True)
 class SpaceMorphism:
     """A partial point map validated eagerly by :func:`space_morphism`."""
 
-    source: EtaleSpace
-    target: EtaleSpace
-    mapping: tuple[int, ...]  # NOWHERE marks "undefined"
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.source.n_points:
+    def __init__(self, source: EtaleSpace, target: EtaleSpace, mapping: tuple[int, ...]) -> None:
+        # NOWHERE marks "undefined"
+        if len(mapping) != source.n_points:
             raise ValueError("mapping must cover every source point")
-        if any(not NOWHERE <= v < self.target.n_points for v in self.mapping):
+        if any(not NOWHERE <= v < target.n_points for v in mapping):
             raise ValueError("mapping value outside the target")
+        self.source, self.target, self.mapping = source, target, mapping
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SpaceMorphism:
+            return NotImplemented
+        return (self.source, self.target, self.mapping) == (
+            other.source, other.target, other.mapping
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.mapping))
+
+    def __repr__(self) -> str:
+        return (
+            f"SpaceMorphism(source={self.source!r}, target={self.target!r}, "
+            f"mapping={self.mapping!r})"
+        )
 
     def __call__(self, x: int) -> Optional[int]:
         v = self.mapping[x]
@@ -306,8 +349,7 @@ def _preimage(mapping: Sequence[int], mask: int) -> int:
     return sum(1 << x for x, v in enumerate(mapping) if v != NOWHERE and mask >> v & 1)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     continuous: bool
     proper: bool
     preserves_equivalence: bool
@@ -413,7 +455,6 @@ def _set_name(mask: int, name: Callable[[int], str] = str) -> str:
     return "{" + ",".join(map(name, bits(mask))) + "}"
 
 
-@dataclass(frozen=True, eq=False)
 class DualAlgebra:
     """Compact open injective-projection subsets of a space, as an algebra.
 
@@ -421,28 +462,35 @@ class DualAlgebra:
     the space's topology.  ``sections``, the same sets as frozensets, is a
     view built on first read, and so is ``space`` for the sections of a dual
     record (:attr:`DualRecord.sections`).  Equality compares the space, the
-    masks and the algebra.
+    masks and the algebra; the repr shows the algebra.
     """
 
-    algebra: FiniteAlgebra
-    masks: tuple[int, ...] = field(repr=False)
-    index: dict[int, int] = field(repr=False)
-    topology: _Topology = field(repr=False)
-    # the space, or the function that builds it on first read
-    _space: EtaleSpace | Callable[[], EtaleSpace] = field(repr=False)
-    _sections: Optional[tuple[frozenset[int], ...]] = field(default=None, init=False, repr=False)
+    __slots__ = ("algebra", "masks", "index", "topology", "_space", "_sections")
+
+    def __init__(
+        self,
+        algebra: FiniteAlgebra,
+        masks: tuple[int, ...],
+        index: dict[int, int],
+        topology: _Topology,
+        _space: EtaleSpace | Callable[[], EtaleSpace],
+    ) -> None:
+        self.algebra, self.masks, self.index, self.topology = algebra, masks, index, topology
+        # the space, or the function that builds it on first read
+        self._space = _space
+        self._sections: Optional[tuple[frozenset[int], ...]] = None
 
     @property
     def space(self) -> EtaleSpace:
         if not isinstance(self._space, EtaleSpace):
-            object.__setattr__(self, "_space", self._space())
+            self._space = self._space()
         return self._space
 
     @property
     def sections(self) -> tuple[frozenset[int], ...]:
         if self._sections is None:
             k = len(self.topology.fibre)
-            object.__setattr__(self, "_sections", tuple(flt.from_mask(m, k) for m in self.masks))
+            self._sections = tuple(flt.from_mask(m, k) for m in self.masks)
         return self._sections
 
     def __eq__(self, other: object) -> bool:
@@ -452,6 +500,9 @@ class DualAlgebra:
 
     def __hash__(self) -> int:
         return hash((self.masks, self.algebra))
+
+    def __repr__(self) -> str:
+        return f"DualAlgebra(algebra={self.algebra!r})"
 
 
 def _section_algebra(
@@ -501,45 +552,57 @@ def G_object(space: EtaleSpace) -> DualAlgebra:
 
 
 def _valid_space(space: EtaleSpace) -> EtaleSpace:
-    report = validate_etale(space)
+    """The space, once its report is ok: the kept one, or
+    :func:`validate_etale` when it has none."""
+    report = _topology(space).report
+    if report is None:
+        report = validate_etale(space)
     if not report.ok:
         raise InvalidSpace("; ".join(report.failures))
     return space
 
 
-@dataclass(frozen=True)
 class DualRecord:
     """An algebra's dual data, held as masks: its maximal filters with the
-    support table, and its element names.  The space is discrete with
-    N(x) = {x} (:func:`dual_of`), so its topology is built from the class
-    masks in O(k).  The space F(A), with its labels and frozenset basis, and
-    the sections GF(A) are built on first read; neither refers back to the
-    record or the algebra, and the two share one space."""
+    support table, and its element names, which equality compares.  The
+    space is discrete with N(x) = {x} (:func:`dual_of`), so its topology is
+    built from the class masks in O(k).  The space F(A), with its labels and
+    frozenset basis, and the sections GF(A) are built on first read; neither
+    refers back to the record or the algebra, and the two share one space."""
 
-    mfs: flt.MaxFilterSpace
-    names: tuple[str, ...] = field(repr=False)
-    topology: _Topology = field(init=False, repr=False, compare=False)
-    _space: Optional[EtaleSpace] = field(default=None, init=False, repr=False, compare=False)
-    _sections: Optional[DualAlgebra] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("mfs", "names", "topology", "_space", "_sections")
 
-    def __post_init__(self) -> None:
-        fibre = [0] * len(self.mfs.atoms)
-        for cls in self.mfs.classes:
+    def __init__(self, mfs: flt.MaxFilterSpace, names: tuple[str, ...]) -> None:
+        self.mfs, self.names = mfs, names
+        fibre = [0] * len(mfs.atoms)
+        for cls in mfs.classes:
             mask = flt.to_mask(cls)
             for x in cls:
                 fibre[x] = mask
         least = tuple(1 << x for x in range(len(fibre)))
-        object.__setattr__(self, "topology", _Topology(tuple(fibre), least, stable=True))
+        self.topology = _Topology(tuple(fibre), least, stable=True)
+        self._space: Optional[EtaleSpace] = None
+        self._sections: Optional[DualAlgebra] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DualRecord:
+            return NotImplemented
+        return (self.mfs, self.names) == (other.mfs, other.names)
+
+    def __hash__(self) -> int:
+        return hash((self.mfs, self.names))
+
+    def __repr__(self) -> str:
+        return f"DualRecord(mfs={self.mfs!r})"
 
     @property
     def space(self) -> EtaleSpace:
         """F of the algebra."""
         if self._space is None:
             if self._sections is not None:
-                space = self._sections.space
+                self._space = self._sections.space
             else:
-                space = _dual_space(self.mfs, self.names, self.topology)
-            object.__setattr__(self, "_space", space)
+                self._space = _dual_space(self.mfs, self.names, self.topology)
         return self._space
 
     @property
@@ -549,7 +612,7 @@ class DualRecord:
             space = self._space
             if space is None:
                 space = partial(_dual_space, self.mfs, self.names, self.topology)
-            object.__setattr__(self, "_sections", _section_algebra(self.topology, space))
+            self._sections = _section_algebra(self.topology, space)
         return self._sections
 
 
@@ -565,7 +628,7 @@ def _dual_space(mfs: flt.MaxFilterSpace, names: Sequence[str], top: _Topology) -
         basis=tuple(flt.from_mask(h, k) for h in sorted(set(mfs.hats), key=lambda h: list(bits(h)))),
         point_labels=tuple(_set_name(m, names.__getitem__) for m in mfs.members),
     )
-    object.__setattr__(space, "_topology", top)
+    space._topology = top
     return space
 
 
@@ -578,8 +641,7 @@ def dual_of(algebra: FiniteAlgebra) -> DualRecord:
     onto, each class holding a point.
     """
     if algebra._dual is None:
-        record = DualRecord(flt.maximal_filters(algebra), algebra.elements)
-        object.__setattr__(algebra, "_dual", record)
+        algebra._dual = DualRecord(flt.maximal_filters(algebra), algebra.elements)
     return algebra._dual
 
 
@@ -699,8 +761,7 @@ def _G_morphism(m: SpaceMorphism, src: DualAlgebra, tgt: DualAlgebra) -> Algebra
 # ---------------------------------------------------------------------------
 # adjunction checks
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     space_side: bool
     algebra_side: bool
 
@@ -782,8 +843,7 @@ def lambda_naturality_square(m: SpaceMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # completion
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     embedding: bool
     target_complete: bool
     image_dense: bool
@@ -860,8 +920,7 @@ def _is_unit(m: AlgebraMap) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CharacterizationEntry:
+class CharacterizationEntry(NamedTuple):
     extension: str
     smallest_applicable: bool
     smallest_factors: bool
@@ -939,8 +998,7 @@ def completion_characterizations(
 # ---------------------------------------------------------------------------
 # the subtraction-algebra specialisation
 
-@dataclass(frozen=True)
-class StoneReport:
+class StoneReport(NamedTuple):
     applicable: bool
     equiv_is_equality: Optional[bool] = None
     dual_is_subtraction: Optional[bool] = None

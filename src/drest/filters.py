@@ -12,7 +12,6 @@ the shared-domain relation of filters are in the tests' oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, representation
@@ -64,7 +63,6 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     return tuple(from_mask(m, n) for m in found)
 
 
-@dataclass(frozen=True)
 class MaxFilterSpace:
     """The points of the dual space of an n-element algebra: maximal filters
     plus their grouping by the shared-domain equivalence.  Point i is the
@@ -73,38 +71,47 @@ class MaxFilterSpace:
     atoms[i] holds e exactly when hats[e] holds i, and ``members`` keeps that
     element mask for each point.  ``points``, the same sets as frozensets,
     is a view built on first read; equality compares the supports it is
-    derived from.  It holds no reference to the algebra, which keeps it, so
-    that neither waits for the cyclic collector."""
+    derived from, and the repr leaves them out.  It holds no reference to
+    the algebra, which keeps it, so that neither waits for the cyclic
+    collector."""
 
-    n: int
-    atoms: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    hats: tuple[int, ...] = field(repr=False)
-    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _class: dict[int, int] = field(init=False, repr=False, compare=False)
-    _points: Optional[tuple[frozenset[int], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("n", "atoms", "classes", "hats", "members", "_index", "_class", "_points")
 
-    def __post_init__(self) -> None:
-        members = [0] * len(self.atoms)
-        for e, h in enumerate(self.hats):
+    def __init__(
+        self,
+        n: int,
+        atoms: tuple[int, ...],
+        classes: tuple[tuple[int, ...], ...],
+        hats: tuple[int, ...],
+    ) -> None:
+        self.n, self.atoms, self.classes, self.hats = n, atoms, classes, hats
+        members = [0] * len(atoms)
+        for e, h in enumerate(hats):
             for i in bits(h):
                 members[i] |= 1 << e
-        object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(members)})
-        object.__setattr__(
-            self, "_class", {x: i for i, cls in enumerate(self.classes) for x in cls}
+        self.members = tuple(members)
+        self._index = {m: i for i, m in enumerate(members)}
+        self._class = {x: i for i, cls in enumerate(classes) for x in cls}
+        self._points: Optional[tuple[frozenset[int], ...]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MaxFilterSpace:
+            return NotImplemented
+        return (self.n, self.atoms, self.classes, self.hats) == (
+            other.n, other.atoms, other.classes, other.hats
         )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.atoms, self.classes, self.hats))
+
+    def __repr__(self) -> str:
+        return f"MaxFilterSpace(n={self.n!r}, atoms={self.atoms!r}, classes={self.classes!r})"
 
     @property
     def points(self) -> tuple[frozenset[int], ...]:
         """The member set of each maximal filter."""
         if self._points is None:
-            object.__setattr__(
-                self, "_points", tuple(from_mask(m, self.n) for m in self.members)
-            )
+            self._points = tuple(from_mask(m, self.n) for m in self.members)
         return self._points
 
     def point_index(self, members: int) -> Optional[int]:
@@ -132,7 +139,7 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
                 "algebra is not represented by partial functions, so it has no dual space"
             )
         atoms, classes, hats = rep
-        object.__setattr__(algebra, "_filters", MaxFilterSpace(algebra.n, atoms, classes, hats))
+        algebra._filters = MaxFilterSpace(algebra.n, atoms, classes, hats)
     return algebra._filters
 
 

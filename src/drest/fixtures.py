@@ -6,15 +6,13 @@ fixture corrupts a single restriction entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .dra import AlgebraMap, FiniteAlgebra, OpTable, from_concrete, hom_check
 from .pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     concrete: Optional[ConcretePFAlgebra]

@@ -18,18 +18,20 @@ compatibility-preserving operator by construction (proved at
 the carried table's size is bounded by the sections cap squared.  An
 operator's classification and relation are made once per (algebra, table)
 and kept in the algebra's operator store, which the completion reads.
+Classification reads only the tables, so the dual-space modules
+(``duality``, ``filters``) are imported by the relation and completion
+functions that use them, when first called.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import prod
 from operator import and_, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import filters as flt
 from .dra import (
+    SECTION_CAP,
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
@@ -38,18 +40,10 @@ from .dra import (
     from_concrete,
     supports,
 )
-from .duality import (
-    SECTION_CAP,
-    DualAlgebra,
-    EtaleSpace,
-    G_object,
-    SpaceMorphism,
-    _preimage,
-    _topology,
-    complete,
-    dual_of,
-)
 from .pfun import CLOSURE_SIZE_CAP, UNDEF, ConcretePFAlgebra, closure_generate
+
+if TYPE_CHECKING:
+    from .duality import DualAlgebra, EtaleSpace, SpaceMorphism
 
 OPERATOR_ARITY_CAP = 3
 OPERATOR_ALGEBRA_CAP = 10
@@ -178,8 +172,7 @@ def _fold(
     return list(values)
 
 
-@dataclass(frozen=True)
-class OperatorReport:
+class OperatorReport(NamedTuple):
     name: str
     arity: int
     compat_preserving: bool
@@ -241,20 +234,16 @@ def _classify(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
 # ---------------------------------------------------------------------------
 # relations on spaces
 
-@dataclass(frozen=True, init=False)
 class SpaceRelation:
     """A set of (arity + 1)-tuples of points; the last coordinate is the
     output position.  ``image`` holds the output mask of each input tuple in
     row-major order; every check reads it through :func:`_fold`, and equal
     relations have equal images.  Made from tuples, the relation checks them
     and builds its image; made from an image (:meth:`_of_image`), ``tuples``
-    is a view built on first read."""
+    is a view built on first read.  Equality compares the name, space, arity
+    and image; the repr shows the first three."""
 
-    name: str
-    space: EtaleSpace
-    arity: int
-    image: tuple[int, ...] = field(repr=False)
-    _tuples: Optional[frozenset[tuple[int, ...]]] = field(repr=False, compare=False)
+    __slots__ = ("name", "space", "arity", "image", "_tuples")
 
     def __init__(
         self, name: str, space: EtaleSpace, arity: int, tuples: Iterable[tuple[int, ...]]
@@ -283,30 +272,46 @@ class SpaceRelation:
         rel._set(name, space, arity, tuple(image), None)
         return rel
 
-    def _set(self, *values) -> None:
-        for attr, value in zip(("name", "space", "arity", "image", "_tuples"), values):
-            object.__setattr__(self, attr, value)
+    def _set(self, name, space, arity, image, tuples) -> None:
+        self.name, self.space, self.arity, self.image, self._tuples = (
+            name, space, arity, image, tuples
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SpaceRelation:
+            return NotImplemented
+        return (self.name, self.space, self.arity, self.image) == (
+            other.name, other.space, other.arity, other.image
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.space, self.arity, self.image))
+
+    def __repr__(self) -> str:
+        return f"SpaceRelation(name={self.name!r}, space={self.space!r}, arity={self.arity!r})"
 
     @property
     def tuples(self) -> frozenset[tuple[int, ...]]:
         if self._tuples is None:
             inputs = product(range(self.space.n_points), repeat=self.arity)
-            object.__setattr__(self, "_tuples", frozenset(
+            self._tuples = frozenset(
                 mus + (nu,) for mus, out in zip(inputs, self.image) for nu in bits(out)
-            ))
+            )
         return self._tuples
 
 
 def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> frozenset[int]:
     """Outputs reachable from inputs drawn one per subset: the OR-fold of the
     image with near[i] the points of subset i, read at (0, ..., arity - 1)."""
+    from .filters import from_mask, to_mask
+
     if len(subsets) != rel.arity:
         raise ValueError("argument count does not match the relation arity")
     k = rel.space.n_points
     full = (1 << k) - 1
-    near = [list(bits(flt.to_mask(u) & full)) for u in subsets]
+    near = [list(bits(to_mask(u) & full)) for u in subsets]
     out = _fold(rel.image, k, near, rel.arity, or_, 0)[_flatten(range(rel.arity), rel.arity)]
-    return flt.from_mask(out, k)
+    return from_mask(out, k)
 
 
 def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
@@ -323,6 +328,8 @@ def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelat
 
 
 def _relation(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
+    from .duality import dual_of
+
     _check_caps(algebra, table)
     dual = dual_of(algebra)
     hats = dual.mfs.hats
@@ -332,8 +339,7 @@ def _relation(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     return SpaceRelation._of_image(table.name, dual.space, table.arity, image)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     compatibility_property: bool
     continuous: bool
     spectral: bool
@@ -367,6 +373,8 @@ def check_relation_properties(rel: SpaceRelation) -> RelationReport:
     monotone in each argument, so the least neighbourhoods decide it: the
     same fold at xs lies inside the image of xs.
     """
+    from .duality import _topology
+
     k = rel.space.n_points
     top = _topology(rel.space)
     compatible = [list(bits(top.full & ~fibre | 1 << x)) for x, fibre in enumerate(top.fibre)]
@@ -391,6 +399,8 @@ def operation_from_relation(
     Requires a spectral relation with the compatibility property; those two
     properties are exactly what makes every output set a section again.
     """
+    from .duality import G_object
+
     if rel.space != space:
         raise OperatorCheckError("relation lives on a different space")
     _require_operation(rel)
@@ -436,6 +446,8 @@ def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable) -> bool
     """The support of an output equals the relation applied to the supports
     of the inputs, for every argument tuple: the OR-fold of the relation's
     image over the point lists of the supports is hats[f(.)]."""
+    from .duality import dual_of
+
     _require_operator(algebra, table)
     hats = dual_of(algebra).mfs.hats
     rel = _kept(algebra, table, _relation)
@@ -444,8 +456,7 @@ def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable) -> bool
     return applied == [hats[e] for e in table.entries]
 
 
-@dataclass(frozen=True)
-class BackForthReport:
+class BackForthReport(NamedTuple):
     reverse_forth: bool
     back: bool
 
@@ -469,6 +480,8 @@ def check_morphism_back_forth(
     carries it into the target image of zs, and back holds iff the preimage
     of the target image of zs lies in reach[zs].
     """
+    from .duality import _preimage
+
     if rel_src.space != morphism.source or rel_tgt.space != morphism.target:
         raise OperatorCheckError("relations do not live on the morphism's spaces")
     if rel_src.arity != rel_tgt.arity:
@@ -514,6 +527,8 @@ def complete_with_operators(
     101 sections.  Each input's classification and relation are those kept
     on the algebra (:func:`classify_operator`, :func:`relation_from_operator`).
     """
+    from .duality import complete
+
     _require_carriable(algebra, tables)
     return _carry(algebra, tables, complete(algebra)[1])
 
@@ -521,6 +536,8 @@ def complete_with_operators(
 def _require_carriable(algebra: FiniteAlgebra, tables: Sequence[OpTable]) -> None:
     """Refuse what :func:`complete_with_operators` refuses, building no
     completion."""
+    from .duality import dual_of
+
     # a section picks one point or none from each fibre
     count = prod(len(cls) + 1 for cls in dual_of(algebra).mfs.classes)
     for table in tables:
@@ -537,6 +554,8 @@ def _carry(
 ) -> tuple[FiniteAlgebra, AlgebraMap, tuple[OpTable, ...]]:
     """Carry operators that :func:`_require_carriable` accepts along the
     canonical completion iota of the algebra."""
+    from .duality import dual_of
+
     sections = dual_of(algebra).sections
     lifted = tuple(
         _relation_table(_kept(algebra, table, _relation), sections) for table in tables
@@ -570,8 +589,7 @@ CATALOGUE = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     """One classified operation.  ``closed_size`` is the size of the closure,
     or None when none was built: the operation is not implemented, the
     closure failed, or the input alone already exceeds the operator cap."""

@@ -15,7 +15,6 @@ oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -29,39 +28,56 @@ class CarrierMismatch(ValueError):
     """Two partial functions live on different carriers."""
 
 
-@dataclass(frozen=True)
 class Carrier:
     """An indexed base set; points are 0-based indices, labels are cosmetic."""
 
-    size: int
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("size", "labels")
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(self, size: int, labels: Optional[tuple[str, ...]] = None) -> None:
+        if size < 1:
             raise ValueError("carrier size must be at least 1")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
+        if labels is not None:
+            if len(labels) != size:
                 raise ValueError("labels must have one entry per point")
-            if len(set(self.labels)) != self.size:
+            if len(set(labels)) != size:
                 raise ValueError("labels must be pairwise distinct")
+        self.size, self.labels = size, labels
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Carrier:
+            return NotImplemented
+        return (self.size, self.labels) == (other.size, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.labels))
+
+    def __repr__(self) -> str:
+        return f"Carrier(size={self.size!r}, labels={self.labels!r})"
 
     def label(self, point: int) -> str:
         return self.labels[point] if self.labels is not None else str(point)
 
 
-@dataclass(frozen=True)
 class PartialFunction:
     """A partial self-map, functional by construction (one value per point)."""
 
-    carrier: Carrier
-    values: tuple[int, ...]
+    __slots__ = ("carrier", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.carrier.size:
+    def __init__(self, carrier: Carrier, values: tuple[int, ...]) -> None:
+        if len(values) != carrier.size:
             raise ValueError("value vector length must equal carrier size")
-        for v in self.values:
-            if v != UNDEF and not 0 <= v < self.carrier.size:
+        for v in values:
+            if v != UNDEF and not 0 <= v < carrier.size:
                 raise ValueError(f"value {v} outside carrier")
+        self.carrier, self.values = carrier, values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PartialFunction:
+            return NotImplemented
+        return (self.carrier, self.values) == (other.carrier, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.values))
 
     @classmethod
     def from_graph(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "PartialFunction":
@@ -128,7 +144,7 @@ class PartialFunction:
 
 # ---------------------------------------------------------------------------
 # raw operations on value vectors (shared by the public wrappers and the
-# closure engine, which avoids dataclass overhead in hot loops)
+# closure engine, which avoids building a PartialFunction in hot loops)
 
 def _difference(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     return tuple(fv if fv != UNDEF and fv != gv else UNDEF for fv, gv in zip(f, g))
@@ -275,7 +291,6 @@ def _graph_codec(size: int):
     return encode, decode, dom
 
 
-@dataclass(frozen=True)
 class ConcretePFAlgebra:
     """A duplicate-free, canonically ordered family of partial functions.
 
@@ -284,25 +299,35 @@ class ConcretePFAlgebra:
     operations requested at generation time).
     """
 
-    carrier: Carrier
-    elements: tuple[PartialFunction, ...]
-    # value vector -> position, built on the first index() call and kept:
-    # most instances (closure inputs, say) are never indexed
-    _index: Optional[dict[tuple[int, ...], int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("carrier", "elements", "_index")
 
-    def __post_init__(self) -> None:
-        keys = [f.sort_key for f in self.elements]
+    def __init__(self, carrier: Carrier, elements: tuple[PartialFunction, ...]) -> None:
+        keys = [f.sort_key for f in elements]
         if sorted(set(keys)) != keys:
             raise ValueError("elements must be duplicate-free and canonically ordered")
-        for f in self.elements:
-            if f.carrier != self.carrier:
+        for f in elements:
+            if f.carrier != carrier:
                 raise CarrierMismatch("element on a foreign carrier")
+        self.carrier, self.elements = carrier, elements
+        # value vector -> position, built on the first index() call and kept
+        # out of equality and repr: most instances (closure inputs, say) are
+        # never indexed
+        self._index: Optional[dict[tuple[int, ...], int]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ConcretePFAlgebra:
+            return NotImplemented
+        return (self.carrier, self.elements) == (other.carrier, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.elements))
+
+    def __repr__(self) -> str:
+        return f"ConcretePFAlgebra(carrier={self.carrier!r}, elements={self.elements!r})"
 
     def index(self, f: PartialFunction) -> int:
         if self._index is None:
-            object.__setattr__(self, "_index", {f.values: i for i, f in enumerate(self.elements)})
+            self._index = {f.values: i for i, f in enumerate(self.elements)}
         return self._index[f.values]
 
     def __len__(self) -> int:

@@ -719,7 +719,8 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
 
 # start-up is most of a command's time, so a command loads only the modules
-# it runs; numpy is for the test oracles only
+# it runs; numpy is for the test oracles only, and no record type generates
+# code, so neither dataclasses nor the inspect module it imports is loaded
 LOADS_CHILD = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -729,11 +730,14 @@ with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("drest"))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m in ("numpy", "dataclasses", "inspect") or m.startswith("drest")
+)]))
 """
 BASE = ("drest", "drest.cli", "drest.documents", "drest.dra")
 DUAL = BASE + ("drest.duality", "drest.filters")
-OPS = DUAL + ("drest.operators", "drest.pfun")
+CLASSIFY = BASE + ("drest.operators", "drest.pfun")
+OPS = DUAL + CLASSIFY[len(BASE):]
 LOAD_CASES = [
     (("--help",), 0, BASE),
     (("validate", "algebra"), 0, BASE),
@@ -754,13 +758,15 @@ LOAD_CASES = [
     (("roundtrip", "space"), 0, DUAL),
     *[((command, "algebra"), 0, DUAL) for command in ("filters", "dualize", "complete", "roundtrip")],
     (("check-hom", "morphism", "--dualize"), 0, DUAL),
-    (("check-op", "with-op", "domain"), 0, OPS),
+    (("check-op", "with-op", "domain"), 0, CLASSIFY),
+    (("check-op", "with-op", "domain", "--relation"), 0, OPS),
     (("complete", "with-op", "--with-op", "domain"), 0, OPS),
-    (("classify-op", "pfalgebra"), 0, OPS),
+    (("classify-op", "pfalgebra"), 0, CLASSIFY),
     *[((command, "pfalgebra"), 0, DUAL + ("drest.pfun",)) for command in (
         "filters", "dualize", "complete", "roundtrip"
     )],
-    (("check-op", "pfalgebra", "domain"), 0, OPS),
+    (("check-op", "pfalgebra", "domain"), 0, CLASSIFY),
+    (("check-op", "pfalgebra", "domain", "--relation"), 0, OPS),
     (("catalog",), 0, BASE + ("drest.fixtures", "drest.pfun")),
 ]
 

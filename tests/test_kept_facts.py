@@ -11,8 +11,9 @@ seed sets and the section algebras of every valid space of at most three
 points and of hypothesis spaces.  An operator is classified, and its
 relation built, once per (algebra, table), with the reports a fresh algebra
 gives.  A dual record holds masks: the completion and the triangle check
-build no space, point or section view of it.  A roundtrip and an operator
-completion, dropped, leave nothing for the cyclic collector.
+build no space, point or section view of it.  A space keeps its validation
+report, so it is validated once.  A roundtrip and an operator completion,
+dropped, leave nothing for the cyclic collector.
 """
 from __future__ import annotations
 
@@ -225,9 +226,11 @@ def test_max_filter_space_holds_the_element_count():
 
 def test_maximal_filters_are_built_once_and_shared_with_the_dual_record(monkeypatch):
     built = []
-    original = filters.MaxFilterSpace.__post_init__
+    original = filters.MaxFilterSpace.__init__
     monkeypatch.setattr(
-        filters.MaxFilterSpace, "__post_init__", lambda self: built.append(self) or original(self)
+        filters.MaxFilterSpace,
+        "__init__",
+        lambda self, *args: built.append(self) or original(self, *args),
     )
     concrete = get_fixture("boolean_four").concrete
     for filters_first in (True, False):
@@ -307,7 +310,7 @@ def test_completion_and_triangle_check_build_no_view(closure_corpus, monkeypatch
         raise AssertionError("built")
 
     monkeypatch.setattr(filters, "from_mask", refuse)
-    monkeypatch.setattr(EtaleSpace, "__post_init__", refuse)
+    monkeypatch.setattr(EtaleSpace, "__init__", refuse)
     for concrete in closure_corpus[::97]:
         alg = from_concrete(concrete)
         completed, _ = duality.complete(alg)
@@ -319,6 +322,23 @@ def test_completion_and_triangle_check_build_no_view(closure_corpus, monkeypatch
             assert not isinstance(record._sections._space, EtaleSpace)
     monkeypatch.undo()
     assert dual_of(alg).space.n_points == len(dual_of(alg).mfs.points)
+
+
+def test_a_space_is_validated_once(monkeypatch):
+    validated = []
+    original = duality._etale_report
+    monkeypatch.setattr(
+        duality, "_etale_report", lambda space, top: validated.append(space) or original(space, top)
+    )
+    space = EtaleSpace(3, 2, (0, 1, 1), tuple(frozenset({x}) for x in range(3)))
+    report = validate_etale(space)
+    assert report.ok and duality._topology(space).report is report
+    G_object(space)
+    counit = duality.counit_lambda(space)
+    for _ in range(2):  # the square validates both spaces of the counit
+        assert duality.lambda_naturality_square(counit)
+    assert validate_etale(space) is report
+    assert len(validated) == 2 and validated[0] is space and validated[1] is counit.target
 
 
 def test_dropped_results_leave_no_cyclic_garbage(closure_corpus):
