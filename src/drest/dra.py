@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, product, repeat
 from math import prod
-from operator import and_, itemgetter, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -37,10 +37,43 @@ SPACE_SIZE_CAP = 16
 SECTION_CAP = 1024
 
 
-class OpTable:
+class Record:
+    """A value record: equality, hashing and the repr read the fields named
+    by the class's ``_fields`` (as on a named tuple), and the repr shows
+    those named by ``_shown``, all of them when a class names none.  Only
+    two instances of one class compare; any other comparison is
+    NotImplemented.  Each class keeps its own ``__init__`` and checks.
+
+    Fields are not reassigned after construction.  A record keeps facts
+    built on first use (a representation, a topology, a view, a dual
+    record, an operator store), outside equality, hashing and the repr, and
+    nothing invalidates them: assigning a field leaves them stale."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+        cls._shown = cls.__dict__.get("_shown", cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__name__}({shown})"
+
+
+class OpTable(Record):
     """A total n-ary operation on element indices, stored row-major."""
 
-    __slots__ = ("name", "arity", "size", "entries")
+    _fields = ("name", "arity", "size", "entries")
+    __slots__ = _fields
 
     def __init__(self, name: str, arity: int, size: int, entries: tuple[int, ...]) -> None:
         if len(entries) != size**arity:
@@ -49,22 +82,6 @@ class OpTable:
             e = next(e for e in entries if not 0 <= e < size)
             raise ValueError(f"table {name}: entry {e} out of range")
         self.name, self.arity, self.size, self.entries = name, arity, size, entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OpTable:
-            return NotImplemented
-        return (self.name, self.arity, self.size, self.entries) == (
-            other.name, other.arity, other.size, other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.arity, self.size, self.entries))
-
-    def __repr__(self) -> str:
-        return (
-            f"OpTable(name={self.name!r}, arity={self.arity!r}, size={self.size!r}, "
-            f"entries={self.entries!r})"
-        )
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -93,8 +110,9 @@ def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
 _KEPT = ("_masks", "_rep", "_support_index", "_filters", "_dual", "_operators")
 
 
-class FiniteAlgebra:
-    __slots__ = ("elements", "minus", "rest", "extra_ops", *_KEPT)
+class FiniteAlgebra(Record):
+    _fields = ("elements", "minus", "rest", "extra_ops")
+    __slots__ = (*_fields, *_KEPT)
 
     def __init__(
         self,
@@ -122,22 +140,6 @@ class FiniteAlgebra:
         # keeps them
         self._masks = self._rep = self._support_index = self._filters = self._dual = None
         self._operators: dict = {}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FiniteAlgebra:
-            return NotImplemented
-        return (self.elements, self.minus, self.rest, self.extra_ops) == (
-            other.elements, other.minus, other.rest, other.extra_ops
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.minus, self.rest, self.extra_ops))
-
-    def __repr__(self) -> str:
-        return (
-            f"FiniteAlgebra(elements={self.elements!r}, minus={self.minus!r}, "
-            f"rest={self.rest!r}, extra_ops={self.extra_ops!r})"
-        )
 
     @property
     def n(self) -> int:
@@ -570,8 +572,9 @@ def is_subtraction_algebra(algebra: FiniteAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # maps between algebras
 
-class AlgebraMap:
-    __slots__ = ("source", "target", "table")
+class AlgebraMap(Record):
+    _fields = ("source", "target", "table")
+    __slots__ = _fields
 
     def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, table: tuple[int, ...]) -> None:
         if len(table) != source.n:
@@ -580,17 +583,6 @@ class AlgebraMap:
             if not 0 <= t < target.n:
                 raise ValueError("map table value outside target")
         self.source, self.target, self.table = source, target, table
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AlgebraMap:
-            return NotImplemented
-        return (self.source, self.target, self.table) == (other.source, other.target, other.table)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.table))
-
-    def __repr__(self) -> str:
-        return f"AlgebraMap(source={self.source!r}, target={self.target!r}, table={self.table!r})"
 
     def __call__(self, x: int) -> int:
         return self.table[x]

@@ -38,6 +38,7 @@ from .dra import (
     SPACE_SIZE_CAP,
     AlgebraMap,
     FiniteAlgebra,
+    Record,
     bits,
     from_masks,
     hom_check,
@@ -58,7 +59,7 @@ class InvalidMorphism(ValueError):
     """A partial point map fails the morphism conditions."""
 
 
-class EtaleSpace:
+class EtaleSpace(Record):
     """Points over base points, with a basis of opens.
 
     Opens are the unions of finite intersections of basis sets, the topology
@@ -68,7 +69,8 @@ class EtaleSpace:
     use and kept (:func:`_topology`), in neither equality nor repr.
     """
 
-    __slots__ = ("n_points", "n_base", "projection", "basis", "point_labels", "_topology")
+    _fields = ("n_points", "n_base", "projection", "basis", "point_labels")
+    __slots__ = (*_fields, "_topology")
 
     def __init__(
         self,
@@ -95,23 +97,6 @@ class EtaleSpace:
         self.n_points, self.n_base, self.projection = n_points, n_base, projection
         self.basis, self.point_labels = basis, point_labels
         self._topology: Optional[_Topology] = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not EtaleSpace:
-            return NotImplemented
-        return (self.n_points, self.n_base, self.projection, self.basis, self.point_labels) == (
-            other.n_points, other.n_base, other.projection, other.basis, other.point_labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_points, self.n_base, self.projection, self.basis, self.point_labels))
-
-    def __repr__(self) -> str:
-        return (
-            f"EtaleSpace(n_points={self.n_points!r}, n_base={self.n_base!r}, "
-            f"projection={self.projection!r}, basis={self.basis!r}, "
-            f"point_labels={self.point_labels!r})"
-        )
 
     def label(self, point: int) -> str:
         if self.point_labels is not None:
@@ -201,7 +186,7 @@ def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     for u in _topology(space).neighbourhoods:
         if u not in found:  # else found is already closed under adding u
             found |= {v | u for v in found}
-    return frozenset(flt.from_mask(u, space.n_points) for u in found)
+    return frozenset(map(flt.from_mask, found))
 
 
 class EtaleReport(NamedTuple):
@@ -298,10 +283,11 @@ def _etale_report(space: EtaleSpace, top: _Topology) -> EtaleReport:
 # ---------------------------------------------------------------------------
 # morphisms of spaces
 
-class SpaceMorphism:
+class SpaceMorphism(Record):
     """A partial point map validated eagerly by :func:`space_morphism`."""
 
-    __slots__ = ("source", "target", "mapping")
+    _fields = ("source", "target", "mapping")
+    __slots__ = _fields
 
     def __init__(self, source: EtaleSpace, target: EtaleSpace, mapping: tuple[int, ...]) -> None:
         # NOWHERE marks "undefined"
@@ -310,22 +296,6 @@ class SpaceMorphism:
         if any(not NOWHERE <= v < target.n_points for v in mapping):
             raise ValueError("mapping value outside the target")
         self.source, self.target, self.mapping = source, target, mapping
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SpaceMorphism:
-            return NotImplemented
-        return (self.source, self.target, self.mapping) == (
-            other.source, other.target, other.mapping
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.mapping))
-
-    def __repr__(self) -> str:
-        return (
-            f"SpaceMorphism(source={self.source!r}, target={self.target!r}, "
-            f"mapping={self.mapping!r})"
-        )
 
     def __call__(self, x: int) -> Optional[int]:
         v = self.mapping[x]
@@ -336,7 +306,7 @@ class SpaceMorphism:
         return frozenset(x for x, v in enumerate(self.mapping) if v != NOWHERE)
 
     def preimage(self, subset: Iterable[int]) -> frozenset[int]:
-        return flt.from_mask(_preimage(self.mapping, flt.to_mask(subset)), self.source.n_points)
+        return flt.from_mask(_preimage(self.mapping, flt.to_mask(subset)))
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.mapping == tuple(
@@ -455,7 +425,7 @@ def _set_name(mask: int, name: Callable[[int], str] = str) -> str:
     return "{" + ",".join(map(name, bits(mask))) + "}"
 
 
-class DualAlgebra:
+class DualAlgebra(Record):
     """Compact open injective-projection subsets of a space, as an algebra.
 
     The sections are held as point masks, with the index of each mask and
@@ -465,6 +435,8 @@ class DualAlgebra:
     masks and the algebra; the repr shows the algebra.
     """
 
+    _fields = ("masks", "algebra", "space")
+    _shown = ("algebra",)
     __slots__ = ("algebra", "masks", "index", "topology", "_space", "_sections")
 
     def __init__(
@@ -489,20 +461,12 @@ class DualAlgebra:
     @property
     def sections(self) -> tuple[frozenset[int], ...]:
         if self._sections is None:
-            k = len(self.topology.fibre)
-            self._sections = tuple(flt.from_mask(m, k) for m in self.masks)
+            self._sections = tuple(map(flt.from_mask, self.masks))
         return self._sections
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DualAlgebra):
-            return NotImplemented
-        return (self.masks, self.algebra, self.space) == (other.masks, other.algebra, other.space)
-
     def __hash__(self) -> int:
+        # builds no space
         return hash((self.masks, self.algebra))
-
-    def __repr__(self) -> str:
-        return f"DualAlgebra(algebra={self.algebra!r})"
 
 
 def _section_algebra(
@@ -562,7 +526,7 @@ def _valid_space(space: EtaleSpace) -> EtaleSpace:
     return space
 
 
-class DualRecord:
+class DualRecord(Record):
     """An algebra's dual data, held as masks: its maximal filters with the
     support table, and its element names, which equality compares.  The
     space is discrete with N(x) = {x} (:func:`dual_of`), so its topology is
@@ -570,7 +534,9 @@ class DualRecord:
     frozenset basis, and the sections GF(A) are built on first read; neither
     refers back to the record or the algebra, and the two share one space."""
 
-    __slots__ = ("mfs", "names", "topology", "_space", "_sections")
+    _fields = ("mfs", "names")
+    _shown = ("mfs",)
+    __slots__ = (*_fields, "topology", "_space", "_sections")
 
     def __init__(self, mfs: flt.MaxFilterSpace, names: tuple[str, ...]) -> None:
         self.mfs, self.names = mfs, names
@@ -583,17 +549,6 @@ class DualRecord:
         self.topology = _Topology(tuple(fibre), least, stable=True)
         self._space: Optional[EtaleSpace] = None
         self._sections: Optional[DualAlgebra] = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DualRecord:
-            return NotImplemented
-        return (self.mfs, self.names) == (other.mfs, other.names)
-
-    def __hash__(self) -> int:
-        return hash((self.mfs, self.names))
-
-    def __repr__(self) -> str:
-        return f"DualRecord(mfs={self.mfs!r})"
 
     @property
     def space(self) -> EtaleSpace:
@@ -625,7 +580,7 @@ def _dual_space(mfs: flt.MaxFilterSpace, names: Sequence[str], top: _Topology) -
         n_points=k,
         n_base=len(mfs.classes),
         projection=tuple(map(mfs.class_of, range(k))),
-        basis=tuple(flt.from_mask(h, k) for h in sorted(set(mfs.hats), key=lambda h: list(bits(h)))),
+        basis=tuple(map(flt.from_mask, sorted(set(mfs.hats), key=lambda h: list(bits(h))))),
         point_labels=tuple(_set_name(m, names.__getitem__) for m in mfs.members),
     )
     space._topology = top

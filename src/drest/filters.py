@@ -3,10 +3,11 @@
 Element and point sets are int bitmasks; the frozensets of the public
 views (``MaxFilterSpace.points``, :func:`hat`) are built when read.  In a
 finite algebra every filter holds the meet of its members, so it is the
-up-set of that member: the maximal filters are the up-sets of the atoms.  A point is the position of its atom, and the support of an
-element is the mask of the points holding it; the support table is the
-algebra's :func:`drest.dra.representation`, and an algebra without one has
-no dual space.  The subset scan ``all_proper_filters`` is kept, capped, as
+up-set of that member: the maximal filters are the up-sets of the atoms.
+A point is the position of its atom, and the support of an element is the
+mask of the points holding it; the support table is the algebra's
+:func:`drest.dra.representation`, and an algebra without one has no dual
+space.  The subset scan ``all_proper_filters`` is kept, capped, as
 the oracle the tests compare against; the literal filter predicates and
 the shared-domain relation of filters are in the tests' oracles.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .dra import FiniteAlgebra, bits, bottom, derived_meet, leq, representation
+from .dra import FiniteAlgebra, Record, bits, bottom, derived_meet, leq, representation
 
 FILTER_SIZE_CAP = 16
 
@@ -26,8 +27,10 @@ def to_mask(members: Iterable[int]) -> int:
     return m
 
 
-def from_mask(mask: int, n: int) -> frozenset[int]:
-    return frozenset(x for x in range(n) if mask >> x & 1)
+def from_mask(mask: int) -> frozenset[int]:
+    """The set bits of a mask; every caller passes a nonnegative mask within
+    its point or element range."""
+    return frozenset(bits(mask))
 
 
 def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
@@ -60,10 +63,10 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
                 break
         if ok:
             found.append(mask)
-    return tuple(from_mask(m, n) for m in found)
+    return tuple(map(from_mask, found))
 
 
-class MaxFilterSpace:
+class MaxFilterSpace(Record):
     """The points of the dual space of an n-element algebra: maximal filters
     plus their grouping by the shared-domain equivalence.  Point i is the
     up-set of atoms[i]; hats[e] is the support of element e, the mask of the
@@ -75,7 +78,9 @@ class MaxFilterSpace:
     the algebra, which keeps it, so that neither waits for the cyclic
     collector."""
 
-    __slots__ = ("n", "atoms", "classes", "hats", "members", "_index", "_class", "_points")
+    _fields = ("n", "atoms", "classes", "hats")
+    _shown = ("n", "atoms", "classes")
+    __slots__ = (*_fields, "members", "_index", "_class", "_points")
 
     def __init__(
         self,
@@ -94,24 +99,11 @@ class MaxFilterSpace:
         self._class = {x: i for i, cls in enumerate(classes) for x in cls}
         self._points: Optional[tuple[frozenset[int], ...]] = None
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not MaxFilterSpace:
-            return NotImplemented
-        return (self.n, self.atoms, self.classes, self.hats) == (
-            other.n, other.atoms, other.classes, other.hats
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.atoms, self.classes, self.hats))
-
-    def __repr__(self) -> str:
-        return f"MaxFilterSpace(n={self.n!r}, atoms={self.atoms!r}, classes={self.classes!r})"
-
     @property
     def points(self) -> tuple[frozenset[int], ...]:
         """The member set of each maximal filter."""
         if self._points is None:
-            self._points = tuple(from_mask(m, self.n) for m in self.members)
+            self._points = tuple(map(from_mask, self.members))
         return self._points
 
     def point_index(self, members: int) -> Optional[int]:
@@ -145,4 +137,4 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
 
 def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:
     """Point set of the maximal filters containing the element."""
-    return from_mask(space.hats[element], len(space.atoms))
+    return from_mask(space.hats[element])

@@ -35,6 +35,7 @@ from .dra import (
     AlgebraMap,
     FiniteAlgebra,
     OpTable,
+    Record,
     bits,
     bottom,
     from_concrete,
@@ -234,7 +235,7 @@ def _classify(algebra: FiniteAlgebra, table: OpTable) -> OperatorReport:
 # ---------------------------------------------------------------------------
 # relations on spaces
 
-class SpaceRelation:
+class SpaceRelation(Record):
     """A set of (arity + 1)-tuples of points; the last coordinate is the
     output position.  ``image`` holds the output mask of each input tuple in
     row-major order; every check reads it through :func:`_fold`, and equal
@@ -243,7 +244,9 @@ class SpaceRelation:
     is a view built on first read.  Equality compares the name, space, arity
     and image; the repr shows the first three."""
 
-    __slots__ = ("name", "space", "arity", "image", "_tuples")
+    _fields = ("name", "space", "arity", "image")
+    _shown = ("name", "space", "arity")
+    __slots__ = (*_fields, "_tuples")
 
     def __init__(
         self, name: str, space: EtaleSpace, arity: int, tuples: Iterable[tuple[int, ...]]
@@ -277,19 +280,6 @@ class SpaceRelation:
             name, space, arity, image, tuples
         )
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SpaceRelation:
-            return NotImplemented
-        return (self.name, self.space, self.arity, self.image) == (
-            other.name, other.space, other.arity, other.image
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.space, self.arity, self.image))
-
-    def __repr__(self) -> str:
-        return f"SpaceRelation(name={self.name!r}, space={self.space!r}, arity={self.arity!r})"
-
     @property
     def tuples(self) -> frozenset[tuple[int, ...]]:
         if self._tuples is None:
@@ -311,7 +301,7 @@ def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> fro
     full = (1 << k) - 1
     near = [list(bits(to_mask(u) & full)) for u in subsets]
     out = _fold(rel.image, k, near, rel.arity, or_, 0)[_flatten(range(rel.arity), rel.arity)]
-    return from_mask(out, k)
+    return from_mask(out)
 
 
 def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:

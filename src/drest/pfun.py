@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
+from .dra import Record
+
 UNDEF = -1
 
 ENUMERATE_SIZE_CAP = 4
@@ -28,10 +30,11 @@ class CarrierMismatch(ValueError):
     """Two partial functions live on different carriers."""
 
 
-class Carrier:
+class Carrier(Record):
     """An indexed base set; points are 0-based indices, labels are cosmetic."""
 
-    __slots__ = ("size", "labels")
+    _fields = ("size", "labels")
+    __slots__ = _fields
 
     def __init__(self, size: int, labels: Optional[tuple[str, ...]] = None) -> None:
         if size < 1:
@@ -43,25 +46,15 @@ class Carrier:
                 raise ValueError("labels must be pairwise distinct")
         self.size, self.labels = size, labels
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Carrier:
-            return NotImplemented
-        return (self.size, self.labels) == (other.size, other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.labels))
-
-    def __repr__(self) -> str:
-        return f"Carrier(size={self.size!r}, labels={self.labels!r})"
-
     def label(self, point: int) -> str:
         return self.labels[point] if self.labels is not None else str(point)
 
 
-class PartialFunction:
+class PartialFunction(Record):
     """A partial self-map, functional by construction (one value per point)."""
 
-    __slots__ = ("carrier", "values")
+    _fields = ("carrier", "values")
+    __slots__ = _fields
 
     def __init__(self, carrier: Carrier, values: tuple[int, ...]) -> None:
         if len(values) != carrier.size:
@@ -70,14 +63,6 @@ class PartialFunction:
             if v != UNDEF and not 0 <= v < carrier.size:
                 raise ValueError(f"value {v} outside carrier")
         self.carrier, self.values = carrier, values
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PartialFunction:
-            return NotImplemented
-        return (self.carrier, self.values) == (other.carrier, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.values))
 
     @classmethod
     def from_graph(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "PartialFunction":
@@ -291,7 +276,7 @@ def _graph_codec(size: int):
     return encode, decode, dom
 
 
-class ConcretePFAlgebra:
+class ConcretePFAlgebra(Record):
     """A duplicate-free, canonically ordered family of partial functions.
 
     Instances produced by :func:`closure_generate` contain the empty function
@@ -299,7 +284,8 @@ class ConcretePFAlgebra:
     operations requested at generation time).
     """
 
-    __slots__ = ("carrier", "elements", "_index")
+    _fields = ("carrier", "elements")
+    __slots__ = (*_fields, "_index")
 
     def __init__(self, carrier: Carrier, elements: tuple[PartialFunction, ...]) -> None:
         keys = [f.sort_key for f in elements]
@@ -313,17 +299,6 @@ class ConcretePFAlgebra:
         # out of equality and repr: most instances (closure inputs, say) are
         # never indexed
         self._index: Optional[dict[tuple[int, ...], int]] = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ConcretePFAlgebra:
-            return NotImplemented
-        return (self.carrier, self.elements) == (other.carrier, other.elements)
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.elements))
-
-    def __repr__(self) -> str:
-        return f"ConcretePFAlgebra(carrier={self.carrier!r}, elements={self.elements!r})"
 
     def index(self, f: PartialFunction) -> int:
         if self._index is None:

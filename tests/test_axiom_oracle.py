@@ -161,7 +161,7 @@ def test_every_maximal_filter_passes_the_dichotomy_oracle(closure_corpus):
         points = set(maximal_filters(alg).points)
         for e, up in enumerate(up_masks(alg)):
             if e != bottom(alg):
-                members = from_mask(up, alg.n)
+                members = from_mask(up)
                 verdict = oracles._is_maximal_by_dichotomy(minus, members)
                 assert verdict == (members in points)
                 verdicts[verdict] += 1

@@ -2,13 +2,17 @@
 them generated at run time.
 
 Every type compares and hashes by its fields and has a repr built from
-them, the same on every build and with no memory address.  A plain class
-keeps facts built on first use (a representation, a topology, a view);
-they change neither equality, hashing nor the repr.  A named tuple's fields
+them, the same on every build and with no memory address.  Each field a
+plain class compares counts: changing it alone makes the values unequal,
+and changes the repr when the repr shows it.  A plain class keeps facts
+built on first use (a representation, a topology, a view); they change
+neither equality, hashing nor the repr.  A named tuple's fields
 cannot be assigned, and no named tuple is taken by ``emit_document`` for the
 (name, table) pair of an operator document.
 """
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -19,6 +23,7 @@ from drest.dra import (
     OpTable,
     from_concrete,
     hom_check,
+    identity_map,
     representation,
     supports,
     validate_axioms,
@@ -49,7 +54,7 @@ from drest.operators import (
     classify_operator,
     relation_from_operator,
 )
-from drest.pfun import Carrier, ConcretePFAlgebra, PartialFunction, closure_generate
+from drest.pfun import UNDEF, Carrier, ConcretePFAlgebra, PartialFunction, closure_generate
 
 NAMED_TUPLES = (
     "AxiomViolation", "ValidationReport", "HomReport",
@@ -82,6 +87,107 @@ PLAIN = {
     PartialFunction: (("carrier", "values"), lambda x: None),
     ConcretePFAlgebra: (("carrier", "elements"), lambda x: x.index(x.elements[0])),
 }
+
+# the fields equality compares, where they are not the constructor's, and
+# those the repr leaves out
+COMPARED = {
+    DualAlgebra: ("masks", "algebra", "space"),
+    SpaceRelation: ("name", "space", "arity", "image"),
+}
+UNSHOWN = {
+    DualAlgebra: ("masks", "space"),
+    DualRecord: ("names",),
+    MaxFilterSpace: ("hats",),
+    SpaceRelation: ("image",),
+}
+FIELDS = [
+    (cls, field) for cls in PLAIN for field in COMPARED.get(cls, PLAIN[cls][0])
+]
+
+# the repr text of each small instance
+REPRS = {
+    "OpTable": "OpTable(name='minus', arity=2, size=2, entries=(0, 0, 1, 0))",
+    "FiniteAlgebra": (
+        "FiniteAlgebra(elements=('{}', '{0}'), "
+        "minus=OpTable(name='minus', arity=2, size=2, entries=(0, 0, 1, 0)), "
+        "rest=OpTable(name='rest', arity=2, size=2, entries=(0, 0, 0, 1)), extra_ops=())"
+    ),
+    "AlgebraMap": (
+        "AlgebraMap(source=FiniteAlgebra(elements=('{}', '{0}'), "
+        "minus=OpTable(name='minus', arity=2, size=2, entries=(0, 0, 1, 0)), "
+        "rest=OpTable(name='rest', arity=2, size=2, entries=(0, 0, 0, 1)), extra_ops=()), "
+        "target=FiniteAlgebra(elements=('{}', '{0}'), "
+        "minus=OpTable(name='minus', arity=2, size=2, entries=(0, 0, 1, 0)), "
+        "rest=OpTable(name='rest', arity=2, size=2, entries=(0, 0, 0, 1)), extra_ops=()), "
+        "table=(0, 1))"
+    ),
+    "EtaleSpace": (
+        "EtaleSpace(n_points=1, n_base=1, projection=(0,), basis=(frozenset({0}),), "
+        "point_labels=None)"
+    ),
+    "SpaceMorphism": (
+        "SpaceMorphism(source=EtaleSpace(n_points=1, n_base=1, projection=(0,), "
+        "basis=(frozenset({0}),), point_labels=None), target=EtaleSpace(n_points=1, "
+        "n_base=1, projection=(0,), basis=(frozenset({0}),), point_labels=None), "
+        "mapping=(0,))"
+    ),
+    "DualAlgebra": (
+        "DualAlgebra(algebra=FiniteAlgebra(elements=('{}', '{0}'), "
+        "minus=OpTable(name='minus', arity=2, size=2, entries=(0, 0, 1, 0)), "
+        "rest=OpTable(name='rest', arity=2, size=2, entries=(0, 0, 0, 1)), extra_ops=()))"
+    ),
+    "DualRecord": "DualRecord(mfs=MaxFilterSpace(n=2, atoms=(1,), classes=((0,),)))",
+    "MaxFilterSpace": "MaxFilterSpace(n=2, atoms=(1,), classes=((0,),))",
+    "SpaceRelation": (
+        "SpaceRelation(name='r', space=EtaleSpace(n_points=1, n_base=1, projection=(0,), "
+        "basis=(frozenset({0}),), point_labels=None), arity=1)"
+    ),
+    "Carrier": "Carrier(size=2, labels=None)",
+    "PartialFunction": "PartialFunction({0:1})",
+    "ConcretePFAlgebra": (
+        "ConcretePFAlgebra(carrier=Carrier(size=1, labels=None), "
+        "elements=(PartialFunction({}), PartialFunction({0:0})))"
+    ),
+}
+
+
+class Other:
+    """A value equal only to itself, with a fixed repr."""
+
+    def __repr__(self) -> str:
+        return "Other()"
+
+
+# where a field is read through a view, the slot set in its place and a
+# value of the kind the view reads (it builds a space, or renders a graph)
+OTHERS = {
+    (DualAlgebra, "space"): ("_space", EtaleSpace(0, 0, (), ())),
+    (PartialFunction, "carrier"): ("carrier", Carrier(2, ("a", "b"))),
+    (PartialFunction, "values"): ("values", (UNDEF, UNDEF)),
+}
+
+
+def small() -> dict[str, object]:
+    """One small instance of each plain class, over the one-point space."""
+    point = EtaleSpace(1, 1, (0,), (frozenset({0}),))
+    sections = G_object(point)
+    alg, carrier, one = sections.algebra, Carrier(2), Carrier(1)
+    return {
+        "OpTable": alg.minus,
+        "FiniteAlgebra": alg,
+        "AlgebraMap": identity_map(alg),
+        "EtaleSpace": point,
+        "SpaceMorphism": identity_morphism(point),
+        "DualAlgebra": sections,
+        "DualRecord": dual_of(alg),
+        "MaxFilterSpace": dual_of(alg).mfs,
+        "SpaceRelation": SpaceRelation("r", point, 1, {(0, 0)}),
+        "Carrier": carrier,
+        "PartialFunction": PartialFunction(carrier, (1, -1)),
+        "ConcretePFAlgebra": ConcretePFAlgebra(
+            one, (PartialFunction.empty(one), PartialFunction.identity(one))
+        ),
+    }
 
 
 def build() -> dict[str, object]:
@@ -155,6 +261,24 @@ def test_kept_facts_change_neither_equality_nor_repr(cls):
     keep(value)
     assert value == bare and hash(value) == hash(bare)
     assert repr(value) == repr(bare) == before
+
+
+@pytest.mark.parametrize(
+    "cls,field", FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in FIELDS]
+)
+def test_every_compared_field_counts(cls, field):
+    value = build()[cls.__name__]
+    slot, other = OTHERS.get((cls, field), (field, Other()))
+    twin = copy.copy(value)
+    setattr(twin, slot, other)
+    assert value != twin and twin != value
+    if field not in UNSHOWN.get(cls, ()):
+        assert repr(value) != repr(twin)
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_the_repr_text_is_pinned(name):
+    assert repr(small()[name]) == REPRS[name]
 
 
 @pytest.mark.parametrize("name", NAMED_TUPLES)
