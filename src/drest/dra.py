@@ -184,13 +184,11 @@ def from_masks(
     names: Iterable[str],
     masks: Sequence[int],
     doms: Sequence[int],
-    extra_ops: Iterable[OpTable] = (),
 ) -> tuple[FiniteAlgebra, dict[int, int]]:
     """The algebra of a family of distinct masks under difference a & ~b and
     restriction b & doms[a], with the index of each mask; NotClosed when a
-    result is no member.  The names and extra operations are read only after
-    both tables are built, so an unclosed family is refused before any
-    operation is evaluated.
+    result is no member.  The names are read only after both tables are
+    built, so an unclosed family is refused first.
 
     The masks must be partial sections of a partition of the bit positions
     into blocks, each meeting a block at most once, with doms[a] the union
@@ -209,20 +207,17 @@ def from_masks(
         raise NotClosed("family not closed under difference and restriction") from None
     n = len(masks)
     algebra = FiniteAlgebra(
-        tuple(names),
-        _index_table("minus", n, minus),
-        _index_table("rest", n, rest),
-        tuple(extra_ops),
+        tuple(names), _index_table("minus", n, minus), _index_table("rest", n, rest)
     )
     algebra._masks = (masks, doms)
     return algebra, index
 
 
-def _index_table(name: str, n: int, entries: tuple[int, ...]) -> OpTable:
-    """A binary table of n² values of a mask index, so in range by
+def _index_table(name: str, n: int, entries: tuple[int, ...], arity: int = 2) -> OpTable:
+    """A table of n**arity values of a mask index, so in range by
     construction: made without the range scan of :class:`OpTable`."""
     table = object.__new__(OpTable)
-    table.name, table.arity, table.size, table.entries = name, 2, n, entries
+    table.name, table.arity, table.size, table.entries = name, arity, n, entries
     return table
 
 
@@ -233,36 +228,36 @@ def from_concrete(
     graph masks (:func:`from_masks`), with the tables of the named
     operations.
 
-    NotClosed when the family is not closed under difference and restriction,
-    decided first; ValueError when it is not closed under a named operation;
-    "identity" requires the identity function to be a member, and a name
-    with no concrete operation raises KeyError.
+    Each table applies the operation's one form on graph masks
+    (:func:`drest.pfun.graph_operations`) to every argument tuple of masks
+    and looks the result up in the mask index, once both tables are built;
+    with no named operation nothing more is done.  The value-tuple forms are
+    test oracles.  NotClosed when the family is not closed under difference
+    and restriction, decided first; ValueError when it is not closed under a
+    named operation (or holds a non-injective function and "converse" is
+    named); "identity" requires the identity function to be a member, and a
+    name with no concrete operation raises KeyError.
     """
-    from .pfun import RAW_OPS
+    masks, doms = algebra.graph_masks()
+    built, index = from_masks((f.render() for f in algebra.elements), masks, doms)
+    names = tuple(extra_ops)
+    if not names:
+        return built
+    from .pfun import graph_operations
 
-    elems = algebra.elements
-    n = len(elems)
-    index = {f.values: i for i, f in enumerate(elems)}
-
-    def lookup(values: tuple[int, ...]) -> int:
-        if values not in index:
-            raise ValueError("algebra not closed under requested operation")
-        return index[values]
+    operations = graph_operations(algebra.carrier.size)
 
     def table(name: str) -> OpTable:
-        if name == "identity":
-            return OpTable("identity", 0, n, (lookup(tuple(range(algebra.carrier.size))),))
-        if name not in RAW_OPS:
+        if name not in operations:
             raise KeyError(f"no operation named {name!r}")
-        arity, raw = RAW_OPS[name]
-        entries = tuple(
-            lookup(raw(*(elems[i].values for i in args)))
-            for args in product(range(n), repeat=arity)
-        )
-        return OpTable(name, arity, n, entries)
+        arity, op = operations[name]
+        try:
+            entries = tuple([index[op(*args)] for args in product(masks, repeat=arity)])
+        except KeyError:
+            raise ValueError("algebra not closed under requested operation") from None
+        return _index_table(name, len(masks), entries, arity)
 
-    masks, doms = algebra.graph_masks()
-    return from_masks((f.render() for f in elems), masks, doms, map(table, extra_ops))[0]
+    return built.with_ops(map(table, names))
 
 
 # ---------------------------------------------------------------------------

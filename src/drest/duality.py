@@ -431,8 +431,9 @@ class DualAlgebra(Record):
     The sections are held as point masks, with the index of each mask and
     the space's topology.  ``sections``, the same sets as frozensets, is a
     view built on first read, and so is ``space`` for the sections of a dual
-    record (:attr:`DualRecord.sections`).  Equality compares the space, the
-    masks and the algebra; the repr shows the algebra.
+    record (:attr:`DualRecord.sections`).  Equality compares the masks, the
+    algebra and then the space, which it builds only when the others agree;
+    the repr shows the algebra.
     """
 
     _fields = ("masks", "algebra", "space")
@@ -463,6 +464,16 @@ class DualAlgebra(Record):
         if self._sections is None:
             self._sections = tuple(map(flt.from_mask, self.masks))
         return self._sections
+
+    def __eq__(self, other: object) -> bool:
+        # field by field, so that unequal masks or algebras build no space
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.masks == other.masks
+            and self.algebra == other.algebra
+            and self.space == other.space
+        )
 
     def __hash__(self) -> int:
         # builds no space

@@ -5,18 +5,22 @@ fixed-length tuple with ``-1`` marking "undefined".  All operations are pure;
 closures of seed sets under the named operations provide genuine algebras of
 partial functions that the abstract layer is tested against.
 
-The ``values`` tuples are the public form.  The closure and the closedness
-check run on graph masks instead (bit ``x*size + y`` set iff f(x) = y),
-where difference is ``a & ~b`` and restriction is ``b & dom(a)``, and an
-algebra's tables and representation are built from the same masks
-(:func:`drest.dra.from_concrete`); the further operations run on tuples
-through one decode/encode adapter.  The tuple versions are kept as test
-oracles.
+The ``values`` tuples are the public form.  Every operation has one
+definition, on graph masks (bit ``x*size + y`` set iff f(x) = y;
+:func:`graph_operations`): difference is ``a & ~b``, restriction ``b &
+dom(a)``, and the others are a few int operations or one pass over the
+rows.  The closure, the closedness check, the ``pf_*`` helpers and the
+operation tables of :func:`drest.dra.from_concrete` run on them, and only
+this module knows the encoding.  The value-tuple definitions are kept as
+test oracles.
 """
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cache, lru_cache
+from itertools import product, starmap
+from operator import mul
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .dra import Record
 
@@ -127,134 +131,23 @@ class PartialFunction(Record):
         return f"PartialFunction({self.render()})"
 
 
-# ---------------------------------------------------------------------------
-# raw operations on value vectors (shared by the public wrappers and the
-# closure engine, which avoids building a PartialFunction in hot loops)
+@cache
+def _graphs(size: int):
+    """Encode, decode, the domain cylinder and the operations
+    (:func:`graph_operations`) on the graph masks of one carrier size: bit
+    ``x*size + y`` is set iff f(x) = y.
 
-def _difference(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(fv if fv != UNDEF and fv != gv else UNDEF for fv, gv in zip(f, g))
-
-
-def _restrict(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(gv if fv != UNDEF else UNDEF for fv, gv in zip(f, g))
-
-
-def _meet(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(fv if fv != UNDEF and fv == gv else UNDEF for fv, gv in zip(f, g))
-
-
-def _override(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(fv if fv != UNDEF else gv for fv, gv in zip(f, g))
-
-
-def _compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    # (f o g)(x) = f(g(x))
-    return tuple(f[gv] if gv != UNDEF else UNDEF for gv in g)
-
-
-def _domain(f: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x if v != UNDEF else UNDEF for x, v in enumerate(f))
-
-
-def _range(f: Sequence[int]) -> tuple[int, ...]:
-    image = {v for v in f if v != UNDEF}
-    return tuple(x if x in image else UNDEF for x in range(len(f)))
-
-
-def _fixset(f: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x if v == x else UNDEF for x, v in enumerate(f))
-
-
-def _range_restrict(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    # keep (x, y) of g whose value y lies in dom(f)
-    return tuple(gv if gv != UNDEF and f[gv] != UNDEF else UNDEF for gv in g)
-
-
-def _antidomain(f: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x if v == UNDEF else UNDEF for x, v in enumerate(f))
-
-
-def _converse(f: Sequence[int]) -> tuple[int, ...]:
-    out = [UNDEF] * len(f)
-    for x, v in enumerate(f):
-        if v != UNDEF:
-            if out[v] != UNDEF:
-                raise ValueError("converse of a non-injective partial function")
-            out[v] = x
-    return tuple(out)
-
-
-def _union_if_compatible(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[int, ...]]:
-    out = []
-    for fv, gv in zip(f, g):
-        if fv != UNDEF and gv != UNDEF and fv != gv:
-            return None
-        out.append(fv if fv != UNDEF else gv)
-    return tuple(out)
-
-
-def _require_shared_carrier(f: PartialFunction, g: PartialFunction) -> None:
-    if f.carrier != g.carrier:
-        raise CarrierMismatch("operands live on different carriers")
-
-
-def _wrap(op: Callable[..., tuple[int, ...]]) -> Callable[..., PartialFunction]:
-    def binary(f: PartialFunction, g: PartialFunction) -> PartialFunction:
-        _require_shared_carrier(f, g)
-        return PartialFunction(f.carrier, op(f.values, g.values))
-
-    return binary
-
-
-pf_difference = _wrap(_difference)
-pf_restrict = _wrap(_restrict)
-pf_meet = _wrap(_meet)
-pf_override = _wrap(_override)
-
-
-def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:
-    """The union f | g when it is functional, None otherwise."""
-    _require_shared_carrier(f, g)
-    raw = _union_if_compatible(f.values, g.values)
-    return None if raw is None else PartialFunction(f.carrier, raw)
-
-
-def pf_compatible(f: PartialFunction, g: PartialFunction) -> bool:
-    """True when f and g agree on the intersection of their domains."""
-    _require_shared_carrier(f, g)
-    return all(
-        fv == UNDEF or gv == UNDEF or fv == gv for fv, gv in zip(f.values, g.values)
-    )
-
-
-# name -> (arity, raw implementation); closure and classification both key off
-# this registry.  "identity" is a constant (arity 0).
-RAW_OPS: dict[str, tuple[int, Callable[..., tuple[int, ...]]]] = {
-    "difference": (2, _difference),
-    "restrict": (2, _restrict),
-    "meet": (2, _meet),
-    "override": (2, _override),
-    "compose": (2, _compose),
-    "domain": (1, _domain),
-    "range": (1, _range),
-    "fixset": (1, _fixset),
-    "range_restrict": (2, _range_restrict),
-    "antidomain": (1, _antidomain),
-    "converse": (1, _converse),
-}
-
-
-def _graph_codec(size: int):
-    """Encode, decode and domain-cylinder functions for graph masks on one
-    carrier size: bit ``x*size + y`` is set iff f(x) = y.
-
-    On masks, difference is ``a & ~b`` and restricting b to the domain of a
-    is ``b & dom(a)``.  The constants are built per call.
+    Row x of f, ``(f >> x*size) & row``, holds one bit at most; ``low``
+    holds bit 0 of every row and ``diag`` is the identity.  ``dom(f)`` is
+    the union of the rows f meets, so g restricted to the domain of f is
+    ``g & dom(f)``; ``image(f)``, the OR of the rows of f, is its set of
+    values as one row, and that row times ``low`` is the row in every row.
     """
     row = (1 << size) - 1
-    low = sum(1 << (x * size) for x in range(size))
     offsets = range(0, size * size, size)
-    shifts = range(size)
+    low = sum(1 << offset for offset in offsets)
+    diag = sum(1 << (offset + x) for x, offset in enumerate(offsets))
+    points = range(size)
 
     def encode(values: Sequence[int]) -> int:
         mask = 0
@@ -269,11 +162,105 @@ def _graph_codec(size: int):
 
     def dom(mask: int) -> int:
         spread = 0
-        for k in shifts:
+        for k in points:
             spread |= mask >> k
         return (spread & low) * row
 
-    return encode, decode, dom
+    def image(mask: int) -> int:
+        spread = 0
+        for offset in offsets:
+            spread |= mask >> offset
+        return spread & row
+
+    # one entry per member of an algebra: a closure has at most 625, a
+    # document 1,024
+    @lru_cache(maxsize=1024)
+    def rows(f: int) -> tuple[int, ...]:
+        return tuple([(f >> offset) & row for offset in offsets])
+
+    @lru_cache(maxsize=1024)
+    def columns(g: int) -> tuple[int, ...]:
+        return tuple([(g >> y) & low for y in points])
+
+    def compose(f: int, g: int) -> int:
+        # (f o g)(x) = f(g(x)): column y of g, shifted to bit 0, marks the
+        # rows x where g(x) = y, and each takes row y of f; the products are
+        # disjoint, so their sum is their union
+        return sum(map(mul, columns(g), rows(f)))
+
+    def converse(f: int) -> int:
+        out = seen = 0
+        for x, offset in zip(points, offsets):
+            value = (f >> offset) & row
+            if value & seen:
+                raise ValueError("converse of a non-injective partial function")
+            seen |= value
+            if value:
+                out |= 1 << ((value.bit_length() - 1) * size + x)
+        return out
+
+    operations = MappingProxyType({
+        "difference": (2, lambda f, g: f & ~g),
+        "restrict": (2, lambda f, g: g & dom(f)),
+        "meet": (2, lambda f, g: f & g),
+        "override": (2, lambda f, g: f | (g & ~dom(f))),
+        "compose": (2, compose),
+        "domain": (1, lambda f: dom(f) & diag),
+        "range": (1, lambda f: image(f) * low & diag),
+        "fixset": (1, lambda f: f & diag),
+        # keep (x, y) of g whose value y lies in dom(f)
+        "range_restrict": (2, lambda f, g: g & image(dom(f) & diag) * low),
+        "antidomain": (1, lambda f: diag & ~dom(f)),
+        "converse": (1, converse),
+        "identity": (0, lambda: diag),
+    })
+    return encode, decode, dom, operations
+
+
+def graph_operations(size: int) -> Mapping[str, tuple[int, Callable[..., int]]]:
+    """name -> (arity, form on graph masks) of every operation on carriers of
+    this size, built once per size and shared, so read-only.  "identity" is
+    a constant, of arity 0, and converse raises ValueError on a
+    non-injective function."""
+    return _graphs(size)[3]
+
+
+def _require_shared_carrier(f: PartialFunction, g: PartialFunction) -> None:
+    if f.carrier != g.carrier:
+        raise CarrierMismatch("operands live on different carriers")
+
+
+def _on_graphs(name: str) -> Callable[[PartialFunction, PartialFunction], PartialFunction]:
+    def binary(f: PartialFunction, g: PartialFunction) -> PartialFunction:
+        _require_shared_carrier(f, g)
+        encode, decode, _, operations = _graphs(f.carrier.size)
+        op = operations[name][1]
+        return PartialFunction(f.carrier, decode(op(encode(f.values), encode(g.values))))
+
+    return binary
+
+
+pf_difference = _on_graphs("difference")
+pf_restrict = _on_graphs("restrict")
+pf_meet = _on_graphs("meet")
+pf_override = _on_graphs("override")
+
+
+def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:
+    """The union f | g when it is functional, None otherwise."""
+    if not pf_compatible(f, g):
+        return None
+    encode, decode, _, _ = _graphs(f.carrier.size)
+    return PartialFunction(f.carrier, decode(encode(f.values) | encode(g.values)))
+
+
+def pf_compatible(f: PartialFunction, g: PartialFunction) -> bool:
+    """True when f and g agree on the intersection of their domains, that
+    is when f restricted to the domain of g is g restricted to that of f."""
+    _require_shared_carrier(f, g)
+    encode, _, dom, _ = _graphs(f.carrier.size)
+    a, b = encode(f.values), encode(g.values)
+    return a & dom(b) == b & dom(a)
 
 
 class ConcretePFAlgebra(Record):
@@ -285,7 +272,7 @@ class ConcretePFAlgebra(Record):
     """
 
     _fields = ("carrier", "elements")
-    __slots__ = (*_fields, "_index")
+    __slots__ = (*_fields, "_index", "_masks")
 
     def __init__(self, carrier: Carrier, elements: tuple[PartialFunction, ...]) -> None:
         keys = [f.sort_key for f in elements]
@@ -295,10 +282,12 @@ class ConcretePFAlgebra(Record):
             if f.carrier != carrier:
                 raise CarrierMismatch("element on a foreign carrier")
         self.carrier, self.elements = carrier, elements
-        # value vector -> position, built on the first index() call and kept
-        # out of equality and repr: most instances (closure inputs, say) are
-        # never indexed
+        # value vector -> position, built on the first index() call, and the
+        # graph masks, made by the closure or on the first graph_masks() call;
+        # both kept out of equality and repr: most instances (closure inputs,
+        # say) are never indexed
         self._index: Optional[dict[tuple[int, ...], int]] = None
+        self._masks: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def index(self, f: PartialFunction) -> int:
         if self._index is None:
@@ -308,39 +297,33 @@ class ConcretePFAlgebra(Record):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def graph_masks(self) -> tuple[list[int], list[int]]:
+    def graph_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The graph mask of every element and its domain cylinder, the
         union of the rows it meets (:func:`drest.dra.from_masks`)."""
-        encode, _, dom = _graph_codec(self.carrier.size)
-        masks = [encode(f.values) for f in self.elements]
-        return masks, [dom(m) for m in masks]
+        if self._masks is None:
+            encode, _, dom, _ = _graphs(self.carrier.size)
+            masks = tuple(encode(f.values) for f in self.elements)
+            self._masks = masks, tuple(map(dom, masks))
+        return self._masks
 
     def is_closed_under(self, op_names: Iterable[str]) -> bool:
         masks, doms = self.graph_masks()
         present = set(masks)
-        members = {f.values for f in self.elements}
+        operations = graph_operations(self.carrier.size)
         for name in op_names:
-            if name == "difference":
-                complements = [~b for b in masks]
-                if not all({a & c for c in complements} <= present for a in masks):
+            # difference a & ~b and restriction b & dom(a) are one & per
+            # pair, over the complements and over the kept cylinders
+            if name in ("difference", "restrict"):
+                left, right = (masks, [~b for b in masks]) if name == "difference" else (doms, masks)
+                if not all({a & b for b in right} <= present for a in left):
                     return False
                 continue
-            if name == "restrict":
-                if not all({b & d for b in masks} <= present for d in doms):
+            arity, op = operations[name]
+            try:
+                if not present.issuperset(starmap(op, product(masks, repeat=arity))):
                     return False
-                continue
-            if name == "identity":
-                if tuple(range(self.carrier.size)) not in members:
-                    return False
-                continue
-            arity, raw = RAW_OPS[name]
-            for args in product(self.elements, repeat=arity):
-                try:
-                    result = raw(*(a.values for a in args))
-                except ValueError:
-                    return False
-                if result not in members:
-                    return False
+            except ValueError:
+                return False
         return True
 
 
@@ -352,9 +335,11 @@ def closure_generate(
     """Least family containing the seeds and the empty function, closed under
     the named operations.  Difference and restriction are mandatory.
 
-    Members are graph masks.  Each round applies difference and restriction
-    to every ordered pair with at least one new member, once; any further
-    operation runs on value tuples through one decode/encode adapter.
+    Members are graph masks (:func:`graph_operations`), decoded once, at the
+    end.  Each round applies every operation to the new members, and every
+    binary one to the ordered pairs with at least one new member, once.  The
+    result is made without the checks it meets by construction, canonical
+    order and values in range, and keeps its masks and domain cylinders.
     """
     op_names = tuple(ops)
     if "difference" not in op_names or "restrict" not in op_names:
@@ -365,44 +350,48 @@ def closure_generate(
         if f.carrier != carrier:
             raise CarrierMismatch("seed on a foreign carrier")
 
-    # "identity" is a constant, so it just seeds the closure
-    base = ("difference", "restrict", "identity")
-    others = [RAW_OPS[name] for name in op_names if name not in base]
-    encode, decode, dom = _graph_codec(carrier.size)
+    encode, decode, dom, operations = _graphs(carrier.size)
+    others = [operations[name] for name in op_names if name not in ("difference", "restrict")]
     start = {0} | {encode(f.values) for f in seeds}
-    if "identity" in op_names:
-        start.add(encode(range(carrier.size)))
+    # a constant, "identity", just seeds the closure
+    start.update(op() for arity, op in others if arity == 0)
+    unary = [op for arity, op in others if arity == 1]
+    binary = [op for arity, op in others if arity == 2]
     doms: dict[int, int] = {}  # member -> its domain cylinder
     old: list[int] = []
     old_doms: list[int] = []
-    old_values: list[tuple[int, ...]] = []  # decoded old members, for `others`
     frontier = list(start)
     while frontier:
         new_doms = [dom(m) for m in frontier]
         doms.update(zip(frontier, new_doms))
         current = old + frontier
+        # the further operations first, so that a failing converse fails
+        # before the pair scans
+        made: set[int] = set()
+        for op in unary:
+            made.update(map(op, frontier))
+        for op in binary:
+            made.update([op(f, g) for f in frontier for g in current])
+            made.update([op(f, g) for f in old for g in frontier])
         complements = [~b for b in current]
-        made = {a & c for a in frontier for c in complements}
+        made.update(a & c for a in frontier for c in complements)
         made.update(a & c for a in old for c in complements[len(old):])
         made.update(b & d for d in new_doms for b in current)
         made.update(b & d for d in old_doms for b in frontier)
-        if others:
-            fresh = [decode(m) for m in frontier]
-            every = old_values + fresh
-            for arity, raw in others:
-                if arity == 1:
-                    results = {raw(f) for f in fresh}
-                else:
-                    results = {raw(f, g) for f in fresh for g in every}
-                    results.update(raw(f, g) for f in old_values for g in fresh)
-                made.update(map(encode, results))
-            old_values = every
         old, old_doms = current, old_doms + new_doms
         frontier = [m for m in made if m not in doms]
 
     # UNDEF is -1, below every point, so plain tuple order is canonical order
-    ordered = sorted(map(decode, doms))
-    return ConcretePFAlgebra(carrier, tuple(PartialFunction(carrier, v) for v in ordered))
+    values, masks, cylinders = zip(*sorted((decode(m), m, d) for m, d in doms.items()))
+    elements = []
+    for v in values:
+        f = object.__new__(PartialFunction)
+        f.carrier, f.values = carrier, v
+        elements.append(f)
+    closed = object.__new__(ConcretePFAlgebra)
+    closed.carrier, closed.elements, closed._index = carrier, tuple(elements), None
+    closed._masks = masks, cylinders
+    return closed
 
 
 def enumerate_all_pfs(carrier: Carrier) -> tuple[PartialFunction, ...]:

@@ -38,12 +38,13 @@ construction, is kept as the literal check, and the back-and-forth check of
 a morphism against two relations as its scan over relation tuples; the
 library folds output masks.  Compatibility preservation and additivity are
 kept as the double scans over argument tuples; the library decides them on
-compatibility masks and supports.  The closure of
-partial functions, the difference and restriction tables and the closedness
-check are kept on value tuples, one point at a time; the library runs them on
-graph masks.  The section algebra of a space is kept as the product over
-the fibres sorted by size and point list; the library generates the
-sections in that order.  The isomorphism search is kept as the backtracking
+compatibility masks and supports.  Every operation
+on partial functions (``RAW_OPS``), the closure, the tables of
+``from_concrete`` and the closedness check are kept on value tuples, one
+point at a time; the library has one form of each operation, on graph
+masks.  The section algebra of a space is kept as the product over the
+fibres sorted by size and point list; the library generates the sections
+in that order.  The isomorphism search is kept as the backtracking
 over elements, pruned by table invariants and capped at 12 elements; the
 library searches bijections of points.
 """
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +82,6 @@ from drest.filters import MaxFilterSpace, maximal_filters
 from drest.operators import BackForthReport, RelationReport, SpaceRelation, _check_caps
 from drest.pfun import (
     CLOSURE_SIZE_CAP,
-    RAW_OPS,
     UNDEF,
     Carrier,
     CarrierMismatch,
@@ -1046,6 +1046,86 @@ def check_additive(
 # ---------------------------------------------------------------------------
 # closure, tables and closedness of partial functions, on value tuples
 
+def _difference(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    return tuple(fv if fv != UNDEF and fv != gv else UNDEF for fv, gv in zip(f, g))
+
+
+def _restrict(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    return tuple(gv if fv != UNDEF else UNDEF for fv, gv in zip(f, g))
+
+
+def _meet(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    return tuple(fv if fv != UNDEF and fv == gv else UNDEF for fv, gv in zip(f, g))
+
+
+def _override(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    return tuple(fv if fv != UNDEF else gv for fv, gv in zip(f, g))
+
+
+def _compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    # (f o g)(x) = f(g(x))
+    return tuple(f[gv] if gv != UNDEF else UNDEF for gv in g)
+
+
+def _domain(f: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x if v != UNDEF else UNDEF for x, v in enumerate(f))
+
+
+def _range(f: Sequence[int]) -> tuple[int, ...]:
+    image = {v for v in f if v != UNDEF}
+    return tuple(x if x in image else UNDEF for x in range(len(f)))
+
+
+def _fixset(f: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x if v == x else UNDEF for x, v in enumerate(f))
+
+
+def _range_restrict(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    # keep (x, y) of g whose value y lies in dom(f)
+    return tuple(gv if gv != UNDEF and f[gv] != UNDEF else UNDEF for gv in g)
+
+
+def _antidomain(f: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x if v == UNDEF else UNDEF for x, v in enumerate(f))
+
+
+def _converse(f: Sequence[int]) -> tuple[int, ...]:
+    out = [UNDEF] * len(f)
+    for x, v in enumerate(f):
+        if v != UNDEF:
+            if out[v] != UNDEF:
+                raise ValueError("converse of a non-injective partial function")
+            out[v] = x
+    return tuple(out)
+
+
+def _union_if_compatible(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[int, ...]]:
+    out = []
+    for fv, gv in zip(f, g):
+        if fv != UNDEF and gv != UNDEF and fv != gv:
+            return None
+        out.append(fv if fv != UNDEF else gv)
+    return tuple(out)
+
+
+# name -> (arity, raw implementation); the closure, the tables and the
+# closedness check below key off this registry.  "identity" is a constant
+# (arity 0).
+RAW_OPS: dict[str, tuple[int, Callable[..., tuple[int, ...]]]] = {
+    "difference": (2, _difference),
+    "restrict": (2, _restrict),
+    "meet": (2, _meet),
+    "override": (2, _override),
+    "compose": (2, _compose),
+    "domain": (1, _domain),
+    "range": (1, _range),
+    "fixset": (1, _fixset),
+    "range_restrict": (2, _range_restrict),
+    "antidomain": (1, _antidomain),
+    "converse": (1, _converse),
+}
+
+
 def closure_generate(
     carrier: Carrier,
     seeds: Sequence[PartialFunction],
@@ -1111,6 +1191,30 @@ def dr_tables(algebra: ConcretePFAlgebra) -> tuple[tuple[int, ...], tuple[int, .
         "rest", n, lambda x, y: lookup(RAW_OPS["restrict"][1](elems[x].values, elems[y].values))
     )
     return minus.entries, rest.entries
+
+
+def op_table(algebra: ConcretePFAlgebra, name: str) -> dra.OpTable:
+    """The table of a named operation, one value tuple per entry; ValueError
+    when a result is no member, KeyError for a name with no operation."""
+    elems = algebra.elements
+    n = len(elems)
+    index = {f.values: i for i, f in enumerate(elems)}
+
+    def lookup(values: tuple[int, ...]) -> int:
+        if values not in index:
+            raise ValueError("algebra not closed under requested operation")
+        return index[values]
+
+    if name == "identity":
+        return dra.OpTable("identity", 0, n, (lookup(tuple(range(algebra.carrier.size))),))
+    if name not in RAW_OPS:
+        raise KeyError(f"no operation named {name!r}")
+    arity, raw = RAW_OPS[name]
+    entries = tuple(
+        lookup(raw(*(elems[i].values for i in args)))
+        for args in product(range(n), repeat=arity)
+    )
+    return dra.OpTable(name, arity, n, entries)
 
 
 def is_closed_under(algebra: ConcretePFAlgebra, op_names: Iterable[str]) -> bool:

@@ -165,3 +165,23 @@ def test_equality_compares_what_the_views_are_built_from():
     assert maximal_filters(alg) == dual_of(alg).mfs
     apart = EtaleSpace(3, 3, (0, 1, 2), singletons)
     assert maximal_filters(alg) != maximal_filters(G_object(apart).algebra)
+
+
+def test_unequal_record_sections_build_no_space():
+    from drest.fixtures import get_fixture
+
+    def sections(name):
+        return dual_of(from_concrete(get_fixture(name).concrete)).sections
+
+    def built(*views) -> list[bool]:
+        return [isinstance(view._space, EtaleSpace) for view in views]
+
+    names = ("disjoint_pair", "single_point", "conflicting_pair")
+    pair, point, conflicting = map(sections, names)
+    assert pair != conflicting and point != pair and conflicting != point
+    assert built(pair, point, conflicting) == [False] * 3
+    # equal masks and algebras: only the spaces tell them apart
+    four = sections("boolean_four")
+    assert (pair.masks, pair.algebra) == (four.masks, four.algebra)
+    assert (pair == four) == (pair.space == four.space)
+    assert built(pair, four) == [True, True]

@@ -4,8 +4,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import RAW_OPS
 from drest.pfun import (
-    RAW_OPS,
     UNDEF,
     Carrier,
     CarrierMismatch,

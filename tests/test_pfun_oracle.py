@@ -1,10 +1,13 @@
-"""The graph-mask closure, tables and closedness check against the value-tuple
-definitions in ``oracles``.
+"""The graph-mask forms, closure, tables and closedness check against the
+value-tuple definitions in ``oracles``.
 
-Closures must be equal algebras or fail with the same error text; tables and
-closedness verdicts must be equal.  The inputs are every seed pair on
-carriers 1-3, seeded three-seed sets on carrier 4, every catalogue operation
-(and ``identity``) on fixed seed sets, and seed sets drawn by hypothesis.
+Each mask form must decode to its tuple form's value, or fail with the same
+error text.  Closures must be equal algebras or fail with the same error
+text; tables and closedness verdicts must be equal.  The inputs are every
+seed pair on carriers 1-3, seeded three-seed sets on carrier 4, every
+catalogue operation (and ``identity``) on fixed seed sets, on closures under
+it and on corpus closures, and seed sets and pairs of further operations
+drawn by hypothesis.
 """
 from __future__ import annotations
 
@@ -15,14 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import RAW_OPS
 from drest.dra import NotClosed, from_concrete
 from drest.pfun import (
-    RAW_OPS,
     Carrier,
     ConcretePFAlgebra,
     PartialFunction,
+    _graphs,
     closure_generate,
     enumerate_all_pfs,
+    pf_compatible,
+    pf_union_if_compatible,
 )
 
 OPS = ("difference", "restrict")
@@ -39,6 +45,13 @@ def outcome(closure, carrier, seeds, ops=OPS):
 def assert_closures_agree(carrier, seeds, ops=OPS):
     got = outcome(closure_generate, carrier, seeds, ops)
     assert got == outcome(oracles.closure_generate, carrier, seeds, ops)
+    if isinstance(got, ConcretePFAlgebra):
+        # made without the checks, with its masks kept: the checked record
+        # of the same elements passes them and encodes the same masks
+        checked = ConcretePFAlgebra(
+            carrier, tuple(PartialFunction(carrier, f.values) for f in got.elements)
+        )
+        assert checked.graph_masks() == got.graph_masks()
     return got
 
 
@@ -87,6 +100,44 @@ def test_every_catalogue_operation(name):
                     assert got.is_closed_under((*OPS, name))
 
 
+def values(size: int):
+    return st.tuples(*[st.integers(min_value=-1, max_value=size - 1)] * size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(values(n), values(n))
+    ),
+    st.sampled_from(OP_NAMES),
+)
+def test_each_mask_form_agrees_with_its_tuple_form(pair, name):
+    size = len(pair[0])
+    encode, decode, _, operations = _graphs(size)
+    arity, op = operations[name]
+    if name == "identity":
+        assert decode(op()) == tuple(range(size))
+        return
+    args = pair[:arity]
+    try:
+        expected = RAW_OPS[name][1](*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            op(*map(encode, args))
+        return
+    assert decode(op(*map(encode, args))) == expected
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(values(n), values(n))))
+def test_union_and_compatibility_agree_with_the_tuple_form(pair):
+    carrier = Carrier(len(pair[0]))
+    f, g = (PartialFunction(carrier, v) for v in pair)
+    expected = oracles._union_if_compatible(*pair)
+    union = pf_union_if_compatible(f, g)
+    assert (None if union is None else union.values) == expected
+    assert pf_compatible(f, g) == (expected is not None)
+
+
 def test_converse_of_a_non_injective_seed_fails_alike():
     carrier = Carrier(2)
     constant = PartialFunction(carrier, (0, 0))
@@ -116,19 +167,17 @@ def seed_sets(size: int):
     st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.tuples(st.just(n), seed_sets(n))
     ),
-    st.sampled_from(
-        ("", "identity", "domain", "range", "fixset", "antidomain", "converse", "meet")
-    ),
+    st.lists(st.sampled_from(OP_NAMES[2:]), max_size=2),
 )
 def test_generated_seed_sets(case, extra):
     size, seeds = case
-    ops = OPS + ((extra,) if extra else ())
-    assert_closures_agree(Carrier(size), seeds, ops)
+    assert_closures_agree(Carrier(size), seeds, (*OPS, *extra))
 
 
 def test_closedness_verdicts(closure_corpus):
     for closed in closure_corpus[::7]:
-        for ops in (OPS, (*OPS, "identity"), (*OPS, "domain"), (*OPS, "compose")):
+        for name in OP_NAMES:
+            ops = (*OPS, name)
             assert closed.is_closed_under(ops) == oracles.is_closed_under(closed, ops)
         # without the empty function, a - a is missing
         if len(closed) > 1:
@@ -136,6 +185,61 @@ def test_closedness_verdicts(closure_corpus):
         for i in range(1, len(closed)):
             smaller = dropped(closed, i)
             assert smaller.is_closed_under(OPS) == oracles.is_closed_under(smaller, OPS)
+
+
+def table_outcome(closed: ConcretePFAlgebra, name: str):
+    try:
+        return from_concrete(closed, extra_ops=(name,)).op(name)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def oracle_table_outcome(closed: ConcretePFAlgebra, name: str):
+    try:
+        return oracles.op_table(closed, name)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", OP_NAMES)
+def test_operation_tables(name, closure_corpus):
+    """The table of each operation on closures under it, and on corpus
+    closures, which may fail either refusal."""
+    rng = random.Random(name)
+    closures = [*closure_corpus[::11]]
+    for size in (1, 2, 3, 4):
+        carrier = Carrier(size)
+        pool = enumerate_all_pfs(carrier)
+        for _ in range(6 if size < 4 else 2):
+            got = outcome(closure_generate, carrier, rng.sample(pool, 2), (*OPS, name))
+            if isinstance(got, ConcretePFAlgebra):
+                closures.append(got)
+    texts = set()
+    for closed in closures:
+        got = table_outcome(closed, name)
+        assert got == oracle_table_outcome(closed, name)
+        if isinstance(got, tuple):
+            texts.add(got[1])
+    assert texts <= {
+        "algebra not closed under requested operation",
+        "converse of a non-injective partial function",
+    }
+
+
+def test_table_refusals_keep_their_text():
+    carrier = Carrier(2)
+    constant = PartialFunction(carrier, (0, 0))
+    closed = closure_generate(carrier, [constant])
+    assert table_outcome(closed, "converse") == (
+        ValueError, "converse of a non-injective partial function"
+    )
+    swap = closure_generate(carrier, [PartialFunction(carrier, (1, 0))])
+    for name in ("compose", "identity", "domain"):
+        expected = (ValueError, "algebra not closed under requested operation")
+        assert table_outcome(swap, name) == expected == oracle_table_outcome(swap, name)
+    with pytest.raises(KeyError, match="no operation named 'update'"):
+        from_concrete(swap, extra_ops=("update",))
+    assert from_concrete(swap).extra_ops == ()
 
 
 def test_closedness_of_each_operation_on_subfamilies(closure_corpus):
