@@ -3,8 +3,8 @@
 
 For each carrier of 1 to 4 points and each operation of the catalogue,
 times ``closure_generate`` under difference, restriction and that operation
-(``null``: the two alone) on the same ``--sets`` seed sets of ``--seeds``
-functions each, drawn with ``random.Random(--seed)`` once per carrier.  Each
+(``null``: the two alone) on the same ``--sets`` seed sets of ``SEEDS``
+functions each, drawn with ``random.Random(SEED)`` once per carrier.  Each
 time is the best of ``--repeat`` passes over all the sets.  A closure that
 fails (the converse of a non-injective function) counts as refused.  Last,
 ``classify_concrete_ops`` is timed on the algebra of all 625 partial
@@ -36,6 +36,7 @@ from drest.pfun import Carrier, ConcretePFAlgebra, closure_generate, enumerate_a
 
 BASE = ("difference", "restrict")
 OPERATIONS = (None, *(name for name in CATALOGUE if name not in NOT_IMPLEMENTED))
+SEEDS, SEED = 2, 1  # functions per seed set, and the seed of their draw
 
 
 def best(repeat: int, run) -> float:
@@ -48,11 +49,11 @@ def best(repeat: int, run) -> float:
     return float(f"{min(times):.4g}")
 
 
-def closure_rows(size: int, sets: int, seeds: int, seed: int, repeat: int):
+def closure_rows(size: int, sets: int, repeat: int):
     carrier = Carrier(size)
     pool = enumerate_all_pfs(carrier)
-    rng = random.Random(seed)
-    seed_sets = [rng.choices(pool, k=seeds) for _ in range(sets)]
+    rng = random.Random(SEED)
+    seed_sets = [rng.choices(pool, k=SEEDS) for _ in range(sets)]
     for name in OPERATIONS:
         ops = BASE if name is None else (*BASE, name)
         sizes: list[int] = []
@@ -90,12 +91,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3, help="passes per time, the least kept")
     parser.add_argument("--sets", type=int, default=40, help="seed sets per carrier")
-    parser.add_argument("--seeds", type=int, default=2, help="functions per seed set")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the seed-set draw")
     parser.add_argument("--max-carrier", type=int, default=4, choices=(1, 2, 3, 4))
     args = parser.parse_args(argv)
     for size in range(1, args.max_carrier + 1):
-        for row in closure_rows(size, args.sets, args.seeds, args.seed, args.repeat):
+        for row in closure_rows(size, args.sets, args.repeat):
             print(json.dumps(row), flush=True)
     if args.max_carrier == 4:
         print(json.dumps(classify_row(args.repeat)), flush=True)

@@ -230,7 +230,9 @@ def from_concrete(
 
     Each table applies the operation's one form on graph masks
     (:func:`drest.pfun.graph_operations`) to every argument tuple of masks
-    and looks the result up in the mask index, once both tables are built;
+    (:func:`drest.pfun.graph_results`, which prepares each mask once per
+    side) and looks the result up in the mask index, once both tables are
+    built;
     with no named operation nothing more is done.  The value-tuple forms are
     test oracles.  NotClosed when the family is not closed under difference
     and restriction, decided first; ValueError when it is not closed under a
@@ -243,19 +245,19 @@ def from_concrete(
     names = tuple(extra_ops)
     if not names:
         return built
-    from .pfun import graph_operations
+    from .pfun import graph_operations, graph_results
 
     operations = graph_operations(algebra.carrier.size)
 
     def table(name: str) -> OpTable:
         if name not in operations:
             raise KeyError(f"no operation named {name!r}")
-        arity, op = operations[name]
+        results = chain.from_iterable(graph_results(*operations[name], masks))
         try:
-            entries = tuple([index[op(*args)] for args in product(masks, repeat=arity)])
+            entries = tuple(map(index.__getitem__, results))
         except KeyError:
             raise ValueError("algebra not closed under requested operation") from None
-        return _index_table(name, len(masks), entries, arity)
+        return _index_table(name, len(masks), entries, operations[name][0])
 
     return built.with_ops(map(table, names))
 

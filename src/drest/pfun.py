@@ -9,18 +9,20 @@ The ``values`` tuples are the public form.  Every operation has one
 definition, on graph masks (bit ``x*size + y`` set iff f(x) = y;
 :func:`graph_operations`): difference is ``a & ~b``, restriction ``b &
 dom(a)``, and the others are a few int operations or one pass over the
-rows.  The closure, the closedness check, the ``pf_*`` helpers and the
-operation tables of :func:`drest.dra.from_concrete` run on them, and only
-this module knows the encoding.  The value-tuple definitions are kept as
-test oracles.
+rows.  Each binary form is split into what depends on each argument alone
+and one combining step (:class:`Pairwise`), so a table or a closure
+prepares each member once.  The closure, the closedness check, the
+``pf_*`` helpers and the operation tables of
+:func:`drest.dra.from_concrete` run on them, and only this module knows
+the encoding.  The value-tuple definitions are kept as test oracles.
 """
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from itertools import product, starmap
-from operator import mul
+from functools import cache
+from itertools import product, repeat, starmap
+from operator import and_, invert
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .dra import Record
 
@@ -131,6 +133,23 @@ class PartialFunction(Record):
         return f"PartialFunction({self.render()})"
 
 
+class Pairwise(NamedTuple):
+    """A binary form on graph masks split into what depends on each argument
+    alone and one combining step: op(f, g) is combine(left(f), right(g)).
+    A table or a closure prepares each member once, then combines pairs."""
+
+    left: Callable[[int], object]
+    right: Callable[[int], object]
+    combine: Callable[[object, object], int]
+
+    def __call__(self, f: int, g: int) -> int:
+        return self.combine(self.left(f), self.right(g))
+
+
+def _same(mask: int) -> int:
+    return mask
+
+
 @cache
 def _graphs(size: int):
     """Encode, decode, the domain cylinder and the operations
@@ -142,12 +161,18 @@ def _graphs(size: int):
     the union of the rows f meets, so g restricted to the domain of f is
     ``g & dom(f)``; ``image(f)``, the OR of the rows of f, is its set of
     values as one row, and that row times ``low`` is the row in every row.
+    Both OR ``size`` shifted copies together in log2(size) steps.
     """
     row = (1 << size) - 1
     offsets = range(0, size * size, size)
     low = sum(1 << offset for offset in offsets)
     diag = sum(1 << (offset + x) for x, offset in enumerate(offsets))
-    points = range(size)
+    # after the steps so far, bit k of dom's spread mask is the OR of bits k
+    # to k + width - 1 of its argument; the steps take width up to size
+    steps, width = [], 1
+    while width < size:
+        steps.append(min(width, size - width))
+        width += steps[-1]
 
     def encode(values: Sequence[int]) -> int:
         mask = 0
@@ -161,36 +186,18 @@ def _graphs(size: int):
         return tuple(((mask >> offset) & row).bit_length() - 1 for offset in offsets)
 
     def dom(mask: int) -> int:
-        spread = 0
-        for k in points:
-            spread |= mask >> k
-        return (spread & low) * row
+        for step in steps:
+            mask |= mask >> step
+        return (mask & low) * row
 
     def image(mask: int) -> int:
-        spread = 0
-        for offset in offsets:
-            spread |= mask >> offset
-        return spread & row
-
-    # one entry per member of an algebra: a closure has at most 625, a
-    # document 1,024
-    @lru_cache(maxsize=1024)
-    def rows(f: int) -> tuple[int, ...]:
-        return tuple([(f >> offset) & row for offset in offsets])
-
-    @lru_cache(maxsize=1024)
-    def columns(g: int) -> tuple[int, ...]:
-        return tuple([(g >> y) & low for y in points])
-
-    def compose(f: int, g: int) -> int:
-        # (f o g)(x) = f(g(x)): column y of g, shifted to bit 0, marks the
-        # rows x where g(x) = y, and each takes row y of f; the products are
-        # disjoint, so their sum is their union
-        return sum(map(mul, columns(g), rows(f)))
+        for step in steps:
+            mask |= mask >> step * size
+        return mask & row
 
     def converse(f: int) -> int:
         out = seen = 0
-        for x, offset in zip(points, offsets):
+        for x, offset in zip(range(size), offsets):
             value = (f >> offset) & row
             if value & seen:
                 raise ValueError("converse of a non-injective partial function")
@@ -200,16 +207,22 @@ def _graphs(size: int):
         return out
 
     operations = MappingProxyType({
-        "difference": (2, lambda f, g: f & ~g),
-        "restrict": (2, lambda f, g: g & dom(f)),
-        "meet": (2, lambda f, g: f & g),
-        "override": (2, lambda f, g: f | (g & ~dom(f))),
-        "compose": (2, compose),
+        "difference": (2, Pairwise(_same, invert, and_)),
+        "restrict": (2, Pairwise(dom, _same, and_)),
+        "meet": (2, Pairwise(_same, _same, and_)),
+        "override": (2, Pairwise(lambda f: (f, ~dom(f)), _same, lambda fd, g: fd[0] | g & fd[1])),
+        # (f o g)(x) = f(g(x)): row x of f o g is row g(x) of f, and the
+        # rows in place are disjoint, so their sum is their union
+        "compose": (2, Pairwise(
+            lambda f: [(f >> offset) & row for offset in offsets],
+            lambda g: [(y, offset) for y, offset in zip(decode(g), offsets) if y != UNDEF],
+            lambda rows, placed: sum([rows[y] << offset for y, offset in placed]),
+        )),
         "domain": (1, lambda f: dom(f) & diag),
         "range": (1, lambda f: image(f) * low & diag),
         "fixset": (1, lambda f: f & diag),
         # keep (x, y) of g whose value y lies in dom(f)
-        "range_restrict": (2, lambda f, g: g & image(dom(f) & diag) * low),
+        "range_restrict": (2, Pairwise(lambda f: image(dom(f) & diag) * low, _same, and_)),
         "antidomain": (1, lambda f: diag & ~dom(f)),
         "converse": (1, converse),
         "identity": (0, lambda: diag),
@@ -220,9 +233,21 @@ def _graphs(size: int):
 def graph_operations(size: int) -> Mapping[str, tuple[int, Callable[..., int]]]:
     """name -> (arity, form on graph masks) of every operation on carriers of
     this size, built once per size and shared, so read-only.  "identity" is
-    a constant, of arity 0, and converse raises ValueError on a
-    non-injective function."""
+    a constant, of arity 0, each binary form is a :class:`Pairwise`, and
+    converse raises ValueError on a non-injective function."""
     return _graphs(size)[3]
+
+
+def graph_results(
+    arity: int, form: Callable[..., int], masks: Sequence[int]
+) -> Iterator[Iterator[int]]:
+    """The form at every argument tuple of masks, in ``product`` order: for
+    a :class:`Pairwise` form, which prepares each mask once on each side,
+    one iterator for each first argument, else one iterator."""
+    if arity != 2:
+        return iter((starmap(form, product(masks, repeat=arity)),))
+    rights = list(map(form.right, masks))
+    return (map(form.combine, repeat(left, len(rights)), rights) for left in map(form.left, masks))
 
 
 def _require_shared_carrier(f: PartialFunction, g: PartialFunction) -> None:
@@ -289,6 +314,21 @@ class ConcretePFAlgebra(Record):
         self._index: Optional[dict[tuple[int, ...], int]] = None
         self._masks: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
+    @classmethod
+    def _closed(cls, carrier: Carrier, values, masks, cylinders) -> "ConcretePFAlgebra":
+        """The closure's result: canonically ordered value vectors in range,
+        their masks and cylinders, set without the checks of either
+        ``__init__``, which this must set every slot of."""
+        elements = []
+        for v in values:
+            f = object.__new__(PartialFunction)
+            f.carrier, f.values = carrier, v
+            elements.append(f)
+        closed = object.__new__(cls)
+        closed.carrier, closed.elements, closed._index = carrier, tuple(elements), None
+        closed._masks = masks, cylinders
+        return closed
+
     def index(self, f: PartialFunction) -> int:
         if self._index is None:
             self._index = {f.values: i for i, f in enumerate(self.elements)}
@@ -307,24 +347,17 @@ class ConcretePFAlgebra(Record):
         return self._masks
 
     def is_closed_under(self, op_names: Iterable[str]) -> bool:
-        masks, doms = self.graph_masks()
+        masks = self.graph_masks()[0]
         present = set(masks)
         operations = graph_operations(self.carrier.size)
-        for name in op_names:
-            # difference a & ~b and restriction b & dom(a) are one & per
-            # pair, over the complements and over the kept cylinders
-            if name in ("difference", "restrict"):
-                left, right = (masks, [~b for b in masks]) if name == "difference" else (doms, masks)
-                if not all({a & b for b in right} <= present for a in left):
-                    return False
-                continue
-            arity, op = operations[name]
-            try:
-                if not present.issuperset(starmap(op, product(masks, repeat=arity))):
-                    return False
-            except ValueError:
-                return False
-        return True
+        try:
+            return all(
+                set(results) <= present
+                for name in op_names
+                for results in graph_results(*operations[name], masks)
+            )
+        except ValueError:
+            return False
 
 
 def closure_generate(
@@ -337,9 +370,10 @@ def closure_generate(
 
     Members are graph masks (:func:`graph_operations`), decoded once, at the
     end.  Each round applies every operation to the new members, and every
-    binary one to the ordered pairs with at least one new member, once.  The
-    result is made without the checks it meets by construction, canonical
-    order and values in range, and keeps its masks and domain cylinders.
+    binary one to the ordered pairs with at least one new member, once,
+    each member prepared once per side (:class:`Pairwise`).  The result is
+    made without the checks it meets by construction, canonical order and
+    values in range, and keeps its masks and domain cylinders.
     """
     op_names = tuple(ops)
     if "difference" not in op_names or "restrict" not in op_names:
@@ -350,48 +384,38 @@ def closure_generate(
         if f.carrier != carrier:
             raise CarrierMismatch("seed on a foreign carrier")
 
-    encode, decode, dom, operations = _graphs(carrier.size)
-    others = [operations[name] for name in op_names if name not in ("difference", "restrict")]
-    start = {0} | {encode(f.values) for f in seeds}
+    encode, decode, _, operations = _graphs(carrier.size)
+    # difference and restriction first: the left parts of restriction are
+    # the domain cylinders the result keeps
+    forms = [operations[name] for name in dict.fromkeys(("difference", "restrict", *op_names))]
+    frontier = {0} | {encode(f.values) for f in seeds}
     # a constant, "identity", just seeds the closure
-    start.update(op() for arity, op in others if arity == 0)
-    unary = [op for arity, op in others if arity == 1]
-    binary = [op for arity, op in others if arity == 2]
-    doms: dict[int, int] = {}  # member -> its domain cylinder
-    old: list[int] = []
-    old_doms: list[int] = []
-    frontier = list(start)
+    frontier.update(form() for arity, form in forms if arity == 0)
+    unary = [form for arity, form in forms if arity == 1]
+    # each binary form with the left and the right parts of the members
+    binary = [(form, [], []) for arity, form in forms if arity == 2]
+    members: list[int] = []
+    seen = set(frontier)
     while frontier:
-        new_doms = [dom(m) for m in frontier]
-        doms.update(zip(frontier, new_doms))
-        current = old + frontier
-        # the further operations first, so that a failing converse fails
+        frontier = list(frontier)
+        # the unary operations first, so that a failing converse fails
         # before the pair scans
         made: set[int] = set()
-        for op in unary:
-            made.update(map(op, frontier))
-        for op in binary:
-            made.update([op(f, g) for f in frontier for g in current])
-            made.update([op(f, g) for f in old for g in frontier])
-        complements = [~b for b in current]
-        made.update(a & c for a in frontier for c in complements)
-        made.update(a & c for a in old for c in complements[len(old):])
-        made.update(b & d for d in new_doms for b in current)
-        made.update(b & d for d in old_doms for b in frontier)
-        old, old_doms = current, old_doms + new_doms
-        frontier = [m for m in made if m not in doms]
+        for form in unary:
+            made.update(map(form, frontier))
+        for form, lefts, rights in binary:
+            new_lefts, new_rights = list(map(form.left, frontier)), list(map(form.right, frontier))
+            made.update(starmap(form.combine, product(lefts, new_rights)))
+            lefts += new_lefts
+            rights += new_rights
+            made.update(starmap(form.combine, product(new_lefts, rights)))
+        members += frontier
+        frontier = made - seen
+        seen |= frontier
 
     # UNDEF is -1, below every point, so plain tuple order is canonical order
-    values, masks, cylinders = zip(*sorted((decode(m), m, d) for m, d in doms.items()))
-    elements = []
-    for v in values:
-        f = object.__new__(PartialFunction)
-        f.carrier, f.values = carrier, v
-        elements.append(f)
-    closed = object.__new__(ConcretePFAlgebra)
-    closed.carrier, closed.elements, closed._index = carrier, tuple(elements), None
-    closed._masks = masks, cylinders
-    return closed
+    values, masks, cylinders = zip(*sorted(zip(map(decode, members), members, binary[1][1])))
+    return ConcretePFAlgebra._closed(carrier, values, masks, cylinders)
 
 
 def enumerate_all_pfs(carrier: Carrier) -> tuple[PartialFunction, ...]:

@@ -52,6 +52,8 @@ def assert_closures_agree(carrier, seeds, ops=OPS):
             carrier, tuple(PartialFunction(carrier, f.values) for f in got.elements)
         )
         assert checked.graph_masks() == got.graph_masks()
+        for record in (got, *got.elements):
+            assert all(hasattr(record, slot) for slot in type(record).__slots__)
     return got
 
 
