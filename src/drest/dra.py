@@ -232,13 +232,12 @@ def from_concrete(
     (:func:`drest.pfun.graph_operations`) to every argument tuple of masks
     (:func:`drest.pfun.graph_results`, which prepares each mask once per
     side) and looks the result up in the mask index, once both tables are
-    built;
-    with no named operation nothing more is done.  The value-tuple forms are
-    test oracles.  NotClosed when the family is not closed under difference
-    and restriction, decided first; ValueError when it is not closed under a
-    named operation (or holds a non-injective function and "converse" is
-    named); "identity" requires the identity function to be a member, and a
-    name with no concrete operation raises KeyError.
+    built; with no named operation nothing more is done.  The value-tuple
+    forms are test oracles.  NotClosed when the family is not closed under
+    difference and restriction, decided first; ValueError when it is not
+    closed under a named operation (or holds a non-injective function and
+    "converse" is named); "identity" requires the identity function to be a
+    member, and a name with no concrete operation raises KeyError.
     """
     masks, doms = algebra.graph_masks()
     built, index = from_masks((f.render() for f in algebra.elements), masks, doms)
