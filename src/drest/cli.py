@@ -59,25 +59,40 @@ def _valid(algebra, side: str = "input"):
     return algebra
 
 
-def _algebra(kind: str, value, names: Sequence[str] = ()):
-    """An algebra document's value; a pfalgebra's tables, and those of the
-    named operations, read off its partial functions, which fail validation
-    when they are not closed under difference and restriction."""
+def _algebra(kind: str, value):
+    """An algebra document's value; a pfalgebra's tables read off its partial
+    functions, which fail validation when they are not closed under
+    difference and restriction."""
     if kind != "pfalgebra":
         return value
     try:
-        return from_concrete(value, names)
+        return from_concrete(value)
     except NotClosed:
         raise _Invalid("input algebra fails validation") from None
 
 
 def _bare(path: str, names: Sequence[str]):
-    """The document's algebra without operations, once valid, and those named."""
+    """The document's algebra without operations, once valid, and the tables
+    of those named.  A pfalgebra is decided closed under difference and
+    restriction first, then held to the operator checks' caps at each named
+    operation's arity, and only then are its tables built: one costs
+    n**arity mask operations."""
     kind, value = _load(path, ALGEBRA_KINDS)
     try:
-        algebra = _algebra(kind, value, names)
-        bare = _valid(algebra.with_ops(()))
-        return bare, [algebra.op(name) for name in names]
+        if kind == "pfalgebra":
+            from .pfun import BASE_OPS, graph_operations
+
+            if not value.is_closed_under(BASE_OPS):
+                raise _Invalid("input algebra fails validation")
+            operations = graph_operations(value.carrier.size)
+            # an unknown name is refused first, by from_concrete
+            if names and all(name in operations for name in names):
+                from .operators import _check_arity_and_size
+
+                for name in names:
+                    _check_arity_and_size(len(value), operations[name][0])
+            value = from_concrete(value, names)
+        return _valid(value.with_ops(())), [value.op(name) for name in names]
     except KeyError as exc:
         raise ValueError(str(exc)) from None
 

@@ -55,14 +55,21 @@ class OperatorCheckError(ValueError):
 
 
 def _check_caps(algebra: FiniteAlgebra, table: OpTable) -> None:
-    if table.arity > OPERATOR_ARITY_CAP:
+    _check_arity_and_size(algebra.n, table.arity)
+    if table.size != algebra.n:
+        raise OperatorCheckError("operation table sized for a different algebra")
+
+
+def _check_arity_and_size(n: int, arity: int) -> None:
+    """The caps of every operator check on an algebra of n elements, which
+    need no table: a table read off partial functions costs n**arity mask
+    operations to build."""
+    if arity > OPERATOR_ARITY_CAP:
         raise OperatorCheckError(f"operator arity capped at {OPERATOR_ARITY_CAP}")
-    if algebra.n > OPERATOR_ALGEBRA_CAP:
+    if n > OPERATOR_ALGEBRA_CAP:
         raise OperatorCheckError(
             f"operator checks capped at {OPERATOR_ALGEBRA_CAP} elements"
         )
-    if table.size != algebra.n:
-        raise OperatorCheckError("operation table sized for a different algebra")
 
 
 def check_compat_preserving(
@@ -604,7 +611,9 @@ def classify_concrete_ops(
     A closure holds the input and the empty function, so when those alone
     exceed the cap no closure is built.  Building one would fail first only
     on an oversized carrier or, in its first round, on the converse of a
-    non-injective element, and those keep their own note.
+    non-injective element: that round applies the operation to every member
+    of the input's closure under difference and restriction, which holds a
+    non-injective function iff the input does.  Those keep their own note.
     """
     size = algebra.carrier.size
     over_cap = size <= CLOSURE_SIZE_CAP and OPERATOR_ALGEBRA_CAP < len(

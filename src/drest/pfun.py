@@ -14,7 +14,11 @@ and one combining step (:class:`Pairwise`), so a table or a closure
 prepares each member once.  The closure, the closedness check, the
 ``pf_*`` helpers and the operation tables of
 :func:`drest.dra.from_concrete` run on them, and only this module knows
-the encoding.  The value-tuple definitions are kept as test oracles.
+the encoding.  Under difference and restriction no pair is saturated: the
+closure is read off the atoms of the seeds (:func:`_atoms`), every union of
+atoms inside a seed, and the closedness check uses the family's own atoms;
+only further operations are applied to pairs.  The value-tuple definitions
+are kept as test oracles.
 """
 from __future__ import annotations
 
@@ -30,6 +34,8 @@ UNDEF = -1
 
 ENUMERATE_SIZE_CAP = 4
 CLOSURE_SIZE_CAP = 4
+# the operations of every closure, which the closure reads off atoms
+BASE_OPS = ("difference", "restrict")
 
 
 class CarrierMismatch(ValueError):
@@ -115,13 +121,8 @@ class PartialFunction(Record):
         return all(v == UNDEF for v in self.values)
 
     def is_injective(self) -> bool:
-        seen = set()
-        for v in self.values:
-            if v != UNDEF:
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
+        image = [v for v in self.values if v != UNDEF]
+        return len(set(image)) == len(image)
 
     def render(self) -> str:
         if self.is_empty:
@@ -175,11 +176,7 @@ def _graphs(size: int):
         width += steps[-1]
 
     def encode(values: Sequence[int]) -> int:
-        mask = 0
-        for offset, v in zip(offsets, values):
-            if v != UNDEF:
-                mask |= 1 << (offset + v)
-        return mask
+        return sum([1 << p for p in _pairs(values)])
 
     def decode(mask: int) -> tuple[int, ...]:
         # a row holds at most one bit; an empty row decodes to -1 (UNDEF)
@@ -196,15 +193,10 @@ def _graphs(size: int):
         return mask & row
 
     def converse(f: int) -> int:
-        out = seen = 0
-        for x, offset in zip(range(size), offsets):
-            value = (f >> offset) & row
-            if value & seen:
-                raise ValueError("converse of a non-injective partial function")
-            seen |= value
-            if value:
-                out |= 1 << ((value.bit_length() - 1) * size + x)
-        return out
+        # injective iff no two rows share their value
+        if image(f).bit_count() != f.bit_count():
+            raise ValueError("converse of a non-injective partial function")
+        return sum([1 << (y * size + x) for x, y in enumerate(decode(f)) if y != UNDEF])
 
     operations = MappingProxyType({
         "difference": (2, Pairwise(_same, invert, and_)),
@@ -347,17 +339,89 @@ class ConcretePFAlgebra(Record):
         return self._masks
 
     def is_closed_under(self, op_names: Iterable[str]) -> bool:
+        """Whether every named operation maps members to members.  Under
+        difference and restriction together the family must be its own
+        closure, every union of atoms inside a member (proved at
+        :func:`closure_generate`): so it is closed iff m & ~t is a member for
+        each member m and each atom t inside m (:func:`_atoms`), as removing
+        atoms one at a time reaches every such union.  Any other operation is
+        applied to every argument tuple."""
+        names = dict.fromkeys(op_names)
         masks = self.graph_masks()[0]
         present = set(masks)
+        if all(name in names for name in BASE_OPS):
+            for name in BASE_OPS:
+                del names[name]
+            inside = _atoms(self.carrier.size, [_pairs(f.values) for f in self.elements])
+            # m ^ t is m & ~t, as the atom t lies in m
+            if not all(m ^ t in present for m, atoms in zip(masks, inside) for t in atoms):
+                return False
         operations = graph_operations(self.carrier.size)
         try:
-            return all(
-                set(results) <= present
-                for name in op_names
-                for results in graph_results(*operations[name], masks)
-            )
+            rows = (row for name in names for row in graph_results(*operations[name], masks))
+            return all(set(row) <= present for row in rows)
         except ValueError:
             return False
+
+
+def _pairs(values: Sequence[int]) -> list[int]:
+    """The bits ``x*size + y`` of the pairs of a value vector's graph."""
+    return [x * len(values) + v for x, v in enumerate(values) if v != UNDEF]
+
+
+def _numbered(keys: Mapping[int, object]) -> tuple[dict[int, int], int]:
+    """Each pair's key replaced by a class number, one per distinct key, and
+    the number of classes."""
+    numbers: dict[object, int] = {}
+    return {p: numbers.setdefault(k, len(numbers)) for p, k in keys.items()}, len(numbers)
+
+
+def _atoms(size: int, graphs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The atoms of the closure of some graphs (each given by its pairs,
+    :func:`_pairs`) under difference and restriction, listed for each graph
+    as the masks of those inside it.
+
+    They are the classes of the coarsest partition of the graphs' union that
+    refines "which graphs hold this pair" and is stable: each class lies
+    wholly inside or wholly outside the row cylinder dom(T) of every class T
+    (proved at :func:`closure_generate`).  This is partition refinement
+    (Paige and Tarjan, SIAM J. Comput. 16, 1987).  A graph holds one pair of
+    a row at most, and so does a class, so a pass splits each class by the
+    row signature of its pairs, the set of classes meeting the row; the pass
+    that splits none ends.
+    """
+    holders: dict[int, int] = {}
+    for j, pairs in enumerate(graphs):
+        for p in pairs:
+            holders[p] = holders.get(p, 0) | 1 << j
+    classes, count = _numbered(holders)
+    while count < len(classes):
+        meets: dict[int, int] = {}
+        for p, c in classes.items():
+            meets[p // size] = meets.get(p // size, 0) | 1 << c
+        split = _numbered({p: (c, meets[p // size]) for p, c in classes.items()})
+        if split[1] == count:
+            break
+        classes, count = split
+    atoms = [0] * count
+    for p, c in classes.items():
+        atoms[c] |= 1 << p
+    return [[atoms[c] for c in dict.fromkeys(map(classes.__getitem__, pairs))] for pairs in graphs]
+
+
+@cache
+def _canonical(size: int):
+    """The canonical position of each of the (size+1)**size graph masks of a
+    carrier; at each position the value vector, the mask and its domain
+    cylinder; at each position the mask's pairs (:func:`_pairs`); and the
+    mask of each value vector."""
+    encode, _, dom, _ = _graphs(size)
+    # UNDEF is -1, below every point, so product order is canonical order
+    vectors = list(product(range(UNDEF, size), repeat=size))
+    masks = list(map(encode, vectors))
+    graphs = list(zip(vectors, masks, map(dom, masks)))
+    position = {mask: i for i, mask in enumerate(masks)}
+    return position, graphs, list(map(_pairs, vectors)), dict(zip(vectors, masks))
 
 
 def closure_generate(
@@ -368,53 +432,79 @@ def closure_generate(
     """Least family containing the seeds and the empty function, closed under
     the named operations.  Difference and restriction are mandatory.
 
-    Members are graph masks (:func:`graph_operations`), decoded once, at the
-    end.  Each round applies every operation to the new members, and every
-    binary one to the ordered pairs with at least one new member, once,
-    each member prepared once per side (:class:`Pairwise`).  The result is
-    made without the checks it meets by construction, canonical order and
-    values in range, and keeps its masks and domain cylinders.
+    Members are graph masks (:func:`graph_operations`).  The family closed
+    under difference and restriction is read off the atoms of the seeds
+    (:func:`_atoms`): every union of atoms that lies inside one seed.  Each
+    further operation is applied to the new members (a binary one to the
+    pairs with at least one new member, each member prepared once per side,
+    :class:`Pairwise`), and every result not yet a member joins the seeds;
+    with no further operation this runs once.  The members are ordered by
+    their canonical positions, read with their value vectors and domain
+    cylinders from a table made once per carrier size, and the result is
+    made without the checks it meets by construction.
+
+    Proof that the closure under the two is every union of classes of the
+    stable partition (:func:`_atoms`) that lies inside a seed, fed-back
+    results counting as seeds:
+
+    - Both operations return a subset of an argument, so every member lies
+      inside a seed.
+    - Atoms (minimal nonempty members) are disjoint, and every member is
+      the disjoint union of the atoms inside it (the argument at
+      :func:`drest.dra._mask_representation`).  Removing one atom at a time
+      with ``a & ~b`` reaches every union of atoms inside a member.
+    - Invariant: each atom t lies inside one class.  It holds at the start,
+      as ``t & s`` is t or empty for each seed s.  It holds after every
+      split, as ``t & dom(T)``, for a class T (a union of atoms, by the
+      invariant), is the union of the restrictions of t to the atoms
+      inside T, each t or empty; so the pairs of t share their row
+      signature.
+    - At the fixpoint, the unions of classes inside a seed hold the seeds
+      and are closed: ``A & ~B`` drops the classes of B, and ``B & dom(A)``
+      keeps the classes of B inside dom(A), as each class lies wholly inside
+      or outside the cylinder of each class of A.  So they hold the
+      closure, and each atom, a union of classes lying in one class, is
+      that class.  The atoms inside a seed cover it, so every class is an
+      atom, and by the second point every such union is a member.
     """
     op_names = tuple(ops)
     if "difference" not in op_names or "restrict" not in op_names:
         raise ValueError("closure must include difference and restrict")
     if carrier.size > CLOSURE_SIZE_CAP:
         raise ValueError(f"closure carrier capped at size {CLOSURE_SIZE_CAP}")
-    for f in seeds:
-        if f.carrier != carrier:
-            raise CarrierMismatch("seed on a foreign carrier")
+    if any(f.carrier != carrier for f in seeds):
+        raise CarrierMismatch("seed on a foreign carrier")
 
-    encode, decode, _, operations = _graphs(carrier.size)
-    # difference and restriction first: the left parts of restriction are
-    # the domain cylinders the result keeps
-    forms = [operations[name] for name in dict.fromkeys(("difference", "restrict", *op_names))]
-    frontier = {0} | {encode(f.values) for f in seeds}
+    operations = graph_operations(carrier.size)
+    position, graphs, pairs, encoded = _canonical(carrier.size)
+    forms = [operations[name] for name in dict.fromkeys(op_names) if name not in BASE_OPS]
     # a constant, "identity", just seeds the closure
-    frontier.update(form() for arity, form in forms if arity == 0)
+    fresh = {0, *(encoded[f.values] for f in seeds), *(form() for arity, form in forms if arity == 0)}
     unary = [form for arity, form in forms if arity == 1]
     # each binary form with the left and the right parts of the members
     binary = [(form, [], []) for arity, form in forms if arity == 2]
-    members: list[int] = []
-    seen = set(frontier)
-    while frontier:
-        frontier = list(frontier)
-        # the unary operations first, so that a failing converse fails
-        # before the pair scans
+    generators, members = [], set()
+    while fresh:
+        generators += fresh
+        closed = set()
+        for inside in _atoms(carrier.size, [pairs[position[m]] for m in generators]):
+            unions = [0]
+            for atom in inside:
+                unions += [union | atom for union in unions]
+            closed.update(unions)
+        new, members = list(closed - members), closed
         made: set[int] = set()
         for form in unary:
-            made.update(map(form, frontier))
+            made.update(map(form, new))
         for form, lefts, rights in binary:
-            new_lefts, new_rights = list(map(form.left, frontier)), list(map(form.right, frontier))
+            new_lefts, new_rights = list(map(form.left, new)), list(map(form.right, new))
             made.update(starmap(form.combine, product(lefts, new_rights)))
             lefts += new_lefts
             rights += new_rights
             made.update(starmap(form.combine, product(new_lefts, rights)))
-        members += frontier
-        frontier = made - seen
-        seen |= frontier
+        fresh = made - members
 
-    # UNDEF is -1, below every point, so plain tuple order is canonical order
-    values, masks, cylinders = zip(*sorted(zip(map(decode, members), members, binary[1][1])))
+    values, masks, cylinders = zip(*[graphs[i] for i in sorted(map(position.__getitem__, members))])
     return ConcretePFAlgebra._closed(carrier, values, masks, cylinders)
 
 
@@ -422,8 +512,4 @@ def enumerate_all_pfs(carrier: Carrier) -> tuple[PartialFunction, ...]:
     """All (size+1)^size partial functions on the carrier, canonical order."""
     if carrier.size > ENUMERATE_SIZE_CAP:
         raise ValueError(f"enumeration capped at carrier size {ENUMERATE_SIZE_CAP}")
-    choices = [UNDEF] + list(range(carrier.size))
-    return tuple(
-        PartialFunction(carrier, values)
-        for values in product(choices, repeat=carrier.size)
-    )
+    return tuple(PartialFunction(carrier, values) for values in _canonical(carrier.size)[3])

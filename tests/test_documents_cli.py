@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from drest import dra, duality
+from drest import dra, duality, pfun
 from drest.cli import main
 from drest.documents import (
     DocumentError,
@@ -558,6 +558,38 @@ def test_a_pfalgebra_not_closed_under_the_named_operation_is_a_usage_error(tmp_p
     for argv in (["check-op", path, "override"], ["complete", path, "--with-op", "override"]):
         assert main(argv) == 2
         assert capsys.readouterr() == NOT_CLOSED[1:]
+
+
+def test_the_operator_cap_refuses_a_pfalgebra_before_any_table_is_built(tmp_path, capsys, monkeypatch):
+    # the 16 restrictions of a 4-cycle, and of a constant: closed under
+    # difference and restriction, over the cap, and not closed under compose
+    # and converse, which were refused as such before the cap
+    carrier = Carrier(4)
+
+    def restrictions(total):
+        graphs = [[(x, y) for x, y in enumerate(total) if bits >> x & 1] for bits in range(16)]
+        elements = sorted((PartialFunction.from_graph(carrier, g) for g in graphs), key=lambda f: f.sort_key)
+        return ConcretePFAlgebra(carrier, tuple(elements))
+
+    cycle, constant = restrictions((1, 2, 3, 0)), restrictions((0, 0, 0, 0))
+    assert cycle.is_closed_under(("difference", "restrict"))
+    assert constant.is_closed_under(("difference", "restrict"))
+
+    def built(*args):
+        raise AssertionError("an operation table was built")
+
+    forms = {
+        name: (arity, pfun.Pairwise(built, built, built) if arity == 2 else built)
+        for name, (arity, _) in pfun.graph_operations(4).items()
+    }
+    monkeypatch.setattr(pfun, "graph_operations", lambda size: forms)
+    capped = ("", json.dumps({"error": "operator checks capped at 10 elements"}) + "\n")
+    for family, names in ((cycle, ("override", "compose", "range_restrict")), (constant, ("converse",))):
+        path = write(tmp_path, "big.json", emit_document(family))
+        for name in names:
+            for argv in (["check-op", path, name], ["complete", path, "--with-op", name]):
+                assert main(argv) == 2, argv
+                assert capsys.readouterr() == capped
 
 
 def unclosed_pfalgebra(tmp_path) -> str:

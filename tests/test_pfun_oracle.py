@@ -6,13 +6,18 @@ error text.  Closures must be equal algebras or fail with the same error
 text; tables and closedness verdicts must be equal.  The inputs are every
 seed pair on carriers 1-3, seeded three-seed sets on carrier 4, every
 catalogue operation (and ``identity``) on fixed seed sets, on closures under
-it and on corpus closures, and seed sets and pairs of further operations
-drawn by hypothesis.
+it and on corpus closures, seed sets and pairs of further operations drawn
+by hypothesis (up to eight seeds on carrier 4), the closure of all 625
+functions on 4 points, and empty, repeated and labelled seed sets.  The
+atoms the closure reads are checked against the oracle closure's minimal
+members, and closedness verdicts on closures with members dropped at random.
 """
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +29,9 @@ from drest.pfun import (
     Carrier,
     ConcretePFAlgebra,
     PartialFunction,
+    _atoms,
     _graphs,
+    _pairs,
     closure_generate,
     enumerate_all_pfs,
     pf_compatible,
@@ -158,10 +165,16 @@ def test_refusals_keep_their_text():
     assert assert_closures_agree(c2, [foreign])[1] == "seed on a foreign carrier"
 
 
-def seed_sets(size: int):
+def seed_sets(size: int, most: int = 3):
     values = st.integers(min_value=-1, max_value=size - 1)
     pf = st.tuples(*[values] * size).map(lambda v: PartialFunction(Carrier(size), v))
-    return st.lists(pf, max_size=3)
+    return st.lists(pf, max_size=most)
+
+
+def sized_seed_sets(most: int):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(st.just(n), seed_sets(n, most))
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,6 +187,78 @@ def seed_sets(size: int):
 def test_generated_seed_sets(case, extra):
     size, seeds = case
     assert_closures_agree(Carrier(size), seeds, (*OPS, *extra))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed_sets(4, 8), st.lists(st.sampled_from(OP_NAMES[2:]), max_size=2))
+def test_generated_seed_sets_of_up_to_eight_on_carrier_four(seeds, extra):
+    assert_closures_agree(Carrier(4), seeds, (*OPS, *extra))
+
+
+def test_the_closure_of_every_function_on_four_points():
+    carrier = Carrier(4)
+    every = enumerate_all_pfs(carrier)
+    assert closure_generate(carrier, every).elements == every
+
+
+def test_edge_seed_sets():
+    for size in (1, 2, 3, 4):
+        carrier = Carrier(size)
+        empty = PartialFunction.empty(carrier)
+        f, g = random.Random(size).sample(enumerate_all_pfs(carrier), 2)
+        assert assert_closures_agree(carrier, []).elements == (empty,)
+        assert assert_closures_agree(carrier, [empty]).elements == (empty,)
+        once = assert_closures_agree(carrier, [f, g])
+        for seeds in ([f, g, f, g], [empty, g, empty, f]):
+            assert assert_closures_agree(carrier, seeds) == once
+    labelled = Carrier(3, ("a", "b", "c"))
+    seeds = [PartialFunction(labelled, (1, 2, -1)), PartialFunction(labelled, (1, -1, 0))]
+    for extra in ((), ("compose",), ("identity",)):
+        closed = assert_closures_agree(labelled, seeds, (*OPS, *extra))
+        assert all(f.carrier == labelled for f in closed.elements)
+    assert "{a:b,b:c}" in {f.render() for f in closed.elements}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sized_seed_sets(8))
+def test_the_partition_is_the_atoms_of_the_closure(case):
+    """The classes :func:`drest.pfun._atoms` lists are pairwise disjoint,
+    cover the union of the seeds, make up each seed, are stable, and are the
+    minimal nonempty members of the oracle's closure."""
+    size, seeds = case
+    encode, _, dom, _ = _graphs(size)
+    graphs = [encode(f.values) for f in seeds]
+    inside = _atoms(size, [_pairs(f.values) for f in seeds])
+    classes = {t for listed in inside for t in listed}
+    union = 0
+    for t in classes:
+        assert t and not t & union
+        union |= t
+    assert union == reduce(or_, graphs, 0)
+    for graph, listed in zip(graphs, inside):
+        assert reduce(or_, listed, 0) == graph
+    assert all(t & dom(other) in (0, t) for t in classes for other in classes)
+    closure = {encode(f.values) for f in oracles.closure_generate(Carrier(size), seeds).elements}
+    assert classes == {m for m in closure if m and not any(0 < o < m and o & m == o for o in closure)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sized_seed_sets(5), st.randoms(use_true_random=False), st.sampled_from((0.0, 0.1, 0.5)))
+def test_closedness_verdicts_on_generated_families(case, rng, drop):
+    """Closures with members dropped at random, and the seeds alone, under
+    difference and restriction (decided on atoms) and each alone or with
+    another operation (decided by the pair scan), against the pair scan."""
+    size, seeds = case
+    carrier = Carrier(size)
+    closed = closure_generate(carrier, seeds)
+    distinct = {f.values: f for f in seeds}.values()
+    for elements in (
+        [f for f in closed.elements if rng.random() >= drop],
+        sorted(distinct, key=lambda f: f.sort_key),
+    ):
+        family = ConcretePFAlgebra(carrier, tuple(elements))
+        for ops in (OPS, OPS[::-1], OPS[:1], OPS[1:], (*OPS, "meet"), (*OPS, "domain")):
+            assert family.is_closed_under(ops) == oracles.is_closed_under(family, ops)
 
 
 def test_closedness_verdicts(closure_corpus):
@@ -250,7 +335,7 @@ def test_closedness_of_each_operation_on_subfamilies(closure_corpus):
         for _ in range(4):
             keep = [f for f in closed.elements[1:] if rng.random() < 0.7]
             family = ConcretePFAlgebra(closed.carrier, closed.elements[:1] + tuple(keep))
-            for ops in (("difference",), ("restrict",)):
+            for ops in (OPS, ("difference",), ("restrict",)):
                 assert family.is_closed_under(ops) == oracles.is_closed_under(family, ops)
 
 
