@@ -11,7 +11,7 @@ on the largest carrier, the scaling curve of the closure under difference
 and restriction alone: ``--sets`` sets of each of ``SCALING`` functions.
 Last, ``classify_concrete_ops`` is timed on the algebra of all 625 partial
 functions on 4 points, where every operation but converse is refused at
-once and converse fails in the closure's first round.
+once and converse fails on the seeds, before the atoms.
 
 One JSON row per (carrier, operation), one per scaling seed count, then one
 for the classification, to stdout, for example::

@@ -16,12 +16,10 @@ _EXPORTS = {
         "PartialFunction",
         "closure_generate",
         "enumerate_all_pfs",
-        "pf_compatible",
         "pf_difference",
         "pf_meet",
         "pf_override",
         "pf_restrict",
-        "pf_union_if_compatible",
     ),
     "dra": (
         "AlgebraMap",
@@ -43,7 +41,6 @@ _EXPORTS = {
     "filters": (
         "MaxFilterSpace",
         "all_proper_filters",
-        "hat",
         "maximal_filters",
     ),
     "duality": (

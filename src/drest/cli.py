@@ -74,27 +74,30 @@ def _algebra(kind: str, value):
 def _bare(path: str, names: Sequence[str]):
     """The document's algebra without operations, once valid, and the tables
     of those named.  A pfalgebra is decided closed under difference and
-    restriction first, then held to the operator checks' caps at each named
-    operation's arity, and only then are its tables built: one costs
-    n**arity mask operations."""
+    restriction first, then its names are looked up and held to the operator
+    checks' caps at each one's arity, and only then are its tables built:
+    one costs n**arity mask operations."""
     kind, value = _load(path, ALGEBRA_KINDS)
+    if kind == "pfalgebra":
+        from .pfun import BASE_OPS, graph_operations
+
+        if not value.is_closed_under(BASE_OPS):
+            raise _Invalid("input algebra fails validation")
+        operations = graph_operations(value.carrier.size)
+        for name in names:
+            if name not in operations:
+                raise ValueError(f"no operation named {name!r}")
+        if names:
+            from .operators import _check_arity_and_size
+
+            for name in names:
+                _check_arity_and_size(len(value), operations[name][0])
+        value = from_concrete(value, names)
+    bare = _valid(value.with_ops(()))
     try:
-        if kind == "pfalgebra":
-            from .pfun import BASE_OPS, graph_operations
-
-            if not value.is_closed_under(BASE_OPS):
-                raise _Invalid("input algebra fails validation")
-            operations = graph_operations(value.carrier.size)
-            # an unknown name is refused first, by from_concrete
-            if names and all(name in operations for name in names):
-                from .operators import _check_arity_and_size
-
-                for name in names:
-                    _check_arity_and_size(len(value), operations[name][0])
-            value = from_concrete(value, names)
-        return _valid(value.with_ops(())), [value.op(name) for name in names]
+        return bare, [value.op(name) for name in names]
     except KeyError as exc:
-        raise ValueError(str(exc)) from None
+        raise ValueError(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +146,17 @@ def cmd_validate(args) -> int:
 
 def cmd_filters(args) -> int:
     algebra = _valid(_algebra(*_load(args.file, ALGEBRA_KINDS)))
+    from .dra import bits
     from .duality import dual_of
-    from .filters import hat
 
     mfs = dual_of(algebra).mfs
     out = {
         "maximal_filters": [
-            sorted(algebra.elements[a] for a in mu) for mu in mfs.points
+            sorted(algebra.elements[a] for a in bits(mu)) for mu in mfs.points
         ],
         "classes": [list(cls) for cls in mfs.classes],
         "supports": {
-            algebra.elements[a]: sorted(hat(mfs, a)) for a in range(algebra.n)
+            algebra.elements[a]: list(bits(h)) for a, h in enumerate(mfs.hats)
         },
     }
     print(json.dumps(out, sort_keys=True))

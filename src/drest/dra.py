@@ -550,15 +550,6 @@ def is_fin_compatibly_complete(algebra: FiniteAlgebra) -> bool:
     return algebra.n == prod(len(cls) + 1 for cls in _represented(algebra)[1])
 
 
-def derived_override(algebra: FiniteAlgebra, x: int, y: int) -> int:
-    """x extended by y off the domain of x: the join of x and y - (x | y)."""
-    complement = algebra.m(y, algebra.r(x, y))
-    join = join_if_exists(algebra, (x, complement))
-    if join is None:
-        raise ValueError("override needs a finitarily compatibly complete algebra")
-    return join
-
-
 def is_subtraction_algebra(algebra: FiniteAlgebra) -> bool:
     """Restriction is the meet x - (x - y): each rest row equals the minus
     row composed with itself, as in :func:`validate_axioms`."""

@@ -13,12 +13,13 @@ pass; their algebra is built from the section masks
 Each algebra keeps one dual record (:func:`dual_of`), which the functors,
 unit, counit and completion read; a space passed in by a caller gets none.
 Read off the algebra's representation, its space is valid and discrete and
-its unit an embedding with no check run.  The record holds masks: the space F(A), its labels and
-frozenset basis, the frozenset sections and the section algebra's space are
-views built on first read, and the completion and the triangle check build
-none of them.  Point and section sets are int masks: the unit reads the
-support table, the counit sends a point x to the up-set of the singleton
-section {x}, and F and G on maps pull masks back.
+its unit an embedding with no check run.  The record holds masks: the space
+F(A), with its labels and frozenset basis, and the section algebra's space
+are built on first read, and the completion and the triangle check build
+neither.  Points, sections and preimages are int masks, with no frozenset
+form: the unit reads the support table, the counit sends a point x to the
+up-set of the singleton section {x}, and F and G on maps pull masks back
+(:func:`_preimage`).
 Both triangle identities, the η square and the density of a completion are
 decided on these masks, with no composite map built and no table read; the
 λ square, the subtraction-algebra checks and the transport between
@@ -186,7 +187,7 @@ def opens(space: EtaleSpace) -> frozenset[frozenset[int]]:
     for u in _topology(space).neighbourhoods:
         if u not in found:  # else found is already closed under adding u
             found |= {v | u for v in found}
-    return frozenset(map(flt.from_mask, found))
+    return frozenset(frozenset(bits(u)) for u in found)
 
 
 class EtaleReport(NamedTuple):
@@ -300,13 +301,6 @@ class SpaceMorphism(Record):
     def __call__(self, x: int) -> Optional[int]:
         v = self.mapping[x]
         return None if v == NOWHERE else v
-
-    @property
-    def defined_on(self) -> frozenset[int]:
-        return frozenset(x for x, v in enumerate(self.mapping) if v != NOWHERE)
-
-    def preimage(self, subset: Iterable[int]) -> frozenset[int]:
-        return flt.from_mask(_preimage(self.mapping, flt.to_mask(subset)))
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.mapping == tuple(
@@ -428,30 +422,29 @@ def _set_name(mask: int, name: Callable[[int], str] = str) -> str:
 class DualAlgebra(Record):
     """Compact open injective-projection subsets of a space, as an algebra.
 
-    The sections are held as point masks, with the index of each mask and
-    the space's topology.  ``sections``, the same sets as frozensets, is a
-    view built on first read, and so is ``space`` for the sections of a dual
-    record (:attr:`DualRecord.sections`).  Equality compares the masks, the
+    ``sections`` holds the point mask of each section, element i having
+    mask sections[i], with the index of each mask and the space's topology.
+    ``space`` is built on first read for the sections of a dual record
+    (:attr:`DualRecord.sections`).  Equality compares the masks, the
     algebra and then the space, which it builds only when the others agree;
     the repr shows the algebra.
     """
 
-    _fields = ("masks", "algebra", "space")
+    _fields = ("sections", "algebra", "space")
     _shown = ("algebra",)
-    __slots__ = ("algebra", "masks", "index", "topology", "_space", "_sections")
+    __slots__ = ("algebra", "sections", "index", "topology", "_space")
 
     def __init__(
         self,
         algebra: FiniteAlgebra,
-        masks: tuple[int, ...],
+        sections: tuple[int, ...],
         index: dict[int, int],
         topology: _Topology,
         _space: EtaleSpace | Callable[[], EtaleSpace],
     ) -> None:
-        self.algebra, self.masks, self.index, self.topology = algebra, masks, index, topology
+        self.algebra, self.sections, self.index, self.topology = algebra, sections, index, topology
         # the space, or the function that builds it on first read
         self._space = _space
-        self._sections: Optional[tuple[frozenset[int], ...]] = None
 
     @property
     def space(self) -> EtaleSpace:
@@ -459,25 +452,19 @@ class DualAlgebra(Record):
             self._space = self._space()
         return self._space
 
-    @property
-    def sections(self) -> tuple[frozenset[int], ...]:
-        if self._sections is None:
-            self._sections = tuple(map(flt.from_mask, self.masks))
-        return self._sections
-
     def __eq__(self, other: object) -> bool:
         # field by field, so that unequal masks or algebras build no space
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.masks == other.masks
+            self.sections == other.sections
             and self.algebra == other.algebra
             and self.space == other.space
         )
 
     def __hash__(self) -> int:
         # builds no space
-        return hash((self.masks, self.algebra))
+        return hash((self.sections, self.algebra))
 
 
 def _section_algebra(
@@ -538,12 +525,14 @@ def _valid_space(space: EtaleSpace) -> EtaleSpace:
 
 
 class DualRecord(Record):
-    """An algebra's dual data, held as masks: its maximal filters with the
-    support table, and its element names, which equality compares.  The
-    space is discrete with N(x) = {x} (:func:`dual_of`), so its topology is
-    built from the class masks in O(k).  The space F(A), with its labels and
-    frozenset basis, and the sections GF(A) are built on first read; neither
-    refers back to the record or the algebra, and the two share one space."""
+    """An algebra's dual data, held as masks: its maximal filters, each the
+    mask of its members, with the support table, and its element names,
+    which equality compares.  The space is discrete with N(x) = {x}
+    (:func:`dual_of`), so its topology is built from the class masks in
+    O(k).  The space F(A), with its labels and frozenset basis, and the
+    sections GF(A), a :class:`DualAlgebra` of section masks, are built on
+    first read; neither refers back to the record or the algebra, and the
+    two share one space."""
 
     _fields = ("mfs", "names")
     _shown = ("mfs",)
@@ -586,13 +575,14 @@ def _dual_space(mfs: flt.MaxFilterSpace, names: Sequence[str], top: _Topology) -
     """The space of the maximal filters, each labelled by its members, over
     their classes, with the distinct supports as basis and top kept as its
     topology."""
-    k = len(mfs.atoms)
+    base = {x: i for i, cls in enumerate(mfs.classes) for x in cls}
+    basis = sorted(set(mfs.hats), key=lambda h: list(bits(h)))
     space = EtaleSpace(
-        n_points=k,
+        n_points=len(mfs.points),
         n_base=len(mfs.classes),
-        projection=tuple(map(mfs.class_of, range(k))),
-        basis=tuple(map(flt.from_mask, sorted(set(mfs.hats), key=lambda h: list(bits(h))))),
-        point_labels=tuple(_set_name(m, names.__getitem__) for m in mfs.members),
+        projection=tuple(base[x] for x in range(len(mfs.points))),
+        basis=tuple(frozenset(bits(h)) for h in basis),
+        point_labels=tuple(_set_name(m, names.__getitem__) for m in mfs.points),
     )
     space._topology = top
     return space
@@ -720,7 +710,7 @@ def _G_morphism(m: SpaceMorphism, src: DualAlgebra, tgt: DualAlgebra) -> Algebra
     these mask operations read through the section index, so G(m) preserves
     both.
     """
-    table = tuple(src.index[_preimage(m.mapping, u)] for u in tgt.masks)
+    table = tuple(src.index[_preimage(m.mapping, u)] for u in tgt.sections)
     return AlgebraMap(tgt.algebra, src.algebra, table)
 
 
@@ -751,7 +741,7 @@ def check_triangle_identities(obj) -> TriangleReport:
     holds the sections containing x, the order of sections being
     inclusion, and η_A sends a to the section with mask hats_A[a].  So
     F(η_A) pulls the point back to {a : x in hats_A[a]}, the members of
-    point x in :attr:`MaxFilterSpace.members`, and the identity holds iff
+    point x in :attr:`MaxFilterSpace.points`, and the identity holds iff
     :meth:`MaxFilterSpace.point_index` maps those to x for every x.
     Anchored at A this λ is the counit below; anchored at X it is that of
     F(A), which is neither built nor needed.
@@ -770,10 +760,10 @@ def check_triangle_identities(obj) -> TriangleReport:
         raise TypeError("expected an algebra or a space")
 
     mfs = dual_of(algebra).mfs
-    left = all(mfs.point_index(p) == x for x, p in enumerate(mfs.members))
+    left = all(mfs.point_index(p) == x for x, p in enumerate(mfs.points))
     counit = _counit_map(sections)
     hats = dual_of(sections.algebra).mfs.hats
-    right = all(_preimage(counit, h) == u for h, u in zip(hats, sections.masks))
+    right = all(_preimage(counit, h) == u for h, u in zip(hats, sections.sections))
     return TriangleReport(left, right)
 
 

@@ -1,15 +1,14 @@
 """Filters and maximal filters of a finite algebra.
 
-Element and point sets are int bitmasks; the frozensets of the public
-views (``MaxFilterSpace.points``, :func:`hat`) are built when read.  In a
-finite algebra every filter holds the meet of its members, so it is the
-up-set of that member: the maximal filters are the up-sets of the atoms.
-A point is the position of its atom, and the support of an element is the
-mask of the points holding it; the support table is the algebra's
+Element and point sets are int bitmasks.  In a finite algebra every filter
+holds the meet of its members, so it is the up-set of that member: the
+maximal filters are the up-sets of the atoms.  A point is the position of
+its atom, held as the mask of its members, and the support of an element is
+the mask of the points holding it; the support table is the algebra's
 :func:`drest.dra.representation`, and an algebra without one has no dual
-space.  The subset scan ``all_proper_filters`` is kept, capped, as
-the oracle the tests compare against; the literal filter predicates and
-the shared-domain relation of filters are in the tests' oracles.
+space.  The subset scan ``all_proper_filters`` is kept, capped, as the
+oracle the tests compare against; the literal filter predicates and the
+shared-domain relation of filters are in the tests' oracles.
 """
 from __future__ import annotations
 
@@ -25,12 +24,6 @@ def to_mask(members: Iterable[int]) -> int:
     for x in members:
         m |= 1 << x
     return m
-
-
-def from_mask(mask: int) -> frozenset[int]:
-    """The set bits of a mask; every caller passes a nonnegative mask within
-    its point or element range."""
-    return frozenset(bits(mask))
 
 
 def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
@@ -63,7 +56,7 @@ def all_proper_filters(algebra: FiniteAlgebra) -> tuple[frozenset[int], ...]:
                 break
         if ok:
             found.append(mask)
-    return tuple(map(from_mask, found))
+    return tuple(frozenset(bits(mask)) for mask in found)
 
 
 class MaxFilterSpace(Record):
@@ -71,16 +64,15 @@ class MaxFilterSpace(Record):
     plus their grouping by the shared-domain equivalence.  Point i is the
     up-set of atoms[i]; hats[e] is the support of element e, the mask of the
     points holding it.  The points are read off the supports: the up-set of
-    atoms[i] holds e exactly when hats[e] holds i, and ``members`` keeps that
-    element mask for each point.  ``points``, the same sets as frozensets,
-    is a view built on first read; equality compares the supports it is
-    derived from, and the repr leaves them out.  It holds no reference to
+    atoms[i] holds e exactly when hats[e] holds i, and ``points`` keeps that
+    element mask for each point.  Equality compares the supports it is
+    derived from, and the repr leaves both out.  It holds no reference to
     the algebra, which keeps it, so that neither waits for the cyclic
     collector."""
 
     _fields = ("n", "atoms", "classes", "hats")
     _shown = ("n", "atoms", "classes")
-    __slots__ = (*_fields, "members", "_index", "_class", "_points")
+    __slots__ = (*_fields, "points", "_index")
 
     def __init__(
         self,
@@ -90,31 +82,17 @@ class MaxFilterSpace(Record):
         hats: tuple[int, ...],
     ) -> None:
         self.n, self.atoms, self.classes, self.hats = n, atoms, classes, hats
-        members = [0] * len(atoms)
+        points = [0] * len(atoms)
         for e, h in enumerate(hats):
             for i in bits(h):
-                members[i] |= 1 << e
-        self.members = tuple(members)
-        self._index = {m: i for i, m in enumerate(members)}
-        self._class = {x: i for i, cls in enumerate(classes) for x in cls}
-        self._points: Optional[tuple[frozenset[int], ...]] = None
-
-    @property
-    def points(self) -> tuple[frozenset[int], ...]:
-        """The member set of each maximal filter."""
-        if self._points is None:
-            self._points = tuple(map(from_mask, self.members))
-        return self._points
+                points[i] |= 1 << e
+        self.points = tuple(points)
+        self._index = {m: i for i, m in enumerate(points)}
 
     def point_index(self, members: int) -> Optional[int]:
         """Position of the maximal filter with the member mask, or None when
         it is not one."""
         return self._index.get(members)
-
-    def class_of(self, point: int) -> int:
-        if point not in self._class:
-            raise ValueError(f"unknown point {point}")
-        return self._class[point]
 
 
 def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
@@ -133,8 +111,3 @@ def maximal_filters(algebra: FiniteAlgebra) -> MaxFilterSpace:
         atoms, classes, hats = rep
         algebra._filters = MaxFilterSpace(algebra.n, atoms, classes, hats)
     return algebra._filters
-
-
-def hat(space: MaxFilterSpace, element: int) -> frozenset[int]:
-    """Point set of the maximal filters containing the element."""
-    return from_mask(space.hats[element])

@@ -7,11 +7,12 @@ coordinate at a time (O(k n^(k+1)) int ORs at arity k); additivity compares
 the supports along table rows; normality scans the bottom slices.  The
 masks live only inside each call, and a failure names the first witness in
 lexicographic order, as the literal double scans kept as test oracles do.
-Point sets are int masks, and a relation holds the output mask of each input
-tuple.  The same coordinate-at-a-time fold, :func:`_fold`, is the only walk
-over argument tuples: the relation of an operator is an AND-fold of the
-support table, and applying a relation, its induced table, every relation
-check and the back-and-forth check are OR-folds of the output masks.  The
+Point sets are int masks, with no frozenset form, and a relation holds the
+output mask of each input tuple.  The same coordinate-at-a-time fold,
+:func:`_fold`, is the only walk over argument tuples: the relation of an
+operator is an AND-fold of the support table, and the operation a relation
+induces on sections, the support identity of the unit, every relation check
+and the back-and-forth check are OR-folds of the output masks.  The
 completion carries an operator as the image map of its relation, which is a
 compatibility-preserving operator by construction (proved at
 ``complete_with_operators``), so the operator cap bounds the inputs only;
@@ -297,20 +298,6 @@ class SpaceRelation(Record):
         return self._tuples
 
 
-def apply_relation(rel: SpaceRelation, subsets: Sequence[frozenset[int]]) -> frozenset[int]:
-    """Outputs reachable from inputs drawn one per subset: the OR-fold of the
-    image with near[i] the points of subset i, read at (0, ..., arity - 1)."""
-    from .filters import from_mask, to_mask
-
-    if len(subsets) != rel.arity:
-        raise ValueError("argument count does not match the relation arity")
-    k = rel.space.n_points
-    full = (1 << k) - 1
-    near = [list(bits(to_mask(u) & full)) for u in subsets]
-    out = _fold(rel.image, k, near, rel.arity, or_, 0)[_flatten(range(rel.arity), rel.arity)]
-    return from_mask(out)
-
-
 def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     """The point relation on the maximal-filter space: inputs drawn from the
     first filters must always land the operation in the last, so the last
@@ -330,7 +317,7 @@ def _relation(algebra: FiniteAlgebra, table: OpTable) -> SpaceRelation:
     _check_caps(algebra, table)
     dual = dual_of(algebra)
     hats = dual.mfs.hats
-    members = [list(bits(m)) for m in dual.mfs.members]
+    members = [list(bits(m)) for m in dual.mfs.points]
     outputs = [hats[e] for e in table.entries]
     image = _fold(outputs, algebra.n, members, table.arity, and_, dual.topology.full)
     return SpaceRelation._of_image(table.name, dual.space, table.arity, image)
@@ -425,7 +412,7 @@ def _relation_table(rel: SpaceRelation, dual: DualAlgebra) -> OpTable:
     """The operation the relation induces on the sections: each entry is the
     union of the images of the point tuples drawn from its sections, the
     OR-fold of the image over the point lists of the sections."""
-    points = [list(bits(m)) for m in dual.masks]
+    points = [list(bits(m)) for m in dual.sections]
     entries = _fold(rel.image, rel.space.n_points, points, rel.arity, or_, 0)
     return OpTable(rel.name, rel.arity, len(points), tuple(map(dual.index.__getitem__, entries)))
 
@@ -610,10 +597,9 @@ def classify_concrete_ops(
     a non-injective element) or exceeds the size cap are reported unclassified.
     A closure holds the input and the empty function, so when those alone
     exceed the cap no closure is built.  Building one would fail first only
-    on an oversized carrier or, in its first round, on the converse of a
-    non-injective element: that round applies the operation to every member
-    of the input's closure under difference and restriction, which holds a
-    non-injective function iff the input does.  Those keep their own note.
+    on an oversized carrier or on the converse of a non-injective input
+    element, which the closure refuses before it computes anything else.
+    Those keep their own note.
     """
     size = algebra.carrier.size
     over_cap = size <= CLOSURE_SIZE_CAP and OPERATOR_ALGEBRA_CAP < len(

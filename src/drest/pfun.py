@@ -32,7 +32,6 @@ from .dra import Record
 
 UNDEF = -1
 
-ENUMERATE_SIZE_CAP = 4
 CLOSURE_SIZE_CAP = 4
 # the operations of every closure, which the closure reads off atoms
 BASE_OPS = ("difference", "restrict")
@@ -263,23 +262,6 @@ pf_meet = _on_graphs("meet")
 pf_override = _on_graphs("override")
 
 
-def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:
-    """The union f | g when it is functional, None otherwise."""
-    if not pf_compatible(f, g):
-        return None
-    encode, decode, _, _ = _graphs(f.carrier.size)
-    return PartialFunction(f.carrier, decode(encode(f.values) | encode(g.values)))
-
-
-def pf_compatible(f: PartialFunction, g: PartialFunction) -> bool:
-    """True when f and g agree on the intersection of their domains, that
-    is when f restricted to the domain of g is g restricted to that of f."""
-    _require_shared_carrier(f, g)
-    encode, _, dom, _ = _graphs(f.carrier.size)
-    a, b = encode(f.values), encode(g.values)
-    return a & dom(b) == b & dom(a)
-
-
 class ConcretePFAlgebra(Record):
     """A duplicate-free, canonically ordered family of partial functions.
 
@@ -438,7 +420,10 @@ def closure_generate(
     further operation is applied to the new members (a binary one to the
     pairs with at least one new member, each member prepared once per side,
     :class:`Pairwise`), and every result not yet a member joins the seeds;
-    with no further operation this runs once.  The members are ordered by
+    with no further operation this runs once.  Every seed is a member, so
+    when converse is named a non-injective seed raises ValueError before any
+    atom is computed; a non-injective result fed back fails when it comes
+    round.  The members are ordered by
     their canonical positions, read with their value vectors and domain
     cylinders from a table made once per carrier size, and the result is
     made without the checks it meets by construction.
@@ -478,8 +463,12 @@ def closure_generate(
     operations = graph_operations(carrier.size)
     position, graphs, pairs, encoded = _canonical(carrier.size)
     forms = [operations[name] for name in dict.fromkeys(op_names) if name not in BASE_OPS]
+    seed_masks = [encoded[f.values] for f in seeds]
+    if "converse" in op_names:
+        for seed in seed_masks:
+            operations["converse"][1](seed)
     # a constant, "identity", just seeds the closure
-    fresh = {0, *(encoded[f.values] for f in seeds), *(form() for arity, form in forms if arity == 0)}
+    fresh = {0, *seed_masks, *(form() for arity, form in forms if arity == 0)}
     unary = [form for arity, form in forms if arity == 1]
     # each binary form with the left and the right parts of the members
     binary = [(form, [], []) for arity, form in forms if arity == 2]
@@ -510,6 +499,6 @@ def closure_generate(
 
 def enumerate_all_pfs(carrier: Carrier) -> tuple[PartialFunction, ...]:
     """All (size+1)^size partial functions on the carrier, canonical order."""
-    if carrier.size > ENUMERATE_SIZE_CAP:
-        raise ValueError(f"enumeration capped at carrier size {ENUMERATE_SIZE_CAP}")
+    if carrier.size > CLOSURE_SIZE_CAP:
+        raise ValueError(f"enumeration capped at carrier size {CLOSURE_SIZE_CAP}")
     return tuple(PartialFunction(carrier, values) for values in _canonical(carrier.size)[3])

@@ -20,10 +20,13 @@ its representation, walking table rows through ``itemgetter`` only to list
 the witnesses of an invalid algebra.  The counit, F on maps, supports and the operator relation layer are kept on frozensets of points
 and members, as their definitions read; the library holds point and section
 sets as int masks and reads one support table per algebra.  The dual space
-of an algebra, the points and the sections are also built here at once from
-the masks, and continuity is asked of every basis set of the target; the
-library builds these frozenset views on first read and decides continuity
-on least neighbourhoods.  The triangle
+of an algebra, the points and the sections are also built here at once as
+frozensets, a morphism's domain and preimages too, and continuity is asked
+of every basis set of the target; the library holds points, sections and
+preimages as masks, builds the dual space on first read and decides
+continuity on least neighbourhoods.  Three helpers no library code calls
+are kept here: the override of an algebra as a join, and compatibility and
+the compatible union of partial functions on graph masks.  The triangle
 identities and both naturality squares are kept as the composite maps,
 density as the join of the image below each element, the transport between
 completions as the join scan checked with ``hom_check``, and the
@@ -87,6 +90,7 @@ from drest.pfun import (
     CarrierMismatch,
     ConcretePFAlgebra,
     PartialFunction,
+    _graphs,
 )
 
 
@@ -242,19 +246,30 @@ def _interior(subset: frozenset[int], x_opens: frozenset[frozenset[int]]) -> fro
     return inner
 
 
+def defined_on(m: SpaceMorphism) -> frozenset[int]:
+    """The source points the morphism maps somewhere."""
+    return frozenset(x for x, v in enumerate(m.mapping) if v != NOWHERE)
+
+
+def preimage(m: SpaceMorphism, subset: Iterable[int]) -> frozenset[int]:
+    """The source points the morphism maps into the subset."""
+    wanted = set(subset)
+    return frozenset(x for x, v in enumerate(m.mapping) if v != NOWHERE and v in wanted)
+
+
 def validate_morphism(m: SpaceMorphism) -> MorphismReport:
     src, tgt = m.source, m.target
     failures: list[str] = []
 
     src_opens = opens(src)
-    continuous = all(m.preimage(v) in src_opens for v in opens(tgt))
+    continuous = all(preimage(m, v) in src_opens for v in opens(tgt))
     if not continuous:
         failures.append("not continuous")
 
     # properness quantifies over compact target subsets; finitely many points
     # make every subset (and every preimage) compact
     proper = all(
-        is_compact(src, m.preimage(v))
+        is_compact(src, preimage(m, v))
         for v in _subsets(tgt.n_points)
         if is_compact(tgt, v)
     )
@@ -268,7 +283,7 @@ def _morphism_report(
 ) -> MorphismReport:
     """The report with the fibre conditions read off the projections."""
     src, tgt = m.source, m.target
-    dom = m.defined_on
+    dom = defined_on(m)
     q1 = all(
         tgt.projection[m.mapping[x]] == tgt.projection[m.mapping[y]]
         for x in dom
@@ -324,7 +339,7 @@ def validate_morphism_on_basis(m: SpaceMorphism) -> MorphismReport:
     least = [least_neighbourhood(m.source, x) for x in range(m.source.n_points)]
     continuous = all(
         all(least[x] is not None and least[x] <= pre for x in pre)
-        for pre in map(m.preimage, m.target.basis)
+        for pre in (preimage(m, v) for v in m.target.basis)
     )
     return _morphism_report(m, continuous, True, [] if continuous else ["not continuous"])
 
@@ -332,12 +347,12 @@ def validate_morphism_on_basis(m: SpaceMorphism) -> MorphismReport:
 def is_space_isomorphism(m: SpaceMorphism) -> bool:
     """Total homeomorphism whose point map preserves and reflects fibres."""
     src, tgt = m.source, m.target
-    if m.defined_on != frozenset(range(src.n_points)):
+    if defined_on(m) != frozenset(range(src.n_points)):
         return False
     if len(set(m.mapping)) != src.n_points or tgt.n_points != src.n_points:
         return False
     src_opens, tgt_opens = opens(src), opens(tgt)
-    if any(m.preimage(v) not in src_opens for v in tgt_opens):
+    if any(preimage(m, v) not in src_opens for v in tgt_opens):
         return False
     if any(frozenset(m.mapping[x] for x in u) not in tgt_opens for u in src_opens):
         return False
@@ -455,6 +470,15 @@ def join_if_exists(algebra: FiniteAlgebra, members: Iterable[int]) -> Optional[i
         if all(leq(algebra, u, v) for v in uppers):
             return u
     return None
+
+
+def derived_override(algebra: FiniteAlgebra, x: int, y: int) -> int:
+    """x extended by y off the domain of x: the join of x and y - (x | y)."""
+    complement = algebra.m(y, algebra.r(x, y))
+    join = dra.join_if_exists(algebra, (x, complement))
+    if join is None:
+        raise ValueError("override needs a finitarily compatibly complete algebra")
+    return join
 
 
 def _least(up: Sequence[int], uppers: int) -> Optional[int]:
@@ -718,6 +742,11 @@ def points_from_hats(mfs: MaxFilterSpace) -> tuple[frozenset[int], ...]:
     )
 
 
+def as_sets(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Each mask as the frozenset of its set bits."""
+    return tuple(frozenset(dra.bits(m)) for m in masks)
+
+
 def dual_space(algebra: FiniteAlgebra) -> EtaleSpace:
     """F(A) with every field built at once: each point labelled by its
     members and projected to its class, with the distinct supports, in the
@@ -737,7 +766,7 @@ def dual_space(algebra: FiniteAlgebra) -> EtaleSpace:
 def section_sets(dual: DualAlgebra) -> tuple[frozenset[int], ...]:
     """The sections as frozensets, built from their masks at once."""
     points = range(dual.space.n_points)
-    return tuple(frozenset(x for x in points if m >> x & 1) for m in dual.masks)
+    return tuple(frozenset(x for x in points if m >> x & 1) for m in dual.sections)
 
 
 def hat(points: Sequence[frozenset[int]], element: int) -> frozenset[int]:
@@ -748,10 +777,11 @@ def hat(points: Sequence[frozenset[int]], element: int) -> frozenset[int]:
 def counit(sections: DualAlgebra) -> tuple[int, ...]:
     """Each point goes to the filter of the sections containing it, where
     that collection is nonempty."""
-    points = maximal_filters(sections.algebra).points
+    points = points_from_hats(maximal_filters(sections.algebra))
+    secs = section_sets(sections)
     mapping = []
     for x in range(sections.space.n_points):
-        containing = frozenset(i for i, u in enumerate(sections.sections) if x in u)
+        containing = frozenset(i for i, u in enumerate(secs) if x in u)
         if not containing:
             mapping.append(NOWHERE)
         elif containing in points:
@@ -764,7 +794,8 @@ def counit(sections: DualAlgebra) -> tuple[int, ...]:
 def F_morphism(h: AlgebraMap) -> tuple[int, ...]:
     """Each maximal filter of the target goes to its preimage under h, where
     that is nonempty; the supports must pull back to supports."""
-    src, tgt = maximal_filters(h.target).points, maximal_filters(h.source).points
+    src = points_from_hats(maximal_filters(h.target))
+    tgt = points_from_hats(maximal_filters(h.source))
     mapping = []
     for xi in src:
         pullback = frozenset(a for a in range(h.source.n) if h.table[a] in xi)
@@ -924,7 +955,7 @@ def apply_relation(rel: SpaceRelation, subsets) -> frozenset[int]:
 def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> frozenset[tuple[int, ...]]:
     """Inputs drawn from the first filters always land the operation in the
     last."""
-    points = maximal_filters(algebra).points
+    points = points_from_hats(maximal_filters(algebra))
     tuples = set()
     for mus in product(range(len(points)), repeat=table.arity):
         images = {table(*args) for args in product(*(sorted(points[m]) for m in mus))}
@@ -936,10 +967,10 @@ def relation_from_operator(algebra: FiniteAlgebra, table: OpTable) -> frozenset[
 
 def relation_table(rel: SpaceRelation, dual: DualAlgebra) -> tuple[int, ...]:
     """The operation the relation induces on the sections."""
-    n = len(dual.sections)
+    secs = section_sets(dual)
     return tuple(
-        dual.sections.index(apply_relation(rel, [dual.sections[i] for i in args]))
-        for args in product(range(n), repeat=rel.arity)
+        secs.index(apply_relation(rel, [secs[i] for i in args]))
+        for args in product(range(len(secs)), repeat=rel.arity)
     )
 
 
@@ -961,7 +992,7 @@ def check_union_commutation(rel: SpaceRelation) -> bool:
 def check_eta_preserves_operator(algebra: FiniteAlgebra, table: OpTable, rel: SpaceRelation) -> bool:
     """The support of an output equals the relation applied to the supports
     of the inputs, for every argument tuple."""
-    points = maximal_filters(algebra).points
+    points = points_from_hats(maximal_filters(algebra))
     return all(
         hat(points, table(*args)) == apply_relation(rel, [hat(points, a) for a in args])
         for args in product(range(algebra.n), repeat=table.arity)
@@ -974,7 +1005,7 @@ def check_morphism_back_forth(
     """Reverse-forth over the source tuples with inputs in the domain, and
     back over every domain point, target tuple and source input tuple."""
     phi = morphism.mapping
-    dom = morphism.defined_on
+    dom = defined_on(morphism)
     k = rel_src.arity
 
     reverse_forth = True
@@ -1106,6 +1137,25 @@ def _union_if_compatible(f: Sequence[int], g: Sequence[int]) -> Optional[tuple[i
             return None
         out.append(fv if fv != UNDEF else gv)
     return tuple(out)
+
+
+def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[PartialFunction]:
+    """The union f | g on graph masks when it is functional, None otherwise."""
+    if not pf_compatible(f, g):
+        return None
+    encode, decode, _, _ = _graphs(f.carrier.size)
+    return PartialFunction(f.carrier, decode(encode(f.values) | encode(g.values)))
+
+
+def pf_compatible(f: PartialFunction, g: PartialFunction) -> bool:
+    """True when f and g agree on the intersection of their domains, that
+    is when f restricted to the domain of g is g restricted to that of f,
+    decided on graph masks."""
+    if f.carrier != g.carrier:
+        raise CarrierMismatch("operands live on different carriers")
+    encode, _, dom, _ = _graphs(f.carrier.size)
+    a, b = encode(f.values), encode(g.values)
+    return a & dom(b) == b & dom(a)
 
 
 # name -> (arity, raw implementation); the closure, the tables and the

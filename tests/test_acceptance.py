@@ -13,7 +13,6 @@ from drest.dra import (
     OpTable,
     binary_table,
     derived_meet,
-    derived_override,
     from_concrete,
     hom_check,
     identity_map,
@@ -36,7 +35,7 @@ from drest.duality import (
     stone_restriction_checks,
     unit_eta,
 )
-from drest.filters import all_proper_filters, hat, maximal_filters
+from drest.filters import all_proper_filters, maximal_filters
 from drest.fixtures import (
     FIXTURES,
     boolean_four,
@@ -93,14 +92,14 @@ def test_criterion_2_representation():
         alg = get_fixture(name).algebra
         eta = unit_eta(alg)
         ok &= hom_check(eta).is_embedding
-        mfs = maximal_filters(alg)
+        hat = oracles.as_sets(maximal_filters(alg).hats)
         saturate = partial(oracles.project_preimage, F_object(alg))
         project = partial(oracles.project, F_object(alg))
         for a in range(alg.n):
             for b in range(alg.n):
-                ok &= hat(mfs, alg.m(a, b)) == hat(mfs, a) - hat(mfs, b)
-                ok &= hat(mfs, alg.r(a, b)) == saturate(project(hat(mfs, a))) & hat(mfs, b)
-                ok &= hat(mfs, derived_meet(alg, a, b)) == hat(mfs, a) & hat(mfs, b)
+                ok &= hat[alg.m(a, b)] == hat[a] - hat[b]
+                ok &= hat[alg.r(a, b)] == saturate(project(hat[a])) & hat[b]
+                ok &= hat[derived_meet(alg, a, b)] == hat[a] & hat[b]
     in_budget, detail = clock()
     report(2, "representation", ok and in_budget, detail)
 
@@ -161,7 +160,7 @@ def test_criterion_6_maximal_filter_oracles(closure_corpus):
         alg = from_concrete(concrete)
         filters = all_proper_filters(alg)
         inclusion_maximal = {f for f in filters if not any(f < g for g in filters)}
-        predicate = set(maximal_filters(alg).points)
+        predicate = set(oracles.as_sets(maximal_filters(alg).points))
         ok &= predicate == inclusion_maximal
         checked += 1
     in_budget, detail = clock()
@@ -263,19 +262,19 @@ def test_criterion_10_override_coherence():
         alg = get_fixture(name).algebra
         completed, _ = complete(alg)
         dual = G_object(F_object(alg))
-        space = dual.space
-        for i, u in enumerate(dual.sections):
-            for j, v in enumerate(dual.sections):
+        space, sections = dual.space, oracles.as_sets(dual.sections)
+        for i, u in enumerate(sections):
+            for j, v in enumerate(sections):
                 # concrete override of sections: u plus the part of v lying
                 # over base points u misses
                 concrete = u | (v - oracles.project_preimage(space, oracles.project(space, u)))
-                got = dual.sections[derived_override(completed, i, j)]
+                got = sections[oracles.derived_override(completed, i, j)]
                 ok &= got == concrete
                 # the join formula spelled out
                 formula = join_if_exists(
                     completed,
                     (i, completed.m(j, completed.r(i, j))),
                 )
-                ok &= formula is not None and dual.sections[formula] == concrete
+                ok &= formula is not None and sections[formula] == concrete
     in_budget, detail = clock()
     report(10, "override coherence", ok and in_budget, detail)

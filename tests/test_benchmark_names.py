@@ -5,13 +5,19 @@ The benchmark is kept apart from the library and reaches into it by name:
 imports, attributes of imported modules, ``importlib.import_module`` results
 and the traced functions listed in ``LAYERS``.  A library change that drops
 one of those names would break the benchmark silently, so each is resolved
-here from the benchmark's source text.
+here from the benchmark's source text, and the record attributes it reads
+off results are pinned to the values it expects.
 """
 from __future__ import annotations
 
 import ast
 import importlib
+from math import prod
 from pathlib import Path
+
+from drest.dra import bottom, from_concrete, leq
+from drest.duality import EtaleSpace, G_object
+from drest.filters import maximal_filters
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -86,3 +92,26 @@ def test_every_drest_name_the_benchmark_uses_exists():
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, missing
+
+
+def test_the_record_attributes_the_benchmark_reads(closure_corpus):
+    """``perfbench/workloads.py`` reads ``len(maximal_filters(a).points)``,
+    ``len(G_object(s).sections)`` and a space's ``basis`` as its caller gave
+    it; the name check above does not see attributes of results."""
+    for concrete in closure_corpus[::25]:
+        alg = from_concrete(concrete)
+        bot = bottom(alg)
+        atoms = [
+            a for a in range(alg.n)
+            if a != bot and all(b in (bot, a) for b in range(alg.n) if leq(alg, b, a))
+        ]
+        assert len(maximal_filters(alg).points) == len(atoms)
+    for projection in ((0,), (0, 1, 1), (0, 1, 1, 2, 2, 2), (0, 0, 0, 0, 1)):
+        n = len(projection)
+        # the singletons, out of order and with a repeat and a larger set
+        basis = (frozenset({n - 1}), *(frozenset({x}) for x in range(n)), frozenset(range(n)))
+        space = EtaleSpace(n, max(projection) + 1, projection, basis)
+        fibres = [projection.count(b) for b in range(space.n_base)]
+        assert len(G_object(space).sections) == prod(size + 1 for size in fibres)
+        assert space.basis is basis
+        assert all(frozenset({x}) in set(space.basis) for x in range(n))

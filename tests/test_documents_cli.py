@@ -592,6 +592,29 @@ def test_the_operator_cap_refuses_a_pfalgebra_before_any_table_is_built(tmp_path
                 assert capsys.readouterr() == capped
 
 
+UNKNOWN = ("", json.dumps({"error": "no operation named 'no-such-op'"}) + "\n")
+
+
+def test_an_unknown_operation_is_refused_by_its_name(tmp_path, capsys):
+    concrete = boolean_four().concrete
+    for document in (emit_document(concrete), emit_document(from_concrete(concrete))):
+        path = write(tmp_path, "doc.json", document)
+        for argv in (["check-op", path, "no-such-op"], ["complete", path, "--with-op", "no-such-op"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == UNKNOWN
+
+
+def test_an_unknown_operation_is_refused_before_any_table_is_built(tmp_path, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a table was built")
+
+    path = write(tmp_path, "pf.json", emit_document(boolean_four().concrete))
+    monkeypatch.setattr(dra, "from_masks", built)
+    for argv in (["check-op", path, "no-such-op"], ["complete", path, "--with-op", "no-such-op"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == UNKNOWN
+
+
 def unclosed_pfalgebra(tmp_path) -> str:
     """{0:0,1:1} and {0:0}, whose difference {1:1} is missing."""
     carrier = Carrier(2)

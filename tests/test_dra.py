@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import derived_override
 from drest.dra import (
     AlgebraMap,
     FiniteAlgebra,
@@ -12,7 +13,6 @@ from drest.dra import (
     bottom,
     compatible,
     derived_meet,
-    derived_override,
     from_concrete,
     hom_check,
     identity_map,

@@ -15,7 +15,7 @@ from conftest import operator_cases
 from drest import operators
 from drest.dra import OpTable, binary_table, bottom, from_concrete, derived_meet
 from drest.duality import SPACE_SIZE_CAP, EtaleSpace, F_object, counit_lambda, identity_morphism
-from drest.filters import hat, maximal_filters
+from drest.filters import maximal_filters
 from drest.fixtures import (
     boolean_four,
     conflicting_pair,
@@ -27,7 +27,6 @@ from drest.operators import (
     OPERATOR_ARITY_CAP,
     OperatorCheckError,
     SpaceRelation,
-    apply_relation,
     check_additive,
     check_compat_preserving,
     check_eta_preserves_operator,
@@ -177,7 +176,7 @@ def test_empty_relation_induces_the_constant_empty_operation():
     space = F_object(disjoint_pair().algebra)
     empty = SpaceRelation("none", space, 1, frozenset())
     dual, table = operation_from_relation(space, empty)
-    bot = dual.sections.index(frozenset())
+    bot = dual.sections.index(0)
     assert set(table.entries) == {bot}
 
 
@@ -442,10 +441,3 @@ def test_an_input_over_the_cap_is_refused_without_a_closure(monkeypatch):
         ConcretePFAlgebra(carrier, tuple(sorted(ten, key=lambda f: f.sort_key))), ("domain",)
     )
     assert len(ten) == OPERATOR_ALGEBRA_CAP and closures == [] and entry.closed_size is None
-
-
-def test_apply_relation_respects_arity():
-    alg, d = domain_algebra(disjoint_pair())
-    rel = relation_from_operator(alg, d)
-    with pytest.raises(ValueError):
-        apply_relation(rel, [])

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import RAW_OPS
+from oracles import RAW_OPS, pf_compatible, pf_union_if_compatible
 from drest.pfun import (
     UNDEF,
     Carrier,
@@ -12,12 +12,10 @@ from drest.pfun import (
     PartialFunction,
     closure_generate,
     enumerate_all_pfs,
-    pf_compatible,
     pf_difference,
     pf_meet,
     pf_override,
     pf_restrict,
-    pf_union_if_compatible,
 )
 
 
@@ -151,3 +149,16 @@ def test_enumerate_all_counts():
     assert len(enumerate_all_pfs(Carrier(1))) == 2
     assert len(enumerate_all_pfs(Carrier(2))) == 9
     assert len(enumerate_all_pfs(Carrier(3))) == 64
+
+
+def test_a_seed_with_no_converse_is_refused_before_the_atoms(monkeypatch):
+    from drest import pfun
+
+    def refuse(*args):
+        raise AssertionError("atoms computed")
+
+    monkeypatch.setattr(pfun, "_atoms", refuse)
+    carrier = Carrier(3)
+    seeds = [PartialFunction(carrier, (0, 1, 2)), PartialFunction(carrier, (0, 0, UNDEF))]
+    with pytest.raises(ValueError, match="^converse of a non-injective partial function$"):
+        closure_generate(carrier, seeds, ("difference", "restrict", "converse"))

@@ -34,8 +34,6 @@ from drest.pfun import (
     _pairs,
     closure_generate,
     enumerate_all_pfs,
-    pf_compatible,
-    pf_union_if_compatible,
 )
 
 OPS = ("difference", "restrict")
@@ -142,9 +140,9 @@ def test_union_and_compatibility_agree_with_the_tuple_form(pair):
     carrier = Carrier(len(pair[0]))
     f, g = (PartialFunction(carrier, v) for v in pair)
     expected = oracles._union_if_compatible(*pair)
-    union = pf_union_if_compatible(f, g)
+    union = oracles.pf_union_if_compatible(f, g)
     assert (None if union is None else union.values) == expected
-    assert pf_compatible(f, g) == (expected is not None)
+    assert oracles.pf_compatible(f, g) == (expected is not None)
 
 
 def test_converse_of_a_non_injective_seed_fails_alike():

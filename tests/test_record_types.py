@@ -78,10 +78,10 @@ PLAIN = {
     ),
     SpaceMorphism: (("source", "target", "mapping"), lambda x: None),
     DualAlgebra: (
-        ("algebra", "masks", "index", "topology", "_space"), lambda x: (x.sections, x.space)
+        ("algebra", "sections", "index", "topology", "_space"), lambda x: x.space
     ),
     DualRecord: (("mfs", "names"), lambda x: (x.space, x.sections)),
-    MaxFilterSpace: (("n", "atoms", "classes", "hats"), lambda x: x.points),
+    MaxFilterSpace: (("n", "atoms", "classes", "hats"), lambda x: None),
     SpaceRelation: (("name", "space", "arity", "tuples"), lambda x: x.tuples),
     Carrier: (("size", "labels"), lambda x: None),
     PartialFunction: (("carrier", "values"), lambda x: None),
@@ -91,11 +91,11 @@ PLAIN = {
 # the fields equality compares, where they are not the constructor's, and
 # those the repr leaves out
 COMPARED = {
-    DualAlgebra: ("masks", "algebra", "space"),
+    DualAlgebra: ("sections", "algebra", "space"),
     SpaceRelation: ("name", "space", "arity", "image"),
 }
 UNSHOWN = {
-    DualAlgebra: ("masks", "space"),
+    DualAlgebra: ("sections", "space"),
     DualRecord: ("names",),
     MaxFilterSpace: ("hats",),
     SpaceRelation: ("image",),

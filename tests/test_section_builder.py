@@ -28,7 +28,7 @@ from drest.duality import DualAlgebra, EtaleSpace, G_object, dual_of, validate_e
 
 def assert_same_as_the_oracle(built: DualAlgebra) -> None:
     expected = oracles.section_algebra(built.topology, None)
-    assert built.masks == expected.masks
+    assert built.sections == expected.sections
     assert built.index == expected.index
     assert built.algebra.elements == expected.algebra.elements
     assert built.algebra._masks[1] == expected.algebra._masks[1]  # the saturations
@@ -92,7 +92,7 @@ def test_points_out_of_order_keep_the_atoms_the_table_search_finds():
     assert built.algebra.elements == ("{}", "{0}", "{1}", "{2}", "{0,1}", "{1,2}")
     atoms, classes, hats = dra.representation(built.algebra)
     assert atoms == (1, 3, 2) and classes == ((0, 1), (2,))
-    assert hats == (0, 1, 4, 2, 5, 6) != built.masks
+    assert hats == (0, 1, 4, 2, 5, 6) != built.sections
 
 
 def test_mask_tables_are_in_range_without_the_scan():

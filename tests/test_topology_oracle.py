@@ -1,22 +1,24 @@
 """The bitmask topology against the literal definitions in ``oracles``.
 
 Every report field, the failure messages in their order, morphism checks,
-isomorphism checks, relation checks and applications, sections and the
-dual's tables must agree: exhaustively on spaces of at most three points, on
-generated spaces of four to six points whose bases may be non-stable or leave
-points uncovered, and on the traffic the library itself makes: the dual
-spaces of corpus algebras and of three-seed closures, of their completions,
-and the F(unit) and counit morphisms between them.
+isomorphism checks, relation checks, relations applied to sections by the
+operations they induce, sections and the dual's tables must agree:
+exhaustively on spaces of at most three points, on generated spaces of four
+to six points whose bases may be non-stable or leave points uncovered, and
+on the traffic the library itself makes: the dual spaces of corpus algebras
+and of three-seed closures, of their completions, and the F(unit) and
+counit morphisms between them.
 """
 from __future__ import annotations
 
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import abstract, small_spaces, three_seed_closures
+from conftest import abstract, small_spaces, three_seed_closures, valid_spaces
 from drest.duality import (
     EtaleSpace,
     F_morphism,
@@ -31,7 +33,12 @@ from drest.duality import (
     validate_etale,
     validate_morphism,
 )
-from drest.operators import SpaceRelation, apply_relation, check_relation_properties
+from drest.operators import (
+    OperatorCheckError,
+    SpaceRelation,
+    check_relation_properties,
+    operation_from_relation,
+)
 
 
 def members(mask: int, n: int) -> frozenset[int]:
@@ -58,7 +65,7 @@ def assert_space_agrees(space: EtaleSpace) -> None:
     assert opens(space) == oracles.opens(space)
     if report.ok:
         dual = G_object(space)
-        assert list(dual.sections) == oracles.sections(space)
+        assert list(oracles.as_sets(dual.sections)) == oracles.sections(space)
         minus, rest = oracles.dual_tables(space)
         assert dual.algebra.minus.entries == minus
         assert dual.algebra.rest.entries == rest
@@ -191,8 +198,19 @@ def test_relation_checks_agree(rel):
 
 
 @settings(max_examples=200, deadline=None)
-@given(relations(), st.data())
-def test_applying_a_relation_agrees(rel, data):
-    subset = st.frozensets(st.integers(0, rel.space.n_points - 1))
-    subsets = data.draw(st.lists(subset, min_size=rel.arity, max_size=rel.arity))
-    assert apply_relation(rel, subsets) == oracles.apply_relation(rel, subsets)
+@given(valid_spaces(), st.data())
+def test_applying_a_relation_agrees(space, data):
+    """The operation a relation induces applies it, by an OR-fold of its
+    image, to every tuple of sections: each entry against the literal
+    application, or a refusal when the relation induces no operation."""
+    arity = data.draw(st.integers(1, 2))
+    point = st.integers(0, space.n_points - 1)
+    tuples = data.draw(st.frozensets(st.tuples(*[point] * (arity + 1)), max_size=8))
+    rel = SpaceRelation("r", space, arity, tuples)
+    report = check_relation_properties(rel)
+    if not (report.compatibility_property and report.spectral):
+        with pytest.raises(OperatorCheckError, match="does not induce an operation"):
+            operation_from_relation(space, rel)
+        return
+    dual, table = operation_from_relation(space, rel)
+    assert table.entries == oracles.relation_table(rel, dual)
