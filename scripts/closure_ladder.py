@@ -8,7 +8,9 @@ functions each, drawn with ``random.Random(SEED)`` once per carrier.  Each
 time is the best of ``--repeat`` passes over all the sets.  A closure that
 fails (the converse of a non-injective function) counts as refused.  Then,
 on the largest carrier, the scaling curve of the closure under difference
-and restriction alone: ``--sets`` sets of each of ``SCALING`` functions.
+and restriction alone: ``--sets`` sets of each of ``SCALING`` functions,
+with the best time of ``from_concrete`` over the same closures, which reads
+the names and masks each closure keeps and builds both tables.
 Last, ``classify_concrete_ops`` is timed on the algebra of all 625 partial
 functions on 4 points, where every operation but converse is refused at
 once and converse fails on the seeds, before the atoms.
@@ -19,7 +21,8 @@ for the classification, to stdout, for example::
     {"carrier": 3, "operation": "compose", "seeds": 2, "sets": 40,
      "mean_elements": 15.6, "refused": 0, "closure_s": 0.01234}
     {"carrier": 4, "operation": null, "seeds": 8, "sets": 40,
-     "mean_elements": 62.0, "refused": 0, "closure_s": 0.00263}
+     "mean_elements": 62.0, "refused": 0, "closure_s": 0.00263,
+     "from_concrete_s": 0.00789}
     {"carrier": 4, "functions": 625, "classify_s": 0.04321}
 
 ``--max-carrier`` stops the ladder early, and the scaling rows are then on
@@ -36,6 +39,7 @@ import random
 import sys
 import time
 
+from drest.dra import from_concrete
 from drest.operators import CATALOGUE, NOT_IMPLEMENTED, classify_concrete_ops
 from drest.pfun import Carrier, ConcretePFAlgebra, closure_generate, enumerate_all_pfs
 
@@ -95,8 +99,13 @@ def closure_rows(size: int, sets: int, repeat: int):
 
 
 def scaling_rows(size: int, sets: int, repeat: int):
+    carrier = Carrier(size)
     for seeds in SCALING:
-        yield closure_row(size, seed_sets(size, sets, seeds), None, repeat)
+        chosen_sets = seed_sets(size, sets, seeds)
+        row = closure_row(size, chosen_sets, None, repeat)
+        closures = [closure_generate(carrier, chosen) for chosen in chosen_sets]
+        row["from_concrete_s"] = best(repeat, lambda: list(map(from_concrete, closures)))
+        yield row
 
 
 def classify_row(repeat: int) -> dict:

@@ -225,8 +225,8 @@ def from_concrete(
     algebra: ConcretePFAlgebra, extra_ops: Iterable[str] = ()
 ) -> FiniteAlgebra:
     """The algebra of a concrete partial-function algebra, built from its
-    graph masks (:func:`from_masks`), with the tables of the named
-    operations.
+    graph masks and element names (:func:`from_masks`), both kept on the
+    family, with the tables of the named operations.
 
     Each table applies the operation's one form on graph masks
     (:func:`drest.pfun.graph_operations`) to every argument tuple of masks
@@ -240,7 +240,7 @@ def from_concrete(
     member, and a name with no concrete operation raises KeyError.
     """
     masks, doms = algebra.graph_masks()
-    built, index = from_masks((f.render() for f in algebra.elements), masks, doms)
+    built, index = from_masks(algebra.names(), masks, doms)
     names = tuple(extra_ops)
     if not names:
         return built

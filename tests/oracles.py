@@ -24,14 +24,16 @@ of an algebra, the points and the sections are also built here at once as
 frozensets, a morphism's domain and preimages too, and continuity is asked
 of every basis set of the target; the library holds points, sections and
 preimages as masks, builds the dual space on first read and decides
-continuity on least neighbourhoods.  Three helpers no library code calls
-are kept here: the override of an algebra as a join, and compatibility and
-the compatible union of partial functions on graph masks.  The triangle
-identities and both naturality squares are kept as the composite maps,
-density as the join of the image below each element, the transport between
+continuity on least neighbourhoods.  Helpers no library code calls
+are kept here: the override of an algebra as a join, compatibility and
+the compatible union of partial functions on graph masks, and the domain
+and image of a partial function as frozensets.  The triangle
+identities and both naturality squares are kept as the composite maps, the
+right triangle identity also as its check at every section, density as the join of the image below each element, the transport between
 completions as the join scan checked with ``hom_check``, and the
 subtraction-algebra checks as the pair scans over a built completion or
-section algebra; the library decides the triangles and density on masks, the
+section algebra; the library decides the triangles and density on masks,
+the right identity on singleton sections only, the
 η square as the support identity of F, and the λ square, the transport and
 the subtraction-algebra checks by the proofs in their docstrings.  That
 restriction is the meet is kept as the pair loop; the library compares table
@@ -859,6 +861,16 @@ def check_triangle_identities(obj) -> TriangleReport:
     return TriangleReport(left.is_identity(), right.is_identity())
 
 
+def right_triangle_on_every_section(sections: DualAlgebra, counit: Sequence[int]) -> bool:
+    """G(λ) ∘ η_S = id checked at every section u of S, for a point map λ to
+    the points of F(S): λ⁻¹(hats_S[u]) = u, one preimage per section."""
+    hats = maximal_filters(sections.algebra).hats
+    return all(
+        sum(1 << x for x, v in enumerate(counit) if v != NOWHERE and h >> v & 1) == u
+        for h, u in zip(hats, sections.sections)
+    )
+
+
 def image_dense(m: AlgebraMap) -> bool:
     """Every target element is the join of the image elements below it."""
     # t <= c is inclusion of supports
@@ -1145,6 +1157,16 @@ def pf_union_if_compatible(f: PartialFunction, g: PartialFunction) -> Optional[P
         return None
     encode, decode, _, _ = _graphs(f.carrier.size)
     return PartialFunction(f.carrier, decode(encode(f.values) | encode(g.values)))
+
+
+def domain(f: PartialFunction) -> frozenset[int]:
+    """The points where f is defined."""
+    return frozenset(x for x, v in enumerate(f.values) if v != UNDEF)
+
+
+def image(f: PartialFunction) -> frozenset[int]:
+    """The values f takes."""
+    return frozenset(v for v in f.values if v != UNDEF)
 
 
 def pf_compatible(f: PartialFunction, g: PartialFunction) -> bool:

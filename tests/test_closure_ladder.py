@@ -1,5 +1,6 @@
 """``scripts/closure_ladder.py`` at tiny sizes: one JSON row per carrier and
-operation, one per scaling seed count, and the classification row."""
+operation, one per scaling seed count with its ``from_concrete`` time, and
+the classification row."""
 from __future__ import annotations
 
 import importlib.util
@@ -34,6 +35,9 @@ def test_tiny_ladder_prints_one_row_per_carrier_and_operation(capsys):
     # closure of any seeds has at most the 9 functions there are
     scaling = rows[-5:]
     assert all(r["refused"] == 0 and 1 <= r["mean_elements"] <= 9 for r in scaling)
+    # only the scaling rows time from_concrete on their closures
+    assert all(r["from_concrete_s"] > 0 for r in scaling)
+    assert not any("from_concrete_s" in r for r in rows[:-5])
 
 
 def test_the_classification_row():

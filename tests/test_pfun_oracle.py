@@ -11,6 +11,8 @@ by hypothesis (up to eight seeds on carrier 4), the closure of all 625
 functions on 4 points, and empty, repeated and labelled seed sets.  The
 atoms the closure reads are checked against the oracle closure's minimal
 members, and closedness verdicts on closures with members dropped at random.
+The names a closure hands over must be the rendered ones, labels shown, and
+build the same algebra, elements and tables, as its checked record does.
 """
 from __future__ import annotations
 
@@ -57,15 +59,22 @@ def assert_closures_agree(carrier, seeds, ops=OPS):
             carrier, tuple(PartialFunction(carrier, f.values) for f in got.elements)
         )
         assert checked.graph_masks() == got.graph_masks()
+        # its names are handed over from the table of names, or rendered on
+        # first read on a labelled carrier, and are the rendered ones
+        assert (got._names is None) == (carrier.labels is not None)
+        assert got.names() == tuple(f.render() for f in got.elements)
         for record in (got, *got.elements):
             assert all(hasattr(record, slot) for slot in type(record).__slots__)
     return got
 
 
-def assert_tables_agree(closed: ConcretePFAlgebra) -> None:
+def assert_tables_agree(closed: ConcretePFAlgebra, extra_ops=()) -> None:
     minus, rest = oracles.dr_tables(closed)
-    alg = from_concrete(closed)
+    alg = from_concrete(closed, extra_ops)
     assert alg.minus.entries == minus and alg.rest.entries == rest
+    # the closure's names and masks build the algebra of the checked record
+    # of the same elements: same elements, same tables
+    assert alg == from_concrete(ConcretePFAlgebra(closed.carrier, closed.elements), extra_ops)
 
 
 def dropped(closed: ConcretePFAlgebra, i: int) -> ConcretePFAlgebra:
@@ -105,6 +114,7 @@ def test_every_catalogue_operation(name):
                 got = assert_closures_agree(carrier, seeds, (*OPS, name))
                 if isinstance(got, ConcretePFAlgebra):
                     assert got.is_closed_under((*OPS, name))
+                    assert_tables_agree(got, (name,))
 
 
 def values(size: int):
@@ -214,6 +224,10 @@ def test_edge_seed_sets():
     for extra in ((), ("compose",), ("identity",)):
         closed = assert_closures_agree(labelled, seeds, (*OPS, *extra))
         assert all(f.carrier == labelled for f in closed.elements)
+        assert_tables_agree(closed, extra)
+        # the names show the labels, not the point numbers
+        assert {"{}", "{a:b,b:c}", "{c:a}"} <= set(from_concrete(closed).elements)
+        assert not any(name[1].isdigit() for name in closed.names())
     assert "{a:b,b:c}" in {f.render() for f in closed.elements}
 
 

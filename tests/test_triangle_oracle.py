@@ -7,9 +7,14 @@ Both triangle verdicts are compared on every corpus algebra, on seeded
 three-seed closures on carrier 4 and their completions, on the
 eighteen-element completion and on generated valid spaces, which anchor the
 space side.  The oracle checks G of each counit with ``hom_check`` on the
-way.  Density is compared on the canonical embeddings of the same algebras,
-on their identity maps, whose targets are often incomplete, and on
-inclusions of subalgebras, which are often not dense; both verdicts occur.
+way.  The right identity, decided on the singleton sections, is compared
+with its check at every section on the corpus algebras, their completions,
+both anchored at the algebra and at its dual space, and on generated valid
+spaces, with the counit as built and with two of its points swapped, where
+both checks fail.  Density is compared on the canonical embeddings of the
+same algebras, on their identity maps, whose targets are often incomplete,
+and on inclusions of subalgebras, which are often not dense; both verdicts
+occur.
 The η square is compared on every corpus identity map, on one subalgebra
 inclusion per corpus size and on every homomorphism among seeded maps
 between corpus algebras of at most 9 elements; the maps that are not
@@ -58,6 +63,24 @@ def assert_triangles_agree(obj) -> None:
     report = check_triangle_identities(obj)
     assert report == oracles.check_triangle_identities(obj)
     assert report.ok
+
+
+def assert_right_forms_agree(obj, rng: random.Random) -> bool:
+    """The right identity on the singleton sections against the check at
+    every section, on the counit of the anchor's sections and on that counit
+    with two points swapped, where both fail; whether a swap was made."""
+    sections = dual_of(obj).sections if isinstance(obj, FiniteAlgebra) else G_object(obj)
+    counit = duality._counit_map(sections)
+    right = duality._right_triangle(sections, counit)
+    assert right is oracles.right_triangle_on_every_section(sections, counit) is True
+    if len(counit) < 2:
+        return False
+    x, y = rng.sample(range(len(counit)), 2)
+    swapped = list(counit)
+    swapped[x], swapped[y] = counit[y], counit[x]
+    right = duality._right_triangle(sections, swapped)
+    assert right is oracles.right_triangle_on_every_section(sections, swapped) is False
+    return True
 
 
 def subalgebra_inclusion(alg: FiniteAlgebra, generators) -> AlgebraMap:
@@ -135,6 +158,25 @@ def test_eighteen_element_completion_agrees():
 def test_generated_spaces_agree(space):
     assert_triangles_agree(space)
     assert_triangles_agree(G_object(space).algebra)
+
+
+def test_the_right_identity_on_singletons_agrees_with_every_section(closure_corpus):
+    rng = random.Random(11)
+    swaps = Counter()
+    for concrete in closure_corpus:
+        alg = abstract(concrete)
+        completed, _ = complete(alg)
+        for obj in (alg, completed, F_object(alg), F_object(completed)):
+            swaps[type(obj).__name__] += assert_right_forms_agree(obj, rng)
+    assert min(swaps.values()) > 1500, swaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_spaces())
+def test_the_right_identity_on_singletons_agrees_on_generated_spaces(space):
+    rng = random.Random(space.n_points)
+    for obj in (space, G_object(space).algebra):
+        assert_right_forms_agree(obj, rng)
 
 
 def assert_eta_squares_agree(h: AlgebraMap) -> None:
