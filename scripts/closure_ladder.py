@@ -10,7 +10,8 @@ fails (the converse of a non-injective function) counts as refused.  Then,
 on the largest carrier, the scaling curve of the closure under difference
 and restriction alone: ``--sets`` sets of each of ``SCALING`` functions,
 with the best time of ``from_concrete`` over the same closures, which reads
-the names and masks each closure keeps and builds both tables.
+the masks each closure keeps and the names it renders on the first pass and
+keeps, and builds both tables.
 Last, ``classify_concrete_ops`` is timed on the algebra of all 625 partial
 functions on 4 points, where every operation but converse is refused at
 once and converse fails on the seeds, before the atoms.

@@ -274,19 +274,19 @@ class ConcretePFAlgebra(Record):
                 raise CarrierMismatch("element on a foreign carrier")
         self.carrier, self.elements = carrier, elements
         # value vector -> position, built on the first index() call, and the
-        # graph masks and element names, made by the closure or on the first
-        # graph_masks() or names() call; all kept out of equality and repr:
-        # most instances (closure inputs, say) are never indexed
+        # graph masks, made by the closure or on the first graph_masks()
+        # call, and the element names, made on the first names() call; all
+        # kept out of equality and repr: most instances (closure inputs, say)
+        # are never indexed
         self._index: Optional[dict[tuple[int, ...], int]] = None
         self._masks: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         self._names: Optional[tuple[str, ...]] = None
 
     @classmethod
-    def _closed(cls, carrier: Carrier, values, masks, cylinders, names) -> "ConcretePFAlgebra":
+    def _closed(cls, carrier: Carrier, values, masks, cylinders) -> "ConcretePFAlgebra":
         """The closure's result: canonically ordered value vectors in range,
-        their masks, cylinders and names (None to render them on first
-        read), set without the checks of either ``__init__``, which this
-        must set every slot of."""
+        their masks and cylinders, set without the checks of either
+        ``__init__``, which this must set every slot of."""
         elements = []
         for v in values:
             f = object.__new__(PartialFunction)
@@ -294,7 +294,7 @@ class ConcretePFAlgebra(Record):
             elements.append(f)
         closed = object.__new__(cls)
         closed.carrier, closed.elements, closed._index = carrier, tuple(elements), None
-        closed._masks, closed._names = (masks, cylinders), names
+        closed._masks, closed._names = (masks, cylinders), None
         return closed
 
     def index(self, f: PartialFunction) -> int:
@@ -315,9 +315,8 @@ class ConcretePFAlgebra(Record):
         return self._masks
 
     def names(self) -> tuple[str, ...]:
-        """The name of every element, :meth:`PartialFunction.render`: handed
-        over by the closure on a carrier without labels, else rendered on
-        the first call."""
+        """The name of every element, :meth:`PartialFunction.render`,
+        rendered on the first call and kept."""
         if self._names is None:
             self._names = tuple(f.render() for f in self.elements)
         return self._names
@@ -396,17 +395,14 @@ def _atoms(size: int, graphs: Sequence[Sequence[int]]) -> list[list[int]]:
 @cache
 def _canonical(size: int):
     """The canonical position of each of the (size+1)**size graph masks of a
-    carrier; at each position the value vector, the mask, its domain
-    cylinder and its name on a carrier without labels
-    (:meth:`PartialFunction.render`); at each position the mask's pairs
-    (:func:`_pairs`); and the mask of each value vector."""
+    carrier; at each position the value vector, the mask and its domain
+    cylinder; at each position the mask's pairs (:func:`_pairs`); and the
+    mask of each value vector."""
     encode, _, dom, _ = _graphs(size)
     # UNDEF is -1, below every point, so product order is canonical order
     vectors = list(product(range(UNDEF, size), repeat=size))
     masks = list(map(encode, vectors))
-    carrier = Carrier(size)
-    names = [PartialFunction(carrier, v).render() for v in vectors]
-    graphs = list(zip(vectors, masks, map(dom, masks), names))
+    graphs = list(zip(vectors, masks, map(dom, masks)))
     position = {mask: i for i, mask in enumerate(masks)}
     return position, graphs, list(map(_pairs, vectors)), dict(zip(vectors, masks))
 
@@ -429,10 +425,9 @@ def closure_generate(
     when converse is named a non-injective seed raises ValueError before any
     atom is computed; a non-injective result fed back fails when it comes
     round.  The members are ordered by
-    their canonical positions, read with their value vectors, domain
-    cylinders and names (on a carrier without labels) from a table made once
-    per carrier size, and the result is made without the checks it meets by
-    construction.
+    their canonical positions, read with their value vectors and domain
+    cylinders from a table made once per carrier size, and the result is
+    made without the checks it meets by construction.
 
     Proof that the closure under the two is every union of classes of the
     stable partition (:func:`_atoms`) that lies inside a seed, fed-back
@@ -499,13 +494,8 @@ def closure_generate(
             made.update(starmap(form.combine, product(new_lefts, rights)))
         fresh = made - members
 
-    values, masks, cylinders, names = zip(
-        *[graphs[i] for i in sorted(map(position.__getitem__, members))]
-    )
-    # labels change the names, which are then rendered on first read
-    if carrier.labels is not None:
-        names = None
-    return ConcretePFAlgebra._closed(carrier, values, masks, cylinders, names)
+    values, masks, cylinders = zip(*[graphs[i] for i in sorted(map(position.__getitem__, members))])
+    return ConcretePFAlgebra._closed(carrier, values, masks, cylinders)
 
 
 def enumerate_all_pfs(carrier: Carrier) -> tuple[PartialFunction, ...]:

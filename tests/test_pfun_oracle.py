@@ -11,8 +11,9 @@ by hypothesis (up to eight seeds on carrier 4), the closure of all 625
 functions on 4 points, and empty, repeated and labelled seed sets.  The
 atoms the closure reads are checked against the oracle closure's minimal
 members, and closedness verdicts on closures with members dropped at random.
-The names a closure hands over must be the rendered ones, labels shown, and
-build the same algebra, elements and tables, as its checked record does.
+A closure's names must be the rendered ones, labels shown, kept after the
+first read, and build the same algebra, elements and tables, as its checked
+record does.
 """
 from __future__ import annotations
 
@@ -59,10 +60,9 @@ def assert_closures_agree(carrier, seeds, ops=OPS):
             carrier, tuple(PartialFunction(carrier, f.values) for f in got.elements)
         )
         assert checked.graph_masks() == got.graph_masks()
-        # its names are handed over from the table of names, or rendered on
-        # first read on a labelled carrier, and are the rendered ones
-        assert (got._names is None) == (carrier.labels is not None)
+        # its names are the rendered ones, made on the first read and kept
         assert got.names() == tuple(f.render() for f in got.elements)
+        assert got.names() is got.names()
         for record in (got, *got.elements):
             assert all(hasattr(record, slot) for slot in type(record).__slots__)
     return got
@@ -72,7 +72,7 @@ def assert_tables_agree(closed: ConcretePFAlgebra, extra_ops=()) -> None:
     minus, rest = oracles.dr_tables(closed)
     alg = from_concrete(closed, extra_ops)
     assert alg.minus.entries == minus and alg.rest.entries == rest
-    # the closure's names and masks build the algebra of the checked record
+    # the closure's kept names and masks build the algebra of the checked record
     # of the same elements: same elements, same tables
     assert alg == from_concrete(ConcretePFAlgebra(closed.carrier, closed.elements), extra_ops)
 
